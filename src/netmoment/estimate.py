@@ -6,6 +6,10 @@ Fourier-side Taylor coefficients (d's), the data-side T quantities whose
 exact linear dependences raise the estimator order, closed-form leading
 error terms, far-field coefficient recovery from data, and radius sweeps
 with log-log convergence slopes.
+
+Every data-side quantity here is a fixed linear combination of the monomial
+disk moments FieldMap.moments; the exact coefficients live in one table,
+_ROWS.
 """
 from __future__ import annotations
 
@@ -13,13 +17,14 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .field import AsymptCoeffs, asympt_coefficients, asympt_condition_margin, b3
-from .noise import NoiseSpec, add_noise
-from .quad import FieldMap, build_grid, integrate_weighted, sample_field
+from .noise import NoiseSpec, _generator, add_noise
+from .quad import MAX_POWER, FieldMap, build_grid, sample_field
 from .scene import MU0, DipoleScene, height_moment, net_moment
 
 __all__ = [
@@ -47,6 +52,47 @@ _PI = math.pi
 
 _COMPONENTS = ("m1", "m2", "m3")
 _AXES = ("x1", "x2")
+
+# Exact coefficient rows c over the monomial disk moments mu[j, p] of
+# FieldMap.moments, keyed by power p; j is the data axis.
+#  - ("tangential" | "normal", order): the estimator is A * sum_p c_p mu[j, p]
+#    in field units, i.e. its weight is A * sum_p c_p (x_j / A)^p.
+#  - ("t", q): the T quantities; column _CLOSURE holds the a1~ (odd q) or m3
+#    (even q) closure term, see t_quantities.
+#  - ("a1" | "combo", order): the recovered coefficients are
+#    (A / pi) * sum_p c_p mu[j, p]; each combo row already includes its a1
+#    correction, 100/21 (order 4) or 124/63 (order 5) times the a1 row.
+_CLOSURE = MAX_POWER + 1
+_ROWS: dict[tuple[str, int], dict[int, int | Fraction]] = {
+    ("tangential", 1): {1: 2},
+    ("tangential", 2): {1: 2, 3: Fraction(8, 3)},
+    ("tangential", 3): {1: 2, 5: Fraction(48, 5)},
+    ("tangential", 4): {1: 2, 5: Fraction(-192, 5), 7: Fraction(2560, 7), 9: Fraction(-1280, 3)},
+    # the p = 9 coefficient of order 5 follows from the exact T-ladder
+    ("tangential", 5): {1: 2, 7: Fraction(-3200, 7), 9: Fraction(6400, 3),
+                        11: Fraction(-21504, 11)},
+    ("normal", 2): {0: 2},
+    ("normal", 3): {0: Fraction(5, 4), 4: 10, 6: -32},
+    ("normal", 4): {0: Fraction(35, 24), 6: Fraction(224, 3), 8: Fraction(-400, 3)},
+    ("t", 5): {5: Fraction(64, 5), _CLOSURE: Fraction(-8, 3)},
+    ("t", 7): {7: Fraction(384, 7), _CLOSURE: -6},
+    ("t", 9): {9: Fraction(2560, 21), _CLOSURE: Fraction(-60, 7)},
+    ("t", 11): {11: Fraction(7168, 33), _CLOSURE: Fraction(-98, 9)},
+    ("t", 0): {0: -3, _CLOSURE: Fraction(3, 2)},
+    ("t", 2): {2: -4, _CLOSURE: -1},
+    ("t", 4): {4: 8, _CLOSURE: Fraction(1, 2)},
+    ("t", 6): {6: Fraction(192, 5), _CLOSURE: Fraction(6, 5)},
+    ("t", 8): {8: Fraction(640, 7), _CLOSURE: Fraction(25, 14)},
+    ("a1", 4): {5: Fraction(-84, 5), 7: 144, 9: -160},
+    ("a1", 5): {7: -216, 9: 960, 11: Fraction(-9408, 11)},
+    ("combo", 4): {5: Fraction(-144, 5), 7: Fraction(3264, 7), 9: -640},
+    ("combo", 5): {7: Fraction(-1056, 7), 9: 1280, 11: Fraction(-16128, 11)},
+}
+
+
+def _apply(row: dict[int, int | Fraction], columns) -> float:
+    """sum_p c_p * columns[p], summed without intermediate rounding (math.fsum)."""
+    return math.fsum(float(c) * float(columns[p]) for p, c in row.items())
 
 
 @dataclass(frozen=True)
@@ -92,6 +138,13 @@ class EstimatorSpec:
         return cls(comp, order, axis)
 
 
+def _estimator_row(spec: EstimatorSpec) -> tuple[dict[int, int | Fraction], int]:
+    """The spec's coefficient row and the index j of its data axis x_j."""
+    if spec.component == "m3":
+        return _ROWS[("normal", spec.order)], _AXES.index(spec.axis)
+    return _ROWS[("tangential", spec.order)], _COMPONENTS.index(spec.component)
+
+
 def all_specs() -> list[EstimatorSpec]:
     """Every implemented estimator, both axes for the higher normal orders."""
     specs = [EstimatorSpec(c, o) for c in ("m1", "m2") for o in range(1, 6)]
@@ -108,40 +161,19 @@ def estimator_weight(spec: EstimatorSpec, radius: float) -> Callable[[np.ndarray
     radius = float(radius)
     if radius <= 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
-    comp, order = spec.component, spec.order
-    axis_idx = 0 if (comp == "m1" or (comp == "m3" and spec.axis == "x1")) else 1
-    if comp == "m2":
-        axis_idx = 1
+    row, j = _estimator_row(spec)
 
     def weight(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        xj = x[..., axis_idx]
-        u = xj / radius
-        if comp in ("m1", "m2"):
-            if order == 1:
-                return 2.0 * xj
-            if order == 2:
-                return 2.0 * (1.0 + 4.0 * u**2 / 3.0) * xj
-            if order == 3:
-                return 0.4 * (5.0 + 24.0 * u**4) * xj
-            if order == 4:
-                return (2.0 / 105.0) * (105.0 - 2016.0 * u**4 + 19200.0 * u**6
-                                        - 22400.0 * u**8) * xj
-            # order 5; the u^8 coefficient follows from the exact T-ladder
-            return (2.0 / 693.0) * (693.0 - 158400.0 * u**6 + 739200.0 * u**8
-                                    - 677376.0 * u**10) * xj
-        if order == 2:
-            return np.full_like(xj, 2.0 * radius)
-        if order == 3:
-            return (radius / 4.0) * (5.0 + 40.0 * u**4 - 128.0 * u**6)
-        return (radius / 24.0) * (35.0 + 1792.0 * u**6 - 3200.0 * u**8)
+        u = np.asarray(x, dtype=float)[..., j] / radius
+        return radius * sum(float(c) * u**p for p, c in row.items())
 
     return weight
 
 
 def estimate_moment(field_map: FieldMap, spec: EstimatorSpec) -> float:
     """Weighted disk integral of the sampled field, in A*m^2."""
-    value = integrate_weighted(field_map, estimator_weight(spec, field_map.radius))
+    row, j = _estimator_row(spec)
+    value = field_map.radius * _apply(row, field_map.moments[j])
     return value / MU0 if field_map.unit_system == "si" else value
 
 
@@ -224,12 +256,6 @@ class TQuantities:
     t8: float
 
 
-def _disk_moment(field_map: FieldMap, power: int, axis_idx: int) -> float:
-    """iint x_j^power B3 over the disk (natural field units)."""
-    val = integrate_weighted(field_map, lambda x: x[..., axis_idx] ** power)
-    return val / MU0 if field_map.unit_system == "si" else val
-
-
 def t_quantities(field_map: FieldMap, coeffs: AsymptCoeffs,
                  axis: str = "x1") -> TQuantities:
     """Data-side T quantities from a field map plus the a1~/m3 closures.
@@ -239,21 +265,19 @@ def t_quantities(field_map: FieldMap, coeffs: AsymptCoeffs,
     When the map is SI the coefficients must carry the mu0 factor too.
     """
     a = field_map.radius
-    axis_idx = 0 if axis == "x1" else 1
+    j = _AXES.index(axis)
     scale = MU0 if field_map.unit_system == "si" else 1.0
-    a1_t = coeffs.a1[axis_idx] / scale / a
-    m3 = -4.0 * _PI * coeffs.a0 / scale
-    u = {q: _disk_moment(field_map, q, axis_idx) for q in (0, 2, 4, 5, 6, 7, 8, 9, 11)}
-    t5 = 64 * u[5] / (5 * _PI * a**4) - 8 * a1_t / 3
-    t7 = 384 * u[7] / (7 * _PI * a**6) - 6 * a1_t
-    t9 = 2560 * u[9] / (21 * _PI * a**8) - 60 * a1_t / 7
-    t11 = 64512 * u[11] / (297 * _PI * a**10) - 98 * a1_t / 9
-    t0 = (3 / _PI) * (m3 / (2 * a) - u[0]) / a
-    t2 = -(4 / (_PI * a)) * (u[2] / a + m3 / 4) / a
-    t4 = (8 / (_PI * a)) * (u[4] / a**3 + m3 / 16) / a
-    t6 = (192 / (5 * _PI * a)) * (u[6] / a**5 + m3 / 32) / a
-    t8 = (640 / (7 * _PI * a)) * (u[8] / a**7 + 5 * m3 / 256) / a
-    return TQuantities(t5=t5, t7=t7, t9=t9, t11=t11, t0=t0, t2=t2, t4=t4, t6=t6, t8=t8)
+    mu = list(field_map.moments[j])
+    # closure columns: pi a1 / A^2 for the odd (tangential) rows, which are
+    # scaled by A / pi, and m3 * mu0 / A = -4 pi a0 / A for the even (normal)
+    # rows, which are scaled by 1 / (pi A)
+    tangential = mu + [_PI * coeffs.a1[j] / a**2]
+    normal = mu + [-4.0 * _PI * coeffs.a0 / a]
+    values = {f"t{q}": a / (_PI * scale) * _apply(_ROWS[("t", q)], tangential)
+              for q in (5, 7, 9, 11)}
+    values.update({f"t{q}": _apply(_ROWS[("t", q)], normal) / (_PI * a * scale)
+                   for q in (0, 2, 4, 6, 8)})
+    return TQuantities(**values)
 
 
 def t_quantities_analytic(coeffs: AsymptCoeffs, radius: float) -> TQuantities:
@@ -265,17 +289,9 @@ def t_quantities_analytic(coeffs: AsymptCoeffs, radius: float) -> TQuantities:
     a2t = coeffs.a2 / a3
     a31t = coeffs.a3[0] / a3
     a32t = coeffs.a3[1] / a3
-    return TQuantities(
-        t5=8 * a4t + 7 * a51t + a54t,
-        t7=10 * a4t + 9 * a51t + a54t,
-        t9=12 * a4t + 11 * a51t + a54t,
-        t11=14 * a4t + 13 * a51t + a54t,
-        t0=2 * a2t + a31t + a32t,
-        t2=4 * a2t + 3 * a31t + a32t,
-        t4=6 * a2t + 5 * a31t + a32t,
-        t6=8 * a2t + 7 * a31t + a32t,
-        t8=10 * a2t + 9 * a31t + a32t,
-    )
+    values = {f"t{q}": (q + 3) * a4t + (q + 2) * a51t + a54t for q in (5, 7, 9, 11)}
+    values.update({f"t{q}": (q + 2) * a2t + (q + 1) * a31t + a32t for q in (0, 2, 4, 6, 8)})
+    return TQuantities(**values)
 
 
 _PREDICTED_SPECS = {("m1", 1), ("m2", 1), ("m3", 2)}
@@ -296,15 +312,16 @@ def predicted_leading_error(scene: DipoleScene, spec: EstimatorSpec,
     radius = float(radius)
     if radius <= 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
-    c = asympt_coefficients(scene)
-    scale = scene.mu0
-    if spec.component == "m1":
-        combo = 4 * c.a4[0] + 3 * c.a5[0] + c.a5[3]
-        return 2 * _PI * (c.a1[0] / radius + combo / (12 * radius**3)) / scale
-    if spec.component == "m2":
-        combo = 4 * c.a4[1] + 3 * c.a5[1] + c.a5[2]
-        return 2 * _PI * (c.a1[1] / radius + combo / (12 * radius**3)) / scale
-    return (2 * _PI / 3) * (2 * c.a2 + c.a3[0] + c.a3[1]) / radius**2 / scale
+    return _leading_error(asympt_coefficients(scene), spec, radius, scene.mu0)
+
+
+def _leading_error(c: AsymptCoeffs, spec: EstimatorSpec, radius: float,
+                   scale: float) -> float:
+    if spec.component == "m3":
+        return (2 * _PI / 3) * (2 * c.a2 + c.a3[0] + c.a3[1]) / radius**2 / scale
+    j = _COMPONENTS.index(spec.component)
+    combo = 4 * c.a4[j] + 3 * c.a5[j] + c.a5[3 - j]
+    return 2 * _PI * (c.a1[j] / radius + combo / (12 * radius**3)) / scale
 
 
 @dataclass(frozen=True)
@@ -322,28 +339,13 @@ class RecoveredCoeffs:
 
 
 def recovered_coefficients(field_map: FieldMap) -> RecoveredCoeffs:
-    a = field_map.radius
-    a1 = {}
-    combo = {}
-    for axis, axis_idx in (("x1", 0), ("x2", 1)):
-        def wint(poly: Callable[[np.ndarray], np.ndarray]) -> float:
-            def w(x: np.ndarray) -> np.ndarray:
-                u = x[..., axis_idx] / a
-                return poly(u) * x[..., axis_idx]
-            return integrate_weighted(field_map, w)
+    scale = field_map.radius / _PI
 
-        a1_4 = -(4 / _PI) * wint(lambda u: 4.2 * u**4 - 36.0 * u**6 + 40.0 * u**8)
-        a1_5 = (24 / _PI) * wint(lambda u: -9.0 * u**6 + 40.0 * u**8
-                                 - (392.0 / 11.0) * u**10)
-        combo_4 = (256 / _PI) * wint(lambda u: 0.2 * u**4 - (6.0 / 7.0) * u**6
-                                     + (10.0 / 21.0) * u**8) + (100.0 / 21.0) * a1_4
-        combo_5 = (128 / _PI) * wint(lambda u: (15.0 / 7.0) * u**6 - (100.0 / 21.0) * u**8
-                                     + (56.0 / 33.0) * u**10) + (124.0 / 63.0) * a1_5
-        a1[(axis, 4)] = a1_4
-        a1[(axis, 5)] = a1_5
-        combo[(axis, 4)] = combo_4
-        combo[(axis, 5)] = combo_5
-    return RecoveredCoeffs(a1_over_radius=a1, combo=combo)
+    def recover(name: str) -> dict:
+        return {(axis, order): scale * _apply(_ROWS[(name, order)], field_map.moments[j])
+                for j, axis in enumerate(_AXES) for order in (4, 5)}
+
+    return RecoveredCoeffs(a1_over_radius=recover("a1"), combo=recover("combo"))
 
 
 @dataclass(frozen=True)
@@ -376,7 +378,7 @@ class SweepResult:
 
 def _sweep_cell(scene: DipoleScene, radius: float, specs: Sequence[EstimatorSpec],
                 grid_params: GridParams, noise: Optional[NoiseSpec],
-                stream: int, truth) -> list[SweepRow]:
+                stream: int, truth, coeffs: AsymptCoeffs) -> list[SweepRow]:
     grid = build_grid(radius, grid_params.n_radial, grid_params.n_angular)
     fmap = sample_field(scene, grid)
     if noise is not None and noise.snr_db != math.inf:
@@ -388,9 +390,8 @@ def _sweep_cell(scene: DipoleScene, radius: float, specs: Sequence[EstimatorSpec
         est = estimate_moment(fmap, spec)
         pred = None
         if (spec.component, spec.order) in _PREDICTED_SPECS:
-            pred = predicted_leading_error(scene, spec, radius)
-        comp_idx = {"m1": 0, "m2": 1, "m3": 2}[spec.component]
-        rows.append(SweepRow(radius, spec, est, truth[comp_idx], pred))
+            pred = _leading_error(coeffs, spec, radius, scene.mu0)
+        rows.append(SweepRow(radius, spec, est, truth[_COMPONENTS.index(spec.component)], pred))
     return rows
 
 
@@ -414,13 +415,14 @@ def sweep(scene: DipoleScene, radii: Sequence[float], specs: Sequence[EstimatorS
             stacklevel=2,
         )
     truth = net_moment(scene)
+    coeffs = asympt_coefficients(scene)
     if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             futures = [pool.submit(_sweep_cell, scene, a, specs, grid_params,
-                                   noise, i, truth) for i, a in enumerate(radii)]
+                                   noise, i, truth, coeffs) for i, a in enumerate(radii)]
             chunks = [f.result() for f in futures]
     else:
-        chunks = [_sweep_cell(scene, a, specs, grid_params, noise, i, truth)
+        chunks = [_sweep_cell(scene, a, specs, grid_params, noise, i, truth, coeffs)
                   for i, a in enumerate(radii)]
     rows = tuple(row for chunk in chunks for row in chunk)
     return SweepResult(rows=rows)
@@ -472,26 +474,17 @@ def raster_m3_drift_series(scene: DipoleScene, radii: Sequence[float],
     samples = b3(scene, pts)
     if noise is not None and noise.snr_db != math.inf:
         sigma = math.sqrt(10.0 ** (-noise.snr_db / 10.0) * samples.var())
-        key = (int(noise.seed) & (2**64 - 1)) | (int(noise.stream) << 64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        samples = samples + sigma * rng.standard_normal(len(samples))
+        samples = samples + sigma * _generator(noise).standard_normal(len(samples))
     order = np.argsort(r2[inside])
     r_sorted = np.sqrt(r2[inside][order])
-    axis_idx = 0 if spec.axis == "x1" else 1
-    xj = pts[order, axis_idx]
+    row, j = _estimator_row(spec)
+    u = pts[order, j] / r_max
     sv = samples[order] * step * step
-    powers = {2: (0,), 3: (0, 4, 6), 4: (0, 6, 8)}[spec.order]
-    cums = {k: np.cumsum(xj**k * sv) for k in powers}
+    # cumulative moments over the largest disk, rescaled to each subdisk
+    cums = {p: np.cumsum(u**p * sv) for p in row}
     idx = np.searchsorted(r_sorted, radii, side="right") - 1
-    scale = MU0 if scene.unit_system == "si" else 1.0
     out = []
-    for a, p in zip(radii, idx):
-        s = {k: cums[k][p] for k in powers}
-        if spec.order == 2:
-            est = 2.0 * a * s[0]
-        elif spec.order == 3:
-            est = (a / 4.0) * (5.0 * s[0] + 40.0 * s[4] / a**4 - 128.0 * s[6] / a**6)
-        else:
-            est = (a / 24.0) * (35.0 * s[0] + 1792.0 * s[6] / a**6 - 3200.0 * s[8] / a**8)
-        out.append((a, est / scale))
+    for a, i in zip(radii, idx):
+        mu = {p: cums[p][i] * (r_max / a) ** p for p in row}
+        out.append((a, a * _apply(row, mu) / scene.mu0))
     return out

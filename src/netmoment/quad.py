@@ -7,6 +7,7 @@ sampled field is a plain weighted dot product.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -27,6 +28,16 @@ __all__ = [
     "read_field_csv",
 ]
 
+# Highest power p of the monomial moments mu[j, p] a FieldMap carries.
+MAX_POWER = 11
+
+
+def _read_only(values) -> np.ndarray:
+    """A private float copy that cannot be written in place."""
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
 
 @dataclass(frozen=True)
 class DiskGrid:
@@ -39,8 +50,8 @@ class DiskGrid:
     weights: np.ndarray    # (M,)
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        nodes = _read_only(self.nodes)
+        weights = _read_only(self.weights)
         if nodes.ndim != 2 or nodes.shape[1] != 2 or len(weights) != len(nodes):
             raise ValueError("grid nodes must be (M, 2) with matching weights")
         object.__setattr__(self, "nodes", nodes)
@@ -74,7 +85,7 @@ class FieldMap:
     provenance: Provenance = Provenance("clean")
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
+        samples = _read_only(self.samples)
         if samples.shape != (len(self.grid.nodes),):
             raise ValueError("sample count must match the grid node count")
         if not np.all(np.isfinite(samples)):
@@ -84,6 +95,28 @@ class FieldMap:
     @property
     def radius(self) -> float:
         return self.grid.radius
+
+    @functools.cached_property
+    def moments(self) -> np.ndarray:
+        """mu[j, p] = iint (x_j / radius)^p * sample, j = x1, x2, p <= MAX_POWER, field units."""
+        # cached: the samples and the grid are read-only, so it cannot go stale
+        def monomials(x: np.ndarray) -> np.ndarray:
+            # running products into one stack: no second stack of its size is held
+            u = x.T / self.radius
+            stack = np.empty((2, MAX_POWER + 1, len(x)))
+            stack[:, 0] = 1.0
+            for p in range(1, MAX_POWER + 1):
+                np.multiply(stack[:, p - 1], u, out=stack[:, p])
+            return stack.reshape(-1, len(x))
+
+        return _read_only(integrate_weighted(self, monomials).reshape(2, MAX_POWER + 1))
+
+
+@functools.lru_cache(maxsize=32)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # the reference rule on [-1, 1] does not depend on the radius
+    xg, wg = np.polynomial.legendre.leggauss(n)
+    return _read_only(xg), _read_only(wg)
 
 
 def build_grid(radius: float, n_radial: int = 200, n_angular: int = 256) -> DiskGrid:
@@ -95,7 +128,7 @@ def build_grid(radius: float, n_radial: int = 200, n_angular: int = 256) -> Disk
         raise ValueError(f"n_radial must be at least 4, got {n_radial}")
     if n_angular < 8 or n_angular % 2:
         raise ValueError(f"n_angular must be even and at least 8, got {n_angular}")
-    xg, wg = np.polynomial.legendre.leggauss(n_radial)
+    xg, wg = _gauss_legendre(n_radial)
     r = 0.5 * radius * (xg + 1.0)
     wr = 0.5 * radius * wg * r                       # radial weight with Jacobian r
     theta = 2.0 * math.pi * np.arange(n_angular) / n_angular
@@ -113,10 +146,15 @@ def sample_field(scene: DipoleScene, grid: DiskGrid) -> FieldMap:
                     unit_system=scene.unit_system, provenance=Provenance("clean"))
 
 
-def integrate_weighted(field_map: FieldMap, weight: Callable[[np.ndarray], np.ndarray]) -> float:
-    """sum over nodes of weight(x) * sample * node_weight."""
+def integrate_weighted(field_map: FieldMap,
+                       weight: Callable[[np.ndarray], np.ndarray]) -> float | np.ndarray:
+    """sum over nodes of weight(x) * sample * node_weight.
+
+    A weight returning a (K, M) stack for the M nodes gives the K sums as an array.
+    """
     w = np.asarray(weight(field_map.grid.nodes), dtype=float)
-    return float(np.dot(w * field_map.grid.weights, field_map.samples))
+    sums = w @ (field_map.grid.weights * field_map.samples)
+    return float(sums) if w.ndim == 1 else sums
 
 
 def write_field_csv(field_map: FieldMap, path: str) -> None:

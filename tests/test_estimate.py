@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netmoment import (Dipole, DipoleScene, EstimatorSpec, FieldMap, GridParams,
+from netmoment import (MU0, Dipole, DipoleScene, EstimatorSpec, FieldMap, GridParams,
                        NoiseSpec, asympt_coefficients, b3, build_grid,
                        convergence_slope, d_coefficients, estimate_moment,
-                       estimator_weight, net_moment, predicted_leading_error,
-                       recovered_coefficients, sample_field, sweep,
-                       t_quantities, t_quantities_analytic)
+                       estimator_weight, integrate_weighted, net_moment,
+                       predicted_leading_error, recovered_coefficients,
+                       sample_field, sweep, t_quantities, t_quantities_analytic)
 from netmoment.estimate import SweepResult, SweepRow, all_specs
 from netmoment.field import AsymptCoeffs
 from netmoment.specfun import sin_cos_components, sin_cos_taylor
@@ -60,6 +60,23 @@ def test_zero_map_gives_zero_estimates():
     fmap = FieldMap(grid=grid, samples=np.zeros(len(grid.nodes)), unit_system="si")
     for spec in all_specs():
         assert estimate_moment(fmap, spec) == 0.0
+
+
+@pytest.mark.parametrize("radius", [3e-4, 7.5e-4, 2e-3])
+def test_estimate_matches_weight_integral(demo_scene, radius):
+    fmap = sample_field(demo_scene, build_grid(radius))
+    for spec in all_specs():
+        direct = integrate_weighted(fmap, estimator_weight(spec, radius)) / MU0
+        assert estimate_moment(fmap, spec) == pytest.approx(direct, rel=1e-12), spec
+
+
+def test_disk_functionals_are_python_floats(demo_scene, demo_map_2mm):
+    coeffs = asympt_coefficients(demo_scene)
+    rec = recovered_coefficients(demo_map_2mm)
+    values = ([estimate_moment(demo_map_2mm, spec) for spec in all_specs()]
+              + list(dataclasses.astuple(t_quantities(demo_map_2mm, coeffs, "x2")))
+              + list(rec.a1_over_radius.values()) + list(rec.combo.values()))
+    assert all(type(v) is float for v in values)
 
 
 def test_demo_m2_order2_close_to_truth(demo_map_2mm):
