@@ -21,7 +21,6 @@ __all__ = [
     "asympt_coefficients",
     "b3_asympt",
     "asympt_condition_margin",
-    "condition_margin_bruteforce",
 ]
 
 _PI = math.pi
@@ -162,22 +161,3 @@ def asympt_condition_margin(scene: DipoleScene, radius: float) -> float:
     tperp2 = p[:, 0]**2 + p[:, 1]**2
     vals = (tperp2 + u**2 + 2.0 * radius * np.sqrt(tperp2)) / radius**2
     return float(vals.max())
-
-
-def condition_margin_bruteforce(scene: DipoleScene, radius: float,
-                                n_angles: int = 720, n_radii: int = 400,
-                                r_max_factor: float = 50.0) -> float:
-    """Dense-grid maximisation of the condition expression (testing aid)."""
-    if not len(scene.dipoles):
-        return 0.0
-    best = 0.0
-    angles = 2 * _PI * np.arange(n_angles) / n_angles
-    radii = radius * np.exp(np.linspace(0.0, math.log(r_max_factor), n_radii))
-    x1 = np.outer(radii, np.cos(angles)).ravel()
-    x2 = np.outer(radii, np.sin(angles)).ravel()
-    rr = x1**2 + x2**2
-    for dip, u in zip(scene.positions, scene.height - scene.positions[:, 2]):
-        t1, t2 = dip[0], dip[1]
-        expr = np.abs((t1 * t1 + t2 * t2 + u * u) / rr - 2 * (x1 * t1 + x2 * t2) / rr)
-        best = max(best, float(expr.max()))
-    return best

@@ -113,6 +113,9 @@ def detrend_backward(series: Sequence[tuple[float, float]],
         raise ValueError(f"power must be finite and nonzero, got {power}")
     pts = [(float(a), float(v)) for a, v in series]
     radii = [a for a, _ in pts]
+    for i, a in enumerate(radii):
+        if not math.isfinite(a):
+            raise ValueError(f"radius at index {i} must be finite, got {a}")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("series must be sorted by strictly ascending radius")
     if power != 1.0 and radii and radii[0] <= 0.0:

@@ -3,9 +3,15 @@
 Everything here feeds the far-field moment estimators: J0/J1 (series for
 moderate arguments, Hankel big-argument form beyond), Struve H0/H1 by exact
 rational series, closed forms for the semi-infinite Bessel tail integrals,
-an oscillation-aware quadrature that can independently confirm each closed
+an oscillation-aware quadrature that independently confirms each closed
 form, and the small-frequency Taylor tables of the exterior sin/cos ring
 integrals.
+
+The quadrature route shares no code with the closed forms: its integrands
+evaluate J_n by a vectorised midpoint rule on Bessel's integral
+(`_bessel_integral`), never through the rational series or the Hankel form,
+and its panels are plain Gauss-Legendre with a graded first panel and Euler
+acceleration.
 """
 from __future__ import annotations
 
@@ -267,17 +273,30 @@ def _euler_sum(panels: list[float]) -> float:
     return total + float(s[0])
 
 
+def _gauss_legendre(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
+    x = 0.5 * (hi - lo) * (_GL_NODES + 1.0) + lo
+    return float(np.sum(f(x) * _GL_WEIGHTS)) * 0.5 * (hi - lo)
+
+
 def _integrate_panels(f: Callable[[np.ndarray], np.ndarray], a: float,
                       period: float, tol: float, max_panels: int = 400) -> float:
-    """Integrate f on (a, inf): half-period panels + Euler acceleration."""
-    panels: list[float] = []
-    lo = a
+    """Integrate f on (a, inf): half-period panels + Euler acceleration.
+
+    The first panel [a, a + period] is graded: cut at a, 2a, 4a, ... so a
+    steep algebraic factor such as x^-7 near a small lower limit is resolved,
+    and its pieces are summed into that one panel.
+    """
+    cuts = [a]
+    while a > 0.0 and 2.0 * cuts[-1] < a + period:
+        cuts.append(2.0 * cuts[-1])
+    cuts.append(a + period)
+    panels = [math.fsum(_gauss_legendre(f, lo, hi) for lo, hi in zip(cuts, cuts[1:]))]
+    lo = a + period
     prev = math.inf
     stable = 0
-    for i in range(max_panels):
+    for i in range(1, max_panels):
         hi = lo + period
-        x = 0.5 * (hi - lo) * (_GL_NODES + 1.0) + lo
-        panels.append(float(np.sum(f(x) * _GL_WEIGHTS)) * 0.5 * (hi - lo))
+        panels.append(_gauss_legendre(f, lo, hi))
         lo = hi
         if i >= 16 and i % 2 == 0:
             cur = _euler_sum(panels)
@@ -291,34 +310,48 @@ def _integrate_panels(f: Callable[[np.ndarray], np.ndarray], a: float,
     return _euler_sum(panels)
 
 
-def _j0_arr(x: np.ndarray) -> np.ndarray:
-    return np.array([bessel_j0(v) for v in np.atleast_1d(x)])
+def _bessel_integral(n: int, x: np.ndarray) -> np.ndarray:
+    """J_n(x) by the midpoint rule on (1/pi) int_0^pi cos(n t - x sin t) dt.
+
+    For integer n the integrand is 2pi-periodic and even about pi, so the m
+    midpoints are the periodic trapezoid rule with 2m points, whose error is
+    of the size of J_(2m-n)(x): it falls below roundoff once 2m exceeds
+    max|x| by a few max|x|^(1/3).  m follows from the call's own input and
+    all nodes are evaluated as one (len(x), m) array.
+    """
+    x = np.asarray(x, dtype=float)
+    x_max = float(np.max(np.abs(x)))
+    m = math.ceil(x_max / 2 + 4 * x_max ** (1 / 3)) + 16
+    tau = (np.arange(m) + 0.5) * (math.pi / m)
+    return np.cos(n * tau - np.multiply.outer(x, np.sin(tau))).mean(axis=-1)
 
 
-def _j1_arr(x: np.ndarray) -> np.ndarray:
-    return np.array([bessel_j1(v) for v in np.atleast_1d(x)])
-
-
-def _j2_arr(x: np.ndarray) -> np.ndarray:
-    return np.array([bessel_j2(v) for v in np.atleast_1d(x)])
+# kind -> (n, p) of the integrand J_n(x) / x^p
+_TAIL_INTEGRANDS = {
+    TailIntegralKind.J1_OVER_X_P1: (1, 1),
+    TailIntegralKind.J1_OVER_X_P3: (1, 3),
+    TailIntegralKind.J1_OVER_X_P5: (1, 5),
+    TailIntegralKind.J1_OVER_X_P7: (1, 7),
+    TailIntegralKind.J0_OVER_X_P2: (0, 2),
+    TailIntegralKind.J0_TOTAL: (0, 0),
+    TailIntegralKind.J2_TOTAL: (2, 0),
+}
 
 
 def tail_integral_quadrature(kind: TailIntegralKind, rho: float,
                              tol: float = 1e-14) -> float:
-    """The defining integral evaluated numerically, closed forms untouched."""
+    """The defining integral evaluated numerically, closed forms untouched.
+
+    J0, J1 and J2 come from `_bessel_integral` (Bessel's integral, not the
+    series or asymptotic forms of the closed forms), integrated over
+    half-period panels from rho, the first one graded, with Euler
+    acceleration of the alternating panel sums.
+    """
     rho = float(rho)
     if rho <= 0.0:
         raise DomainError(f"tail_integral_quadrature needs rho > 0, got {rho}")
-    integrands = {
-        TailIntegralKind.J1_OVER_X_P1: lambda x: _j1_arr(x) / x,
-        TailIntegralKind.J1_OVER_X_P3: lambda x: _j1_arr(x) / x**3,
-        TailIntegralKind.J1_OVER_X_P5: lambda x: _j1_arr(x) / x**5,
-        TailIntegralKind.J1_OVER_X_P7: lambda x: _j1_arr(x) / x**7,
-        TailIntegralKind.J0_OVER_X_P2: lambda x: _j0_arr(x) / x**2,
-        TailIntegralKind.J0_TOTAL: _j0_arr,
-        TailIntegralKind.J2_TOTAL: _j2_arr,
-    }
-    return _integrate_panels(integrands[kind], rho, math.pi, tol)
+    n, p = _TAIL_INTEGRANDS[kind]
+    return _integrate_panels(lambda x: _bessel_integral(n, x) / x**p, rho, math.pi, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Each oracle reaches a tested quantity by a different route than the library:
 exact Taylor coefficients of the dipole Fourier transform, harmonic-resolved
 ring fits of the raw field, high-precision one-sided differences of the ring
-integrals, closed-form polynomial disk integrals.
+integrals, closed-form polynomial disk integrals, a dense-grid maximisation
+of the far-field condition expression.
 """
 from __future__ import annotations
 
@@ -140,6 +141,25 @@ def disk_monomial_integral(radius: float, a: int, b: int) -> float:
     # angular integral of cos^a sin^b over the full circle
     ang = 2 * math.pi * half_fact(a) * half_fact(b) / math.prod(range(2, n + 2, 2))
     return radius ** (n + 2) / (n + 2) * ang
+
+
+def condition_margin_bruteforce(scene: DipoleScene, radius: float,
+                                n_angles: int = 720, n_radii: int = 400,
+                                r_max_factor: float = 50.0) -> float:
+    """Dense-grid maximisation of the condition expression over |x| >= radius."""
+    if not len(scene.dipoles):
+        return 0.0
+    best = 0.0
+    angles = 2 * math.pi * np.arange(n_angles) / n_angles
+    radii = radius * np.exp(np.linspace(0.0, math.log(r_max_factor), n_radii))
+    x1 = np.outer(radii, np.cos(angles)).ravel()
+    x2 = np.outer(radii, np.sin(angles)).ravel()
+    rr = x1**2 + x2**2
+    for dip, u in zip(scene.positions, scene.height - scene.positions[:, 2]):
+        t1, t2 = dip[0], dip[1]
+        expr = np.abs((t1 * t1 + t2 * t2 + u * u) / rr - 2 * (x1 * t1 + x2 * t2) / rr)
+        best = max(best, float(expr.max()))
+    return best
 
 
 def high_precision_ring_fd(radius: float, coeff_sets, dps: int = 60):

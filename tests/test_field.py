@@ -5,8 +5,9 @@ import pytest
 
 from netmoment import (Dipole, DipoleScene, asympt_coefficients,
                        asympt_condition_margin, b3, b3_asympt, net_moment)
-from netmoment.field import AsymptCoeffs, condition_margin_bruteforce
-from oracles import identifiable_functionals, ring_harmonic_fit
+from netmoment.field import AsymptCoeffs
+from oracles import (condition_margin_bruteforce, identifiable_functionals,
+                     ring_harmonic_fit)
 
 
 def vertical_dipole(m3=1e-12, h=2.5e-4, units="si"):

@@ -135,3 +135,14 @@ def test_detrend_input_validation():
         detrend_backward(list(reversed(good)))
     with pytest.raises(ValueError, match="predecessors"):
         detrend_backward(good[:5], window=11)
+
+
+def test_detrend_rejects_nonfinite_radius():
+    # a NaN compares false both ways, so the ascending-order check alone let
+    # it through and every window holding it came back NaN
+    good = [(float(i), 0.0) for i in range(1, 15)]
+    for index, bad in ((4, math.nan), (13, math.inf), (0, -math.inf)):
+        series = list(good)
+        series[index] = (bad, 0.0)
+        with pytest.raises(ValueError, match=rf"index {index} must be finite, got {bad}"):
+            detrend_backward(series)

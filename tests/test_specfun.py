@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netmoment import specfun
 from netmoment.specfun import (DomainError, STRUVE_MAX_ARG, TailIntegralKind,
                                bessel_j0, bessel_j1, bessel_j1_prime, bessel_j2,
                                ring_trig_integral, sin_cos_components,
@@ -80,6 +81,42 @@ def test_tail_integrals_match_quadrature():
             closed = tail_integral(kind, rho)
             ref = tail_integral_quadrature(kind, rho)
             assert closed == pytest.approx(ref, rel=1e-8), (kind, rho)
+
+
+def test_tail_quadrature_shares_no_code_with_closed_forms(monkeypatch):
+    # the quadrature route must still run with every Bessel routine of the
+    # closed forms broken, so a fault there cannot hide on both sides
+    closed = {kind: tail_integral(kind, 1.0) for kind in TailIntegralKind}
+
+    def broken(*args, **kwargs):
+        raise AssertionError("closed-form Bessel code reached from the quadrature route")
+
+    for name in ("_bessel_series_frac", "_bessel_series", "_bessel_asympt",
+                 "bessel_j0", "bessel_j1", "bessel_j2"):
+        monkeypatch.setattr(specfun, name, broken)
+    for kind, want in closed.items():
+        assert tail_integral_quadrature(kind, 1.0) == pytest.approx(want, rel=1e-8), kind
+
+
+def test_bessel_integral_against_mpmath():
+    # one call over the whole range and one call per 20-point chunk, the
+    # size of a quadrature panel; the node count follows each call's input
+    xs = np.linspace(0.0, 400.0, 1601)
+    with mp.workdps(30):
+        for n in (0, 1, 2):
+            ref = np.array([float(mp.besselj(n, x)) for x in xs])
+            whole = specfun._bessel_integral(n, xs)
+            panels = np.concatenate([specfun._bessel_integral(n, xs[i:i + 20])
+                                     for i in range(0, xs.size, 20)])
+            assert np.max(np.abs(whole - ref)) < 1e-14, n
+            assert np.max(np.abs(panels - ref)) < 1e-14, n
+
+
+def test_tail_quadrature_resolves_small_lower_limit():
+    # the steep x^-7 factor at rho = 0.5 needs the graded first panel
+    for kind in TailIntegralKind:
+        closed = tail_integral(kind, 0.5)
+        assert tail_integral_quadrature(kind, 0.5) == pytest.approx(closed, rel=1e-12), kind
 
 
 def test_tail_reduction_identity():
