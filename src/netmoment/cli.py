@@ -7,9 +7,9 @@ CSV or JSON with full float round-trip precision.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
-import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -23,10 +23,7 @@ from .field import asympt_condition_margin
 from .noise import NoiseSpec, add_noise, detrend_backward
 from .quad import build_grid, read_field_csv, sample_field, write_field_csv
 from .scene import SceneError, load_scene, net_moment
-from .specfun import (DomainError, TailIntegralKind, bessel_j0, bessel_j1,
-                      sin_cos_components, sin_cos_components_quadrature,
-                      sin_cos_taylor, tail_integral, tail_integral_quadrature,
-                      tail_recursion_rhs)
+from .specfun import IDENTITIES, DomainError
 
 __all__ = ["main"]
 
@@ -167,118 +164,23 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _specfun_checks(perturb: Optional[str]):
-    """Yield (name, max_error, tolerance, passed) rows for every identity."""
-    bump = 1e-6
-
-    def tweak(name: str, value: float) -> float:
-        return value + bump if perturb == name else value
-
-    # tail integral closed forms vs the oscillation-aware quadrature
-    for kind in TailIntegralKind:
-        worst = 0.0
-        for rho in (0.5, 1.0, 2.0, 5.0, 10.0, 25.0):
-            closed = tweak(f"tail:{kind.value}", tail_integral(kind, rho))
-            ref = tail_integral_quadrature(kind, rho)
-            worst = max(worst, abs(closed - ref) / max(abs(ref), 1e-300))
-        yield f"tail:{kind.value}", worst, 1e-8
-    # reduction identity for the odd tails
-    for n, kind in ((1, TailIntegralKind.J1_OVER_X_P3),
-                    (2, TailIntegralKind.J1_OVER_X_P5),
-                    (3, TailIntegralKind.J1_OVER_X_P7)):
-        worst = 0.0
-        for rho in (0.7, 3.0, 12.0):
-            lhs = tweak(f"recursion:{n}", tail_integral(kind, rho))
-            rhs = tail_recursion_rhs(n, rho)
-            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
-        yield f"recursion:n={n}", worst, 1e-10
-    # vanishing ring integrals (odd angular symmetry)
-    rng = np.random.default_rng(12345)
-    theta = 2.0 * math.pi * np.arange(4096) / 4096
-    worst = 0.0
-    for _ in range(20):
-        alpha = rng.uniform(-10, 10)
-        m = rng.integers(0, 4)
-        n = rng.integers(0, 4)
-        base = 2.0 * math.pi / 4096
-        vals = (
-            np.sum(np.cos(alpha * np.cos(theta)) * np.cos(theta) ** (2 * m + 1)
-                   * np.sin(theta) ** n) * base,
-            np.sum(np.cos(alpha * np.cos(theta)) * np.cos(theta) ** m
-                   * np.sin(theta) ** (2 * n + 1)) * base,
-            np.sum(np.sin(alpha * np.cos(theta)) * np.cos(theta) ** m
-                   * np.sin(theta) ** (2 * n + 1)) * base,
-            np.sum(np.sin(alpha * np.cos(theta)) * np.cos(theta) ** (2 * m)
-                   * np.sin(theta) ** n) * base,
-        )
-        worst = max(worst, float(max(abs(v) for v in vals)))
-    yield "ring:odd-symmetry-vanishing", tweak("ring:odd-symmetry-vanishing", worst), 1e-12
-    # Bessel integral representations
-    worst0 = worst1 = 0.0
-    for x in np.linspace(0.0, 40.0, 81):
-        c = float(np.mean(np.cos(x * np.cos(theta))))
-        s = float(np.mean(np.sin(x * np.cos(theta)) * np.cos(theta)))
-        worst0 = max(worst0, abs(c - bessel_j0(x)))
-        worst1 = max(worst1, abs(s - bessel_j1(x)))
-    yield "bessel:j0-ring-representation", tweak("bessel:j0-ring-representation", worst0), 1e-10
-    yield "bessel:j1-ring-representation", worst1, 1e-10
-    # derivative identity J0' = -J1 by central differences
-    worst = 0.0
-    for x in np.linspace(0.5, 40.0, 20):
-        h = 1e-6
-        der = (bessel_j0(x + h) - bessel_j0(x - h)) / (2 * h)
-        worst = max(worst, abs(der + bessel_j1(x)))
-    yield "bessel:j0-derivative", worst, 1e-9
-    # large-argument envelopes (empirical constant 1)
-    worst = 0.0
-    for x in np.linspace(5.0, 50.0, 46):
-        approx = math.sqrt(2.0 / (math.pi * x)) * math.cos(x - math.pi / 4)
-        worst = max(worst, (abs(bessel_j0(x) - approx) - x**-1.5))
-    yield "bessel:j0-envelope", worst, 0.0
-    # ring integral closed forms vs direct quadrature at three scales
-    worst = 0.0
-    for (k1, rad) in ((0.05, 1.0), (0.2, 2.0), (0.5, 3.0)):
-        cf = sin_cos_components(k1, rad)
-        ref = sin_cos_components_quadrature(k1, rad)
-        for a, b in zip(cf.i_sin + cf.i_cos, ref.i_sin + ref.i_cos):
-            worst = max(worst, abs(a - b) / max(abs(b), 1e-300))
-    yield "ring:sin-cos-closed-forms", tweak("ring:sin-cos-closed-forms", worst), 1e-6
-    # low-order Taylor rows vs one-sided differences of the closed forms;
-    # the integrals carry every power of k1, so one-sided third-order
-    # extrapolations recover the value and first derivative at 0+
-    rad = 2.0
-    table = sin_cos_taylor(rad)
-    h = 1e-4 / rad
-    coeffs = (0.7, -0.4, 0.9, 0.3)
-    sin_vals = [sum(c * v for c, v in zip(coeffs, sin_cos_components(j * h, rad).i_sin))
-                for j in (1, 2, 3)]
-    cos_vals = [sum(c * v for c, v in zip(coeffs, sin_cos_components(j * h, rad).i_cos))
-                for j in (1, 2, 3)]
-    d1 = sum(c * v for c, v in zip(coeffs, table["sin"][1]))
-    fd1 = (18 * sin_vals[0] - 9 * sin_vals[1] + 2 * sin_vals[2]) / (6 * h)
-    worst = abs(fd1 - d1) / max(abs(d1), 1e-300)
-    d0 = sum(c * v for c, v in zip(coeffs, table["cos"][0]))
-    fd0 = 3 * cos_vals[0] - 3 * cos_vals[1] + cos_vals[2]
-    worst = max(worst, abs(fd0 - d0) / max(abs(d0), 1e-300))
-    yield "ring:taylor-low-orders", tweak("ring:taylor-low-orders", worst), 1e-4
-
-
 def cmd_verify_specfun(args) -> int:
+    if args.perturb is not None and args.perturb not in IDENTITIES:
+        raise ConfigError(f"--perturb names no check: {args.perturb!r}")
     rows = []
-    for name, err, tol in _specfun_checks(args.perturb):
+    for name, (tol, check) in IDENTITIES.items():
         if args.filter and args.filter not in name:
             continue
+        err = float(check())  # a NumPy scalar would print as np.float64(...)
+        if name == args.perturb:
+            err += tol + 1e-6  # testing hook: fail this row whatever its tolerance
         rows.append((name, err, tol, err <= tol))
-    out = args.out
-    writer_target = open(out, "w", newline="", encoding="utf-8") if out else sys.stdout
-    try:
-        writer = csv.writer(writer_target)
+    with (open(args.out, "w", newline="", encoding="utf-8") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        writer = csv.writer(fh)
         writer.writerow(["check", "max_error", "tolerance", "status"])
         for name, err, tol, ok in rows:
             writer.writerow([name, repr(err), repr(tol), "pass" if ok else "fail"])
-    finally:
-        if out:
-            writer_target.close()
     failed = [name for name, _, _, ok in rows if not ok]
     if failed:
         print(f"{len(failed)} check(s) failed: {', '.join(failed)}", file=sys.stderr)

@@ -152,8 +152,8 @@ def asympt_condition_margin(scene: DipoleScene, radius: float) -> float:
     The expansion machinery applies iff the returned margin is < 1.
     """
     radius = float(radius)
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     if not len(scene.dipoles):
         return 0.0
     p = scene.positions

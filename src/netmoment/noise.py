@@ -47,12 +47,14 @@ class NoiseSpec:
     def __post_init__(self):
         if not (math.isfinite(self.snr_db) or self.snr_db == math.inf):
             raise ValueError("snr_db must be finite or +inf")
-        if self.seed < 0 or self.stream < 0:
-            raise ValueError("seed and stream must be nonnegative")
+        # each fills 64 bits of the 128-bit Philox key, so wider values would alias
+        for name, value in (("seed", self.seed), ("stream", self.stream)):
+            if not 0 <= value < 2**64:
+                raise ValueError(f"{name} must be in [0, 2**64), got {value}")
 
 
 def _generator(spec: NoiseSpec) -> np.random.Generator:
-    key = (int(spec.seed) & (2**64 - 1)) | (int(spec.stream) << 64)
+    key = int(spec.seed) | (int(spec.stream) << 64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

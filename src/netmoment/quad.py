@@ -57,7 +57,7 @@ class DiskGrid:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
         area = math.pi * self.radius**2
-        if abs(weights.sum() - area) > 1e-12 * area:
+        if not abs(weights.sum() - area) <= 1e-12 * area:  # NaN fails too
             raise ValueError("grid weights do not sum to the disk area")
         r2 = (nodes**2).sum(axis=1)
         if np.any(r2 > self.radius**2 * (1 + 1e-12)):
@@ -122,8 +122,8 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 def build_grid(radius: float, n_radial: int = 200, n_angular: int = 256) -> DiskGrid:
     """Gauss-Legendre x uniform-angle tensor rule on the disk of given radius."""
     radius = float(radius)
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     if n_radial < 4:
         raise ValueError(f"n_radial must be at least 4, got {n_radial}")
     if n_angular < 8 or n_angular % 2:
@@ -186,7 +186,10 @@ def read_field_csv(path: str, unit_system: str = "si") -> FieldMap:
     nodes_arr = np.array(nodes)
     weights_arr = np.array(weights)
     radius = math.sqrt(weights_arr.sum() / math.pi)
-    n_radial = len(np.unique(np.round((nodes_arr**2).sum(axis=1), 24)))
-    grid = DiskGrid(radius, n_radial, max(len(nodes) // max(n_radial, 1), 8),
+    # distinct node radii: the rule's radial gaps are far above 1e-9 * radius,
+    # the roundoff of one radius far below
+    node_radii = np.sort(np.hypot(nodes_arr[:, 0], nodes_arr[:, 1]))
+    n_radial = 1 + int(np.count_nonzero(np.diff(node_radii) > 1e-9 * radius))
+    grid = DiskGrid(radius, n_radial, max(len(nodes) // n_radial, 8),
                     nodes_arr, weights_arr)
     return FieldMap(grid=grid, samples=np.array(samples), unit_system=unit_system)

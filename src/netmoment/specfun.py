@@ -5,7 +5,8 @@ moderate arguments, Hankel big-argument form beyond), Struve H0/H1 by exact
 rational series, closed forms for the semi-infinite Bessel tail integrals,
 an oscillation-aware quadrature that independently confirms each closed
 form, and the small-frequency Taylor tables of the exterior sin/cos ring
-integrals.
+integrals, plus `IDENTITIES`, the one table of identity checks that
+`netmoment verify-specfun` runs.
 
 The quadrature route shares no code with the closed forms: its integrands
 evaluate J_n by a vectorised midpoint rule on Bessel's integral
@@ -15,6 +16,7 @@ acceleration.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -25,6 +27,7 @@ import numpy as np
 
 __all__ = [
     "DomainError",
+    "IDENTITIES",
     "STRUVE_MAX_ARG",
     "TailIntegralKind",
     "SinCosComponents",
@@ -225,11 +228,17 @@ def _tail_integral_frac(kind: TailIntegralKind, rho: Fraction) -> Fraction:
     raise DomainError(f"unknown tail integral kind {kind!r}")
 
 
+def _lower_limit(fn: str, rho: float) -> float:
+    """rho as a float; NaN, infinite and nonpositive limits raise DomainError."""
+    rho = float(rho)
+    if not 0.0 < rho < math.inf:
+        raise DomainError(f"{fn} needs finite rho > 0, got {rho}")
+    return rho
+
+
 def tail_integral(kind: TailIntegralKind, rho: float) -> float:
     """Closed form of the selected tail integral at lower limit rho."""
-    rho = float(rho)
-    if rho <= 0.0:
-        raise DomainError(f"tail_integral needs rho > 0, got {rho}")
+    rho = _lower_limit("tail_integral", rho)
     if rho > STRUVE_MAX_ARG:
         raise DomainError(
             f"tail_integral closed forms use Struve functions, capped at rho <= {STRUVE_MAX_ARG}"
@@ -247,7 +256,7 @@ def tail_recursion_rhs(n: int, rho: float) -> float:
     lower = {1: TailIntegralKind.J1_OVER_X_P1,
              2: TailIntegralKind.J1_OVER_X_P3,
              3: TailIntegralKind.J1_OVER_X_P5}[n]
-    r = Fraction(float(rho))
+    r = Fraction(_lower_limit("tail_recursion_rhs", rho))
     j1 = _bessel_series_frac(r, 1)
     j1p = _bessel_series_frac(r, 0) - j1 / r
     return float((2 * n * j1 / r ** (2 * n) + j1p / r ** (2 * n - 1)
@@ -347,9 +356,7 @@ def tail_integral_quadrature(kind: TailIntegralKind, rho: float,
     half-period panels from rho, the first one graded, with Euler
     acceleration of the alternating panel sums.
     """
-    rho = float(rho)
-    if rho <= 0.0:
-        raise DomainError(f"tail_integral_quadrature needs rho > 0, got {rho}")
+    rho = _lower_limit("tail_integral_quadrature", rho)
     n, p = _TAIL_INTEGRANDS[kind]
     return _integrate_panels(lambda x: _bessel_integral(n, x) / x**p, rho, math.pi, tol)
 
@@ -506,3 +513,121 @@ def sin_cos_taylor(radius: float) -> dict[str, dict[int, tuple[float, ...]]]:
         cos_rows[q] = (base * float(row[0]) * radius ** (q - 1),
                        *(base * float(c) * radius ** (q - 3) for c in row[1:]))
     return {"sin": sin_rows, "cos": cos_rows}
+
+
+# ---------------------------------------------------------------------------
+# identity table of `netmoment verify-specfun`
+# ---------------------------------------------------------------------------
+
+_RING_THETA = 2.0 * math.pi * np.arange(4096) / 4096
+_COS_T, _SIN_T = np.cos(_RING_THETA), np.sin(_RING_THETA)
+
+
+def _gap(value: float, ref: float) -> float:
+    return abs(value - ref) / max(abs(ref), 1e-300)
+
+
+# tail closed forms vs the oscillation-aware quadrature
+def _tail_vs_quadrature(kind: TailIntegralKind) -> float:
+    worst = 0.0
+    for rho in (0.5, 1.0, 2.0, 5.0, 10.0, 25.0):
+        worst = max(worst, _gap(tail_integral(kind, rho), tail_integral_quadrature(kind, rho)))
+    return worst
+
+
+# reduction identity for the odd tail int J1/x^(2n+1)
+def _tail_recursion(n: int) -> float:
+    kind = TailIntegralKind(f"j1_over_x_p{2 * n + 1}")
+    worst = 0.0
+    for rho in (0.7, 3.0, 12.0):
+        lhs = tail_integral(kind, rho)
+        rhs = tail_recursion_rhs(n, rho)
+        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
+    return worst
+
+
+# ring integrals that vanish by odd angular symmetry
+def _odd_symmetry_vanishing() -> float:
+    rng = np.random.default_rng(12345)
+    worst = 0.0
+    for _ in range(20):
+        alpha = rng.uniform(-10, 10)
+        m = rng.integers(0, 4)
+        n = rng.integers(0, 4)
+        vals = [np.sum(trig(alpha * _COS_T) * _COS_T**a * _SIN_T**b) * (2.0 * math.pi / 4096)
+                for trig, a, b in ((np.cos, 2 * m + 1, n), (np.cos, m, 2 * n + 1),
+                                   (np.sin, m, 2 * n + 1), (np.sin, 2 * m, n))]
+        worst = max(worst, float(max(abs(v) for v in vals)))
+    return worst
+
+
+# J_n(x) as the ring mean of trig(x cos t) cos^n t, n = 0, 1
+def _ring_representation(n: int) -> float:
+    trig, bessel = (np.cos, bessel_j0) if n == 0 else (np.sin, bessel_j1)
+    worst = 0.0
+    for x in np.linspace(0.0, 40.0, 81):
+        worst = max(worst, abs(float(np.mean(trig(x * _COS_T) * _COS_T**n)) - bessel(x)))
+    return worst
+
+
+# J0' = -J1 by central differences
+def _j0_derivative() -> float:
+    h = 1e-6
+    worst = 0.0
+    for x in np.linspace(0.5, 40.0, 20):
+        der = (bessel_j0(x + h) - bessel_j0(x - h)) / (2 * h)
+        worst = max(worst, abs(der + bessel_j1(x)))
+    return worst
+
+
+# large-argument form of J0 within x^-1.5 (empirical constant 1)
+def _j0_envelope() -> float:
+    worst = 0.0
+    for x in np.linspace(5.0, 50.0, 46):
+        approx = math.sqrt(2.0 / (math.pi * x)) * math.cos(x - math.pi / 4)
+        worst = max(worst, (abs(bessel_j0(x) - approx) - x**-1.5))
+    return worst
+
+
+# ring integral closed forms vs direct quadrature at three scales
+def _ring_closed_forms() -> float:
+    worst = 0.0
+    for k1, radius in ((0.05, 1.0), (0.2, 2.0), (0.5, 3.0)):
+        cf = sin_cos_components(k1, radius)
+        ref = sin_cos_components_quadrature(k1, radius)
+        for a, b in zip(cf.i_sin + cf.i_cos, ref.i_sin + ref.i_cos):
+            worst = max(worst, _gap(a, b))
+    return worst
+
+
+# Taylor rows sin 1 and cos 0 vs one-sided differences of the closed forms;
+# the integrals carry every power of k1, so one-sided third-order
+# extrapolations recover the value and first derivative at 0+
+def _taylor_low_orders() -> float:
+    radius = 2.0
+    table = sin_cos_taylor(radius)
+    h = 1e-4 / radius
+
+    def contract(row) -> float:
+        return sum(c * v for c, v in zip((0.7, -0.4, 0.9, 0.3), row))
+
+    comps = [sin_cos_components(j * h, radius) for j in (1, 2, 3)]
+    s1, s2, s3 = (contract(cf.i_sin) for cf in comps)
+    c1, c2, c3 = (contract(cf.i_cos) for cf in comps)
+    return max(_gap((18 * s1 - 9 * s2 + 2 * s3) / (6 * h), contract(table["sin"][1])),
+               _gap(3 * c1 - 3 * c2 + c3, contract(table["cos"][0])))
+
+
+# row name -> (tolerance, check returning the worst error), in report order
+IDENTITIES: dict[str, tuple[float, Callable[[], float]]] = {
+    **{f"tail:{kind.value}": (1e-8, functools.partial(_tail_vs_quadrature, kind))
+       for kind in TailIntegralKind},
+    **{f"recursion:n={n}": (1e-10, functools.partial(_tail_recursion, n)) for n in (1, 2, 3)},
+    "ring:odd-symmetry-vanishing": (1e-12, _odd_symmetry_vanishing),
+    "bessel:j0-ring-representation": (1e-10, functools.partial(_ring_representation, 0)),
+    "bessel:j1-ring-representation": (1e-10, functools.partial(_ring_representation, 1)),
+    "bessel:j0-derivative": (1e-9, _j0_derivative),
+    "bessel:j0-envelope": (0.0, _j0_envelope),
+    "ring:sin-cos-closed-forms": (1e-6, _ring_closed_forms),
+    "ring:taylor-low-orders": (1e-4, _taylor_low_orders),
+}

@@ -7,8 +7,9 @@ import pytest
 
 from netmoment import (EstimatorSpec, b3, build_grid, detrend_backward,
                        estimate_moment, sample_field, scene_to_dict)
+from netmoment import specfun
 from netmoment.cli import main
-from netmoment.specfun import DomainError
+from netmoment.specfun import IDENTITIES, DomainError
 
 
 @pytest.fixture()
@@ -150,12 +151,54 @@ def test_verify_specfun_filter_and_perturb(tmp_path, capsys):
     assert len(rows) == 3
     assert all(r["status"] == "pass" for r in rows)
     rc = main(["verify-specfun", "--filter", "recursion", "--perturb",
-               "recursion:1", "--out", str(out)])
+               "recursion:n=1", "--out", str(out)])
     assert rc == 1
     rows = list(csv.DictReader(open(out)))
     statuses = {r["check"]: r["status"] for r in rows}
     assert statuses["recursion:n=1"] == "fail"
     assert statuses["recursion:n=2"] == "pass"
+
+
+def test_verify_specfun_perturb_fails_exactly_its_row(tmp_path):
+    out = tmp_path / "checks.csv"
+    for name in IDENTITIES:
+        rc = main(["verify-specfun", "--filter", name, "--perturb", name, "--out", str(out)])
+        statuses = {r["check"]: r["status"] for r in csv.DictReader(open(out))}
+        assert rc == 1, name
+        assert statuses[name] == "fail", name
+        assert all(s == "pass" for check, s in statuses.items() if check != name), name
+
+
+def test_verify_specfun_unknown_perturb_is_config_error(tmp_path, capsys):
+    rc = main(["verify-specfun", "--perturb", "recursion:1", "--out", str(tmp_path / "c.csv")])
+    assert rc == 1
+    assert "recursion:1" in capsys.readouterr().err
+
+
+def test_verify_specfun_filter_runs_only_selected_rows(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("a check outside the filter ran")
+
+    monkeypatch.setattr(specfun, "tail_integral_quadrature", broken)
+    monkeypatch.setattr(specfun, "ring_trig_integral", broken)
+    assert main(["verify-specfun", "--filter", "recursion",
+                 "--out", str(tmp_path / "c.csv")]) == 0
+
+
+def test_verify_specfun_failing_row_prints_a_float(tmp_path, monkeypatch):
+    j0 = specfun.bessel_j0
+    monkeypatch.setattr(specfun, "bessel_j0", lambda x: j0(x) + 0.1)
+    out = tmp_path / "c.csv"
+    assert main(["verify-specfun", "--filter", "envelope", "--out", str(out)]) == 1
+    (row,) = csv.DictReader(open(out))
+    assert row["status"] == "fail"
+    assert float(row["max_error"]) > 0.0
+
+
+def test_estimate_rejects_nan_radius(scene_file, capsys):
+    rc = main(["estimate", "--scene", scene_file, "--radius", "nan", "--spec", "m1:1"])
+    assert rc == 1
+    assert "radius" in capsys.readouterr().err
 
 
 def test_verify_specfun_no_match_header_only(tmp_path):

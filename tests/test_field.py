@@ -120,6 +120,12 @@ def test_margin_matches_bruteforce(demo_scene):
     assert brute <= closed * (1 + 1e-12)  # dense grid cannot exceed the sup
 
 
+def test_margin_rejects_nonfinite_radius(demo_scene):
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="radius"):
+            asympt_condition_margin(demo_scene, bad)
+
+
 def test_margin_decreases_with_radius(demo_scene):
     radii = np.geomspace(3e-4, 1.0, 12)
     vals = [asympt_condition_margin(demo_scene, a) for a in radii]

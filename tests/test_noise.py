@@ -46,6 +46,15 @@ def test_same_seed_reproduces_bitwise(small_map):
     assert not np.array_equal(a.samples, d.samples)
 
 
+def test_seed_and_stream_beyond_64_bits_rejected():
+    # the Philox key holds 64 bits of each; wider values would alias
+    NoiseSpec(20.0, seed=2**64 - 1, stream=2**64 - 1)
+    for field in ("seed", "stream"):
+        for bad in (2**64, 5 + 2**64, -1):
+            with pytest.raises(ValueError, match=field):
+                NoiseSpec(20.0, **{"seed": 0, field: bad})
+
+
 def test_double_noising_rejected(small_map):
     noisy = add_noise(small_map, NoiseSpec(20.0, seed=0))
     with pytest.raises(ValueError, match="already"):

@@ -105,6 +105,29 @@ def test_field_csv_round_trip(tmp_path, demo_scene):
     assert back.radius == pytest.approx(fmap.radius, rel=1e-12)
 
 
+@pytest.mark.parametrize("scene_name, radius, shape", [
+    ("demo_scene", 2e-3, (200, 256)),
+    ("demo_scene", 7.5e-4, (20, 24)),
+    ("demo_scene_natural", 1e4, (20, 32)),
+])
+def test_field_csv_round_trip_keeps_grid_shape(tmp_path, request, scene_name, radius, shape):
+    scene = request.getfixturevalue(scene_name)
+    path = tmp_path / "map.csv"
+    write_field_csv(sample_field(scene, build_grid(radius, *shape)), str(path))
+    back = read_field_csv(str(path), scene.unit_system)
+    assert (back.grid.n_radial, back.grid.n_angular) == shape
+
+
+def test_nonfinite_radius_rejected():
+    from netmoment import DiskGrid
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="radius"):
+            build_grid(bad, 8, 16)
+    grid = build_grid(1.0, 8, 16)
+    with pytest.raises(ValueError, match="disk area"):
+        DiskGrid(math.nan, 8, 16, grid.nodes, grid.weights)
+
+
 def test_grid_invariant_rejects_bad_weights():
     from netmoment import DiskGrid
     grid = build_grid(1.0, 8, 16)

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import pathlib
 
 import mpmath as mp
 import numpy as np
@@ -139,6 +141,30 @@ def test_tail_integral_domain():
         tail_integral(TailIntegralKind.J0_TOTAL, 0.0)
     with pytest.raises(DomainError):
         tail_integral(TailIntegralKind.J0_TOTAL, -2.0)
+
+
+def test_tail_functions_reject_nonfinite_rho():
+    for bad in (math.nan, math.inf, -math.inf):
+        for fn in (lambda rho: tail_integral(TailIntegralKind.J0_TOTAL, rho),
+                   lambda rho: tail_integral_quadrature(TailIntegralKind.J0_TOTAL, rho),
+                   lambda rho: tail_recursion_rhs(1, rho)):
+            with pytest.raises(DomainError, match="rho"):
+                fn(bad)
+
+
+def test_identity_table_names_tolerances_and_rows():
+    # names and order are the benchmark's; the tolerances are written here, so
+    # an edit to the table cannot loosen them unnoticed
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert list(specfun.IDENTITIES) == list(workloads.SPECFUN_CHECKS)
+    tolerances = [tol for tol, _ in specfun.IDENTITIES.values()]
+    assert tolerances == ([1e-8] * 7 + [1e-10] * 3
+                          + [1e-12, 1e-10, 1e-10, 1e-9, 0.0, 1e-6, 1e-4])
+    for name, (tol, check) in specfun.IDENTITIES.items():
+        assert check() <= tol, name
 
 
 def test_tail_integral_rho_derivative():
