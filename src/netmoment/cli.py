@@ -84,6 +84,9 @@ def cmd_synth(args) -> int:
 
 def cmd_estimate(args) -> int:
     specs = _parse_specs(args.spec)
+    if args.scene and args.field_csv:
+        raise ConfigError("estimate takes --scene or --field-csv, not both: the scene's "
+                          "net moment and margin do not describe a map read from a file")
     scene = load_scene(args.scene) if args.scene else None
     if args.field_csv:
         fmap = read_field_csv(args.field_csv)

@@ -159,13 +159,13 @@ def integrate_weighted(field_map: FieldMap,
 
 def write_field_csv(field_map: FieldMap, path: str) -> None:
     """Field map CSV: header x1,x2,weight,b3; SI units; full float round trip."""
+    nodes = field_map.grid.nodes
+    columns = (nodes[:, 0].tolist(), nodes[:, 1].tolist(),
+               field_map.grid.weights.tolist(), field_map.samples.tolist())
+    # repr round-trips every float; \r\n ends rows as in the csv module's default dialect
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x1", "x2", "weight", "b3"])
-        for (x1, x2), w, s in zip(field_map.grid.nodes, field_map.grid.weights,
-                                  field_map.samples):
-            writer.writerow([repr(float(x1)), repr(float(x2)),
-                             repr(float(w)), repr(float(s))])
+        fh.write("x1,x2,weight,b3\r\n")
+        fh.writelines(f"{x1!r},{x2!r},{w!r},{s!r}\r\n" for x1, x2, w, s in zip(*columns))
 
 
 def read_field_csv(path: str, unit_system: str = "si") -> FieldMap:

@@ -527,11 +527,20 @@ def _gap(value: float, ref: float) -> float:
     return abs(value - ref) / max(abs(ref), 1e-300)
 
 
+def _max(worst: float, err: float) -> float:
+    """max(worst, err), but NaN when either is NaN.
+
+    The builtin max drops a NaN that is not its first argument, which would
+    let a routine returning NaN pass its row.
+    """
+    return math.nan if math.isnan(worst) or math.isnan(err) else max(worst, err)
+
+
 # tail closed forms vs the oscillation-aware quadrature
 def _tail_vs_quadrature(kind: TailIntegralKind) -> float:
     worst = 0.0
     for rho in (0.5, 1.0, 2.0, 5.0, 10.0, 25.0):
-        worst = max(worst, _gap(tail_integral(kind, rho), tail_integral_quadrature(kind, rho)))
+        worst = _max(worst, _gap(tail_integral(kind, rho), tail_integral_quadrature(kind, rho)))
     return worst
 
 
@@ -542,7 +551,7 @@ def _tail_recursion(n: int) -> float:
     for rho in (0.7, 3.0, 12.0):
         lhs = tail_integral(kind, rho)
         rhs = tail_recursion_rhs(n, rho)
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
+        worst = _max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
     return worst
 
 
@@ -557,7 +566,7 @@ def _odd_symmetry_vanishing() -> float:
         vals = [np.sum(trig(alpha * _COS_T) * _COS_T**a * _SIN_T**b) * (2.0 * math.pi / 4096)
                 for trig, a, b in ((np.cos, 2 * m + 1, n), (np.cos, m, 2 * n + 1),
                                    (np.sin, m, 2 * n + 1), (np.sin, 2 * m, n))]
-        worst = max(worst, float(max(abs(v) for v in vals)))
+        worst = _max(worst, float(np.max(np.abs(vals))))
     return worst
 
 
@@ -566,7 +575,7 @@ def _ring_representation(n: int) -> float:
     trig, bessel = (np.cos, bessel_j0) if n == 0 else (np.sin, bessel_j1)
     worst = 0.0
     for x in np.linspace(0.0, 40.0, 81):
-        worst = max(worst, abs(float(np.mean(trig(x * _COS_T) * _COS_T**n)) - bessel(x)))
+        worst = _max(worst, abs(float(np.mean(trig(x * _COS_T) * _COS_T**n)) - bessel(x)))
     return worst
 
 
@@ -576,7 +585,7 @@ def _j0_derivative() -> float:
     worst = 0.0
     for x in np.linspace(0.5, 40.0, 20):
         der = (bessel_j0(x + h) - bessel_j0(x - h)) / (2 * h)
-        worst = max(worst, abs(der + bessel_j1(x)))
+        worst = _max(worst, abs(der + bessel_j1(x)))
     return worst
 
 
@@ -585,7 +594,7 @@ def _j0_envelope() -> float:
     worst = 0.0
     for x in np.linspace(5.0, 50.0, 46):
         approx = math.sqrt(2.0 / (math.pi * x)) * math.cos(x - math.pi / 4)
-        worst = max(worst, (abs(bessel_j0(x) - approx) - x**-1.5))
+        worst = _max(worst, (abs(bessel_j0(x) - approx) - x**-1.5))
     return worst
 
 
@@ -596,7 +605,7 @@ def _ring_closed_forms() -> float:
         cf = sin_cos_components(k1, radius)
         ref = sin_cos_components_quadrature(k1, radius)
         for a, b in zip(cf.i_sin + cf.i_cos, ref.i_sin + ref.i_cos):
-            worst = max(worst, _gap(a, b))
+            worst = _max(worst, _gap(a, b))
     return worst
 
 
@@ -614,8 +623,8 @@ def _taylor_low_orders() -> float:
     comps = [sin_cos_components(j * h, radius) for j in (1, 2, 3)]
     s1, s2, s3 = (contract(cf.i_sin) for cf in comps)
     c1, c2, c3 = (contract(cf.i_cos) for cf in comps)
-    return max(_gap((18 * s1 - 9 * s2 + 2 * s3) / (6 * h), contract(table["sin"][1])),
-               _gap(3 * c1 - 3 * c2 + c3, contract(table["cos"][0])))
+    return _max(_gap((18 * s1 - 9 * s2 + 2 * s3) / (6 * h), contract(table["sin"][1])),
+                _gap(3 * c1 - 3 * c2 + c3, contract(table["cos"][0])))
 
 
 # row name -> (tolerance, check returning the worst error), in report order

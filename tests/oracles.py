@@ -8,11 +8,44 @@ of the far-field condition expression.
 """
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
 
-from netmoment import DipoleScene, b3
+from netmoment import DipoleScene, FieldMap, b3
+
+
+def b3_unchunked(scene: DipoleScene, x) -> np.ndarray | float:
+    """The normal field with all (point, dipole) pairs in one set of arrays."""
+    x = np.asarray(x, dtype=float)
+    scalar = x.ndim == 1
+    pts = np.atleast_2d(x)
+    if pts.shape[-1] != 2:
+        raise ValueError("evaluation points must have 2 components")
+    if not len(scene.dipoles):
+        out = np.zeros(pts.shape[:-1])
+        return float(out[0]) if scalar else out.reshape(x.shape[:-1])
+    pos = scene.positions
+    mom = scene.moments
+    u = scene.height - pos[:, 2]                      # h - t3 > 0 per scene invariant
+    dx1 = pts[..., 0, None] - pos[:, 0]
+    dx2 = pts[..., 1, None] - pos[:, 1]
+    r2 = dx1**2 + dx2**2
+    num = 3.0 * u * (dx1 * mom[:, 0] + dx2 * mom[:, 1]) + (2.0 * u**2 - r2) * mom[:, 2]
+    vals = (scene.mu0 / (4.0 * math.pi)) * np.sum(num / (r2 + u**2) ** 2.5, axis=-1)
+    return float(vals[0]) if scalar else vals.reshape(x.shape[:-1])
+
+
+def write_field_csv_rows(field_map: FieldMap, path: str) -> None:
+    """The field-map CSV written one csv.writer row per node."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x1", "x2", "weight", "b3"])
+        for (x1, x2), w, s in zip(field_map.grid.nodes, field_map.grid.weights,
+                                  field_map.samples):
+            writer.writerow([repr(float(x1)), repr(float(x2)),
+                             repr(float(w)), repr(float(s))])
 
 
 def ft_series_coefficient(scene: DipoleScene, q: int) -> tuple[float, float]:

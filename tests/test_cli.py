@@ -195,6 +195,30 @@ def test_verify_specfun_failing_row_prints_a_float(tmp_path, monkeypatch):
     assert float(row["max_error"]) > 0.0
 
 
+def test_verify_specfun_nan_error_fails_its_row(tmp_path, monkeypatch):
+    monkeypatch.setattr(specfun, "bessel_j0", lambda x: math.nan)
+    out = tmp_path / "c.csv"
+    assert main(["verify-specfun", "--filter", "bessel:j0", "--out", str(out)]) == 1
+    rows = {r["check"]: r for r in csv.DictReader(open(out))}
+    assert set(rows) == {"bessel:j0-ring-representation", "bessel:j0-derivative",
+                         "bessel:j0-envelope"}
+    for name, row in rows.items():
+        assert row["status"] == "fail", name
+        assert math.isnan(float(row["max_error"])), name
+
+
+def test_estimate_rejects_scene_with_field_csv(tmp_path, scene_file, capsys):
+    out = tmp_path / "map.csv"
+    assert main(["synth", "--scene", scene_file, "--radius", "1e-3",
+                 "--n-radial", "8", "--n-angular", "8", "--out", str(out)]) == 0
+    capsys.readouterr()
+    rc = main(["estimate", "--scene", scene_file, "--field-csv", str(out), "--spec", "m1:1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "--scene" in captured.err and "--field-csv" in captured.err
+
+
 def test_estimate_rejects_nan_radius(scene_file, capsys):
     rc = main(["estimate", "--scene", scene_file, "--radius", "nan", "--spec", "m1:1"])
     assert rc == 1

@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from netmoment import (Dipole, DipoleScene, asympt_coefficients,
-                       asympt_condition_margin, b3, b3_asympt, net_moment)
-from netmoment.field import AsymptCoeffs
-from oracles import (condition_margin_bruteforce, identifiable_functionals,
+                       asympt_condition_margin, b3, b3_asympt, build_grid, net_moment)
+from netmoment.field import _PAIR_BUDGET, AsymptCoeffs
+from oracles import (b3_unchunked, condition_margin_bruteforce, identifiable_functionals,
                      ring_harmonic_fit)
 
 
@@ -26,6 +27,58 @@ def test_b3_even_under_point_reflection():
     for _ in range(10):
         x = rng.uniform(-1e-3, 1e-3, 2)
         assert b3(scene, x) == pytest.approx(b3(scene, -x), rel=1e-14)
+
+
+def random_scene(n_dipoles: int, seed: int) -> DipoleScene:
+    rng = np.random.default_rng(seed)
+    return DipoleScene(
+        tuple(Dipole(tuple(rng.uniform(-1e-4, 1e-4, 3)), tuple(rng.uniform(-1e-12, 1e-12, 3)))
+              for _ in range(n_dipoles)),
+        2.5e-4, "si")
+
+
+def assert_bitwise(got, want):
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_b3_blocks_match_unchunked_many_dipoles():
+    scene = random_scene(1000, seed=11)
+    step = _PAIR_BUDGET // 1000
+    nodes = build_grid(2e-3, 40, 48).nodes[:1201]
+    assert len(nodes) > 3 * step and len(nodes) % step  # full blocks and a partial last one
+    assert_bitwise(b3(scene, nodes), b3_unchunked(scene, nodes))
+
+
+def test_b3_blocks_match_unchunked_demo_and_shapes(demo_scene):
+    nodes = build_grid(2e-3).nodes
+    assert_bitwise(b3(demo_scene, nodes), b3_unchunked(demo_scene, nodes))
+    pts = nodes[:6000].reshape(40, 150, 2)
+    assert_bitwise(b3(demo_scene, pts), b3_unchunked(demo_scene, pts))
+    scene = random_scene(50, seed=12)
+    assert_bitwise(b3(scene, pts), b3_unchunked(scene, pts))
+    for point in ((1e-4, -3e-4), np.array([0.0, 0.0])):
+        value = b3(scene, point)
+        assert isinstance(value, float)
+        assert_bitwise(value, b3_unchunked(scene, point))
+    empty = DipoleScene((), 1.0, "si")
+    assert_bitwise(b3(empty, pts), b3_unchunked(empty, pts))
+    assert_bitwise(b3(empty, (1.0, 2.0)), b3_unchunked(empty, (1.0, 2.0)))
+
+
+def test_b3_memory_does_not_grow_with_nodes():
+    scene = random_scene(1000, seed=13)
+    nodes = build_grid(1e-3, 32, 256).nodes               # 8192 nodes
+    tracemalloc.start()
+    try:
+        b3(scene, nodes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one pass over all pairs would hold five 65 MB arrays
+    assert peak < 8 * 2**20, f"b3 peaked at {peak / 2**20:.1f} MB"
 
 
 def test_b3_empty_scene_zero():

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from netmoment import (DipoleScene, b3, build_grid, integrate_weighted,
+from netmoment import (DipoleScene, FieldMap, b3, build_grid, integrate_weighted,
                        read_field_csv, sample_field, write_field_csv)
-from oracles import disk_monomial_integral
+from oracles import disk_monomial_integral, write_field_csv_rows
 
 
 def test_weights_sum_to_disk_area():
@@ -103,6 +103,20 @@ def test_field_csv_round_trip(tmp_path, demo_scene):
     assert np.array_equal(back.grid.nodes, fmap.grid.nodes)
     assert np.array_equal(back.grid.weights, fmap.grid.weights)
     assert back.radius == pytest.approx(fmap.radius, rel=1e-12)
+
+
+def test_field_csv_bytes_match_csv_writer(tmp_path, demo_scene):
+    grid = build_grid(7.5e-4, 20, 24)
+    samples = sample_field(demo_scene, grid).samples.copy()
+    samples[:6] = [-0.0, 5e-324, 1e-300, 0.1, 1e16, -1.2345678901234567e-9]
+    fmap = FieldMap(grid=grid, samples=samples, unit_system="si")
+    path, ref = tmp_path / "map.csv", tmp_path / "ref.csv"
+    write_field_csv(fmap, str(path))
+    write_field_csv_rows(fmap, str(ref))
+    assert path.read_bytes() == ref.read_bytes()
+    back = read_field_csv(str(path))
+    assert np.array_equal(back.samples, samples)
+    assert np.array_equal(np.signbit(back.samples), np.signbit(samples))
 
 
 @pytest.mark.parametrize("scene_name, radius, shape", [

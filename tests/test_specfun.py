@@ -167,6 +167,15 @@ def test_identity_table_names_tolerances_and_rows():
         assert check() <= tol, name
 
 
+def test_nan_error_fails_its_identity_row(monkeypatch):
+    # a NaN error must not be dropped by the running maximum of a check
+    monkeypatch.setattr(specfun, "bessel_j0", lambda x: math.nan)
+    for name in ("bessel:j0-derivative", "bessel:j0-envelope",
+                 "bessel:j0-ring-representation"):
+        _, check = specfun.IDENTITIES[name]
+        assert math.isnan(check()), name
+
+
 def test_tail_integral_rho_derivative():
     # d/drho of the 1/x^3 tail is -J1(rho)/rho^3
     for rho in (0.8, 2.5, 7.0):
