@@ -89,6 +89,10 @@ def cmd_estimate(args) -> int:
                           "net moment and margin do not describe a map read from a file")
     scene = load_scene(args.scene) if args.scene else None
     if args.field_csv:
+        for flag, value in (("--radius", args.radius), ("--snr-db", args.snr_db)):
+            if value is not None:
+                raise ConfigError(f"{flag} applies only to a map synthesised from --scene, "
+                                  "not to one read with --field-csv")
         fmap = read_field_csv(args.field_csv)
     elif scene is not None:
         if args.radius is None:

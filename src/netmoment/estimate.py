@@ -159,8 +159,8 @@ def estimator_weight(spec: EstimatorSpec, radius: float) -> Callable[[np.ndarray
     The moment estimate is (1/mu0) iint w * B3 over the disk of the given radius.
     """
     radius = float(radius)
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     row, j = _estimator_row(spec)
 
     def weight(x: np.ndarray) -> np.ndarray:
@@ -310,8 +310,8 @@ def predicted_leading_error(scene: DipoleScene, spec: EstimatorSpec,
             "supported: m1:1, m2:1, m3:2"
         )
     radius = float(radius)
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     return _leading_error(asympt_coefficients(scene), spec, radius, scene.mu0)
 
 
@@ -395,6 +395,15 @@ def _sweep_cell(scene: DipoleScene, radius: float, specs: Sequence[EstimatorSpec
     return rows
 
 
+def _ascending_radii(radii: Sequence[float]) -> list[float]:
+    radii = [float(a) for a in radii]
+    # 0 < r_0 < r_1 < ... < inf; every comparison with NaN is false
+    bounds = [0.0, *radii, math.inf]
+    if not radii or not all(a < b for a, b in zip(bounds, bounds[1:])):
+        raise ValueError("radii must be positive, finite and strictly ascending")
+    return radii
+
+
 def sweep(scene: DipoleScene, radii: Sequence[float], specs: Sequence[EstimatorSpec],
           grid_params: GridParams = GridParams(), noise: Optional[NoiseSpec] = None,
           max_workers: int = 1) -> SweepResult:
@@ -404,9 +413,7 @@ def sweep(scene: DipoleScene, radii: Sequence[float], specs: Sequence[EstimatorS
     cannot change the result.  A margin >= 1 at the smallest radius only
     warns: small radii outside the asymptotic regime are still useful data.
     """
-    radii = [float(a) for a in radii]
-    if any(a <= 0 for a in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be positive and strictly ascending")
+    radii = _ascending_radii(radii)
     margin = asympt_condition_margin(scene, radii[0])
     if margin >= 1.0:
         warnings.warn(
@@ -463,7 +470,9 @@ def raster_m3_drift_series(scene: DipoleScene, radii: Sequence[float],
     """
     if spec.component != "m3":
         raise ValueError("drift series is defined for the normal component")
-    radii = [float(a) for a in radii]
+    radii = _ascending_radii(radii)
+    if n_pixels < 1:
+        raise ValueError(f"n_pixels must be at least 1, got {n_pixels}")
     r_max = radii[-1]
     step = 2.0 * r_max / n_pixels
     centers = -r_max + step * (np.arange(n_pixels) + 0.5)
@@ -483,6 +492,9 @@ def raster_m3_drift_series(scene: DipoleScene, radii: Sequence[float],
     # cumulative moments over the largest disk, rescaled to each subdisk
     cums = {p: np.cumsum(u**p * sv) for p in row}
     idx = np.searchsorted(r_sorted, radii, side="right") - 1
+    if idx[0] < 0:
+        raise ValueError(f"radii: no pixel centre lies inside radius {radii[0]}; "
+                         f"raise n_pixels above {n_pixels}")
     out = []
     for a, i in zip(radii, idx):
         mu = {p: cums[p][i] * (r_max / a) ** p for p in row}

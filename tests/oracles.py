@@ -48,6 +48,22 @@ def write_field_csv_rows(field_map: FieldMap, path: str) -> None:
                              repr(float(w)), repr(float(s))])
 
 
+def read_field_csv_rows(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(nodes, weights, samples) of a field-map CSV parsed one csv.reader row at a time."""
+    nodes, weights, samples = [], [], []
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["x1", "x2", "weight", "b3"]:
+            raise ValueError(f"unexpected field CSV header {header!r} in {path}")
+        for row in reader:
+            x1, x2, w, s = map(float, row)
+            nodes.append((x1, x2))
+            weights.append(w)
+            samples.append(s)
+    return np.array(nodes), np.array(weights), np.array(samples)
+
+
 def ft_series_coefficient(scene: DipoleScene, q: int) -> tuple[float, float]:
     """Coefficient of k1^q in (Im, Re) of the planar Fourier transform.
 

@@ -35,6 +35,14 @@ def test_weight_spot_values():
         -83 * radius / 4, rel=1e-15)
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
+def test_weight_and_leading_error_reject_nonpositive_or_nonfinite_radius(demo_scene, radius):
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        estimator_weight(EstimatorSpec("m1", 1), radius)
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        predicted_leading_error(demo_scene, EstimatorSpec("m1", 1), radius)
+
+
 def test_invalid_specs_rejected():
     with pytest.raises(ValueError):
         EstimatorSpec("m3", 5)
@@ -360,3 +368,38 @@ def test_drift_series_clean_limit_and_determinism(demo_scene):
     assert a == b
     with pytest.raises(ValueError, match="normal component"):
         raster_m3_drift_series(demo_scene, radii, EstimatorSpec("m1", 1), spec)
+
+
+@pytest.mark.parametrize("radii", [
+    [2e-3, 1e-3],                  # descending: the raster would cover only 1 mm
+    [1e-3, 1e-3],
+    [-1e-3, 2e-3],
+    [0.0, 2e-3],
+    [math.nan, 2e-3],
+    [1e-3, math.nan],
+    [1e-3, math.inf],
+    [],
+])
+def test_drift_series_rejects_unusable_radii(demo_scene, radii):
+    from netmoment import raster_m3_drift_series
+
+    with pytest.raises(ValueError, match="radii"):
+        raster_m3_drift_series(demo_scene, radii, EstimatorSpec("m3", 2), None, n_pixels=32)
+
+
+def test_drift_series_rejects_too_few_pixels(demo_scene):
+    from netmoment import raster_m3_drift_series
+
+    spec = EstimatorSpec("m3", 2)
+    for n_pixels in (0, -4):
+        with pytest.raises(ValueError, match="n_pixels"):
+            raster_m3_drift_series(demo_scene, [1e-3, 2e-3], spec, None, n_pixels=n_pixels)
+    # 2 x 2 pixel centres lie at 0.71 r_max: a 0.1 r_max subdisk holds none
+    with pytest.raises(ValueError, match="n_pixels"):
+        raster_m3_drift_series(demo_scene, [2e-4, 2e-3], spec, None, n_pixels=2)
+
+
+@pytest.mark.parametrize("radii", [[], [1e-3, math.nan, 2e-3]])
+def test_sweep_rejects_empty_or_nan_radii(demo_scene, radii):
+    with pytest.raises(ValueError, match="radii"):
+        sweep(demo_scene, radii, [EstimatorSpec("m1", 1)], GridParams(8, 8))

@@ -68,6 +68,12 @@ def test_b3_blocks_match_unchunked_demo_and_shapes(demo_scene):
     assert_bitwise(b3(empty, (1.0, 2.0)), b3_unchunked(empty, (1.0, 2.0)))
 
 
+def test_b3_blocks_match_unchunked_beyond_pair_budget():
+    scene = random_scene(_PAIR_BUDGET + 37, seed=14)     # one node per block
+    nodes = build_grid(1e-3, 5, 8).nodes                  # 40 nodes
+    assert_bitwise(b3(scene, nodes), b3_unchunked(scene, nodes))
+
+
 def test_b3_memory_does_not_grow_with_nodes():
     scene = random_scene(1000, seed=13)
     nodes = build_grid(1e-3, 32, 256).nodes               # 8192 nodes

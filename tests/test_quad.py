@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from netmoment import (DipoleScene, FieldMap, b3, build_grid, integrate_weighted,
                        read_field_csv, sample_field, write_field_csv)
-from oracles import disk_monomial_integral, write_field_csv_rows
+from oracles import disk_monomial_integral, read_field_csv_rows, write_field_csv_rows
 
 
 def test_weights_sum_to_disk_area():
@@ -105,6 +106,17 @@ def test_field_csv_round_trip(tmp_path, demo_scene):
     assert back.radius == pytest.approx(fmap.radius, rel=1e-12)
 
 
+def assert_reads_like_csv_reader(path):
+    back = read_field_csv(str(path))
+    nodes, weights, samples = read_field_csv_rows(str(path))
+    for got, want in ((back.grid.nodes, nodes), (back.grid.weights, weights),
+                      (back.samples, samples)):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    return back
+
+
 def test_field_csv_bytes_match_csv_writer(tmp_path, demo_scene):
     grid = build_grid(7.5e-4, 20, 24)
     samples = sample_field(demo_scene, grid).samples.copy()
@@ -114,9 +126,46 @@ def test_field_csv_bytes_match_csv_writer(tmp_path, demo_scene):
     write_field_csv(fmap, str(path))
     write_field_csv_rows(fmap, str(ref))
     assert path.read_bytes() == ref.read_bytes()
-    back = read_field_csv(str(path))
+    back = assert_reads_like_csv_reader(path)
     assert np.array_equal(back.samples, samples)
     assert np.array_equal(np.signbit(back.samples), np.signbit(samples))
+
+
+def test_read_field_csv_matches_csv_reader_on_random_bit_patterns(tmp_path):
+    grid = build_grid(2e-3, 200, 256)
+    rng = np.random.default_rng(20261018)
+    bits = rng.integers(0, 2**64, size=len(grid.nodes), dtype=np.uint64)
+    bits[(bits >> np.uint64(52)) & np.uint64(0x7FF) == 0x7FF] ^= np.uint64(1 << 62)  # finite
+    bits[::16] &= np.uint64(0x800FFFFFFFFFFFFF)       # zero exponent: subnormals
+    bits[1::997] &= np.uint64(1 << 63)                # +-0.0
+    samples = bits.view(np.float64)
+    assert np.all(np.isfinite(samples))
+    assert np.any(samples == 0.0) and np.any(np.signbit(samples[samples == 0.0]))
+    path = tmp_path / "map.csv"
+    write_field_csv(FieldMap(grid=grid, samples=samples, unit_system="si"), str(path))
+    back = assert_reads_like_csv_reader(path)
+    assert np.array_equal(back.samples.view(np.uint64), samples.view(np.uint64))
+
+
+_HEADER = "x1,x2,weight,b3\r\n"
+
+
+@pytest.mark.parametrize("text, match", [
+    ("x1,x2,w,b3\r\n0.0,0.0,1.0,1.0\r\n", "header"),
+    (_HEADER, "no nodes"),
+    (_HEADER + "\r\n", "no nodes"),
+    (_HEADER + "0.5,0.0,1.0,1.0\r\n0.0,0.5\r\n", "column"),
+    (_HEADER + "0.5,0.0,1.0\r\n0.0,0.5,1.0\r\n", "4 columns"),
+    (_HEADER + "0.5,0.0,1.0,1.0\r\n0.0,0.5,1.0,abc\r\n", "abc"),
+    (_HEADER + "# a comment\r\n0.5,0.0,1.0,1.0\r\n", "#"),
+])
+def test_read_field_csv_rejects_malformed_file(tmp_path, text, match):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            read_field_csv(str(path))
 
 
 @pytest.mark.parametrize("scene_name, radius, shape", [
