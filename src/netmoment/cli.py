@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .estimate import (EstimatorSpec, GridParams, all_specs, estimate_moment,
-                       sweep)
+from .estimate import (EstimatorSpec, GridParams, _shown_axis, all_specs,
+                       estimate_moment, sweep)
 from .field import asympt_condition_margin
 from .noise import NoiseSpec, add_noise, detrend_backward
 from .quad import build_grid, read_field_csv, sample_field, write_field_csv
@@ -61,22 +61,32 @@ def _parse_specs(raw: Optional[Sequence[str]]) -> list[EstimatorSpec]:
         raise ConfigError(str(exc)) from exc
 
 
-def _noise_from_args(args) -> Optional[NoiseSpec]:
+# flags that shape or perturb a map synthesised from --scene; None when not given
+_SYNTHESIS_FLAGS = ("--radius", "--snr-db", "--n-radial", "--n-angular", "--seed",
+                    "--plain-variance")
+
+
+def _synthesis_from_args(args) -> tuple[GridParams, Optional[NoiseSpec]]:
+    """The grid and noise flags, with GridParams' grid and seed 0 where not given."""
+    sizes = {"n_radial": args.n_radial, "n_angular": args.n_angular}
+    grid = GridParams(**{k: v for k, v in sizes.items() if v is not None})
     if args.snr_db is None:
-        return None
-    return NoiseSpec(snr_db=args.snr_db, seed=args.seed,
-                     weighted_variance=not args.plain_variance)
+        return grid, None
+    return grid, NoiseSpec(snr_db=args.snr_db, seed=args.seed or 0,
+                           weighted_variance=not args.plain_variance)
+
+
+def _synthesised_map(scene, args):
+    grid, noise = _synthesis_from_args(args)
+    fmap = sample_field(scene, build_grid(args.radius, grid.n_radial, grid.n_angular))
+    return fmap if noise is None else add_noise(fmap, noise)
 
 
 def cmd_synth(args) -> int:
     scene = load_scene(args.scene)
     if args.radius is None:
         raise ConfigError("synth needs --radius")
-    grid = build_grid(args.radius, args.n_radial, args.n_angular)
-    fmap = sample_field(scene, grid)
-    noise = _noise_from_args(args)
-    if noise is not None:
-        fmap = add_noise(fmap, noise)
+    fmap = _synthesised_map(scene, args)
     write_field_csv(fmap, args.out)
     print(f"wrote {len(fmap.samples)} samples to {args.out}")
     return 0
@@ -89,18 +99,15 @@ def cmd_estimate(args) -> int:
                           "net moment and margin do not describe a map read from a file")
     scene = load_scene(args.scene) if args.scene else None
     if args.field_csv:
-        for flag, value in (("--radius", args.radius), ("--snr-db", args.snr_db)):
-            if value is not None:
+        for flag in _SYNTHESIS_FLAGS:
+            if getattr(args, flag[2:].replace("-", "_")) is not None:
                 raise ConfigError(f"{flag} applies only to a map synthesised from --scene, "
                                   "not to one read with --field-csv")
         fmap = read_field_csv(args.field_csv)
     elif scene is not None:
         if args.radius is None:
             raise ConfigError("estimate from a scene needs --radius")
-        fmap = sample_field(scene, build_grid(args.radius, args.n_radial, args.n_angular))
-        noise = _noise_from_args(args)
-        if noise is not None:
-            fmap = add_noise(fmap, noise)
+        fmap = _synthesised_map(scene, args)
     else:
         raise ConfigError("estimate needs --scene or --field-csv")
     report = {"radius": fmap.radius, "estimates": []}
@@ -116,12 +123,11 @@ def cmd_estimate(args) -> int:
         entry = {
             "component": spec.component,
             "order": spec.order,
-            "axis": spec.axis if (spec.component == "m3" and spec.order >= 3) else None,
+            "axis": _shown_axis(spec),
             "estimate": estimate_moment(fmap, spec),
         }
         if truth is not None:
-            idx = {"m1": 0, "m2": 1, "m3": 2}[spec.component]
-            entry["true_value"] = truth[idx]
+            entry["true_value"] = getattr(truth, spec.component)
         report["estimates"].append(entry)
     text = json.dumps(report, indent=2)
     if args.out:
@@ -136,8 +142,8 @@ def cmd_sweep(args) -> int:
     scene = load_scene(args.scene)
     radii = _radii_from_args(args)
     specs = _parse_specs(args.spec)
-    result = sweep(scene, radii, specs, GridParams(args.n_radial, args.n_angular),
-                   noise=_noise_from_args(args), max_workers=_thread_cap())
+    grid, noise = _synthesis_from_args(args)
+    result = sweep(scene, radii, specs, grid, noise=noise, max_workers=_thread_cap())
     detrended = {}
     if args.detrend_window is not None:
         for spec in specs:
@@ -158,8 +164,8 @@ def cmd_sweep(args) -> int:
         writer.writerow(header)
         for spec in specs:
             for row in result.for_spec(spec):
-                axis = spec.axis if (spec.component == "m3" and spec.order >= 3) else ""
-                record = [repr(row.radius), spec.component, str(spec.order), axis,
+                record = [repr(row.radius), spec.component, str(spec.order),
+                          _shown_axis(spec) or "",
                           repr(row.estimate), repr(row.true_value), repr(row.abs_error),
                           "" if row.predicted_error is None else repr(row.predicted_error)]
                 if detrended:
@@ -214,12 +220,13 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p, scene_required=True):
         p.add_argument("--scene", required=scene_required,
                        help="scene JSON file (unit_system, height, dipoles)")
-        p.add_argument("--n-radial", type=int, default=200)
-        p.add_argument("--n-angular", type=int, default=256)
-        p.add_argument("--snr-db", type=float, default=None,
+        # None marks a flag not given; _synthesis_from_args fills the defaults
+        p.add_argument("--n-radial", type=int)
+        p.add_argument("--n-angular", type=int)
+        p.add_argument("--snr-db", type=float,
                        help="add Gaussian noise at this signal-to-noise ratio")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--plain-variance", action="store_true",
+        p.add_argument("--seed", type=int)
+        p.add_argument("--plain-variance", action="store_true", default=None,
                        help="use the unweighted sample variance in the noise amplitude")
 
     p_synth = sub.add_parser("synth", help="sample a field map onto a disk grid")

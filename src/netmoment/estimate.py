@@ -13,6 +13,7 @@ _ROWS.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -22,10 +23,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .field import AsymptCoeffs, asympt_coefficients, asympt_condition_margin, b3
+from .field import (AsymptCoeffs, _positive_radius, asympt_coefficients,
+                    asympt_condition_margin, b3)
 from .noise import NoiseSpec, _generator, add_noise
-from .quad import MAX_POWER, FieldMap, build_grid, sample_field
-from .scene import MU0, DipoleScene, height_moment, net_moment
+from .quad import _DEFAULT_GRID, MAX_POWER, FieldMap, build_grid, sample_field
+from .scene import MU0, DipoleScene, net_moment
 
 __all__ = [
     "EstimatorSpec",
@@ -52,6 +54,8 @@ _PI = math.pi
 
 _COMPONENTS = ("m1", "m2", "m3")
 _AXES = ("x1", "x2")
+# component -> the _ROWS kind of its estimators
+_LADDER = {"m1": "tangential", "m2": "tangential", "m3": "normal"}
 
 # Exact coefficient rows c over the monomial disk moments mu[j, p] of
 # FieldMap.moments, keyed by power p; j is the data axis.
@@ -112,17 +116,16 @@ class EstimatorSpec:
             raise ValueError(f"component must be one of {_COMPONENTS}, got {self.component!r}")
         if self.axis not in _AXES:
             raise ValueError(f"axis must be one of {_AXES}, got {self.axis!r}")
-        valid = range(1, 6) if self.component in ("m1", "m2") else range(2, 5)
+        valid = _orders(self.component)
         if self.order not in valid:
             raise ValueError(
                 f"order {self.order} not available for {self.component}; "
-                f"supported: {list(valid)}"
+                f"supported: {valid}"
             )
 
     def label(self) -> str:
-        if self.component == "m3" and self.order >= 3:
-            return f"{self.component}:{self.order}:{self.axis}"
-        return f"{self.component}:{self.order}"
+        axis = _shown_axis(self)
+        return f"{self.component}:{self.order}" + (f":{axis}" if axis else "")
 
     @classmethod
     def parse(cls, text: str) -> "EstimatorSpec":
@@ -138,19 +141,26 @@ class EstimatorSpec:
         return cls(comp, order, axis)
 
 
+def _orders(component: str) -> list[int]:
+    """The orders _ROWS holds for a component, ascending."""
+    return [order for kind, order in _ROWS if kind == _LADDER[component]]
+
+
+def _shown_axis(spec: EstimatorSpec) -> Optional[str]:
+    """The axis of a normal estimator of order >= 3, the only ones it changes; else None."""
+    return spec.axis if spec.component == "m3" and spec.order >= 3 else None
+
+
 def _estimator_row(spec: EstimatorSpec) -> tuple[dict[int, int | Fraction], int]:
     """The spec's coefficient row and the index j of its data axis x_j."""
-    if spec.component == "m3":
-        return _ROWS[("normal", spec.order)], _AXES.index(spec.axis)
-    return _ROWS[("tangential", spec.order)], _COMPONENTS.index(spec.component)
+    j = _AXES.index(spec.axis) if spec.component == "m3" else _COMPONENTS.index(spec.component)
+    return _ROWS[(_LADDER[spec.component], spec.order)], j
 
 
 def all_specs() -> list[EstimatorSpec]:
-    """Every implemented estimator, both axes for the higher normal orders."""
-    specs = [EstimatorSpec(c, o) for c in ("m1", "m2") for o in range(1, 6)]
-    specs.append(EstimatorSpec("m3", 2))
-    specs.extend(EstimatorSpec("m3", o, ax) for o in (3, 4) for ax in _AXES)
-    return specs
+    """Every implemented estimator, both axes where the axis matters."""
+    specs = [EstimatorSpec(c, o, ax) for c in _COMPONENTS for o in _orders(c) for ax in _AXES]
+    return [spec for spec in specs if spec.axis == _AXES[0] or _shown_axis(spec)]
 
 
 def estimator_weight(spec: EstimatorSpec, radius: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -158,9 +168,7 @@ def estimator_weight(spec: EstimatorSpec, radius: float) -> Callable[[np.ndarray
 
     The moment estimate is (1/mu0) iint w * B3 over the disk of the given radius.
     """
-    radius = float(radius)
-    if not 0.0 < radius < math.inf:
-        raise ValueError(f"radius must be positive and finite, got {radius}")
+    radius = _positive_radius(radius)
     row, j = _estimator_row(spec)
 
     def weight(x: np.ndarray) -> np.ndarray:
@@ -199,40 +207,21 @@ class DCoefficients:
 
 
 def d_coefficients(scene: DipoleScene) -> DCoefficients:
-    def hm(p, q, n):
-        return height_moment(scene, p, q, 0, n)
-
-    d1 = _PI * hm(0, 0, 1)
-    d3 = 2 * _PI**3 * (hm(2, 0, 1) - hm(0, 2, 1) - 2 * hm(1, 1, 3))
-    d5 = (2 * _PI**5 / 3) * (hm(4, 0, 1) - 6 * hm(2, 2, 1) + hm(0, 4, 1)
-                             - 4 * hm(3, 1, 3) + 4 * hm(1, 3, 3))
-    d7 = (4 * _PI**7 / 45) * (hm(6, 0, 1) - 15 * hm(4, 2, 1) + 15 * hm(2, 4, 1)
-                              - hm(0, 6, 1) - 6 * hm(5, 1, 3) + 20 * hm(3, 3, 3)
-                              - 6 * hm(1, 5, 3))
-    d9 = (2 * _PI**9 / 315) * (hm(8, 0, 1) - 28 * hm(6, 2, 1) + 70 * hm(4, 4, 1)
-                               - 28 * hm(2, 6, 1) + hm(0, 8, 1) - 8 * hm(7, 1, 3)
-                               + 56 * hm(5, 3, 3) - 56 * hm(3, 5, 3) + 8 * hm(1, 7, 3))
-    d11 = (4 * _PI**11 / 14175) * (hm(10, 0, 1) - 45 * hm(8, 2, 1) + 210 * hm(6, 4, 1)
-                                   - 210 * hm(4, 6, 1) + 45 * hm(2, 8, 1) - hm(0, 10, 1)
-                                   - 10 * hm(9, 1, 3) + 120 * hm(7, 3, 3)
-                                   - 252 * hm(5, 5, 3) + 120 * hm(3, 7, 3)
-                                   - 10 * hm(1, 9, 3))
-    d2 = -2 * _PI**2 * (hm(0, 1, 1) + hm(1, 0, 3))
-    d4 = -(4 * _PI**4 / 3) * (3 * hm(2, 1, 1) - hm(0, 3, 1) + hm(3, 0, 3)
-                              - 3 * hm(1, 2, 3))
-    d6 = -(4 * _PI**6 / 15) * (5 * hm(4, 1, 1) - 10 * hm(2, 3, 1) + hm(0, 5, 1)
-                               + hm(5, 0, 3) - 10 * hm(3, 2, 3) + 5 * hm(1, 4, 3))
-    d8 = -(8 * _PI**8 / 315) * (7 * hm(6, 1, 1) - 35 * hm(4, 3, 1) + 21 * hm(2, 5, 1)
-                                - hm(0, 7, 1) + hm(7, 0, 3) - 21 * hm(5, 2, 3)
-                                + 35 * hm(3, 4, 3) - 7 * hm(1, 6, 3))
-    d10 = -(4 * _PI**10 / 2835) * (9 * hm(8, 1, 1) - 84 * hm(6, 3, 1) + 126 * hm(4, 5, 1)
-                                   - 36 * hm(2, 7, 1) + hm(0, 9, 1) + hm(9, 0, 3)
-                                   - 36 * hm(7, 2, 3) + 126 * hm(5, 4, 3)
-                                   - 84 * hm(3, 6, 3) + 9 * hm(1, 8, 3))
-    mu = scene.mu0
-    return DCoefficients(d1=mu * d1, d3=mu * d3, d5=mu * d5, d7=mu * d7, d9=mu * d9,
-                         d11=mu * d11, d2=mu * d2, d4=mu * d4, d6=mu * d6,
-                         d8=mu * d8, d10=mu * d10)
+    """The d's as Taylor coefficients of the transform's generating function."""
+    # Along the k1 axis, for k1 > 0, B3-hat(k1, 0) = pi mu0 k1 sum_d Re[w e^(-2 pi k1 z)]
+    # (Im part) and Re[i w e^(-2 pi k1 z)] (Re part), with w = m1 - i m3 and
+    # z = (h - t3) - i t1 per dipole, so
+    # d_q = mu0 pi (-2 pi)^(q-1) / (q-1)! * Re sum_d (1 for odd q, i for even q) w z^(q-1).
+    pos, mom = scene.positions, scene.moments
+    z = (scene.height - pos[:, 2]) - 1j * pos[:, 0]
+    wz = mom[:, 0] - 1j * mom[:, 2]                 # w z^(q-1), starting at q = 1
+    values = {}
+    for q in range(1, 12):
+        total = complex(np.sum(wz)) * (1 if q % 2 else 1j)
+        values[f"d{q}"] = (scene.mu0 * _PI * (-2 * _PI) ** (q - 1) / math.factorial(q - 1)
+                           * total.real)
+        wz = wz * z
+    return DCoefficients(**values)
 
 
 @dataclass(frozen=True)
@@ -262,27 +251,26 @@ def t_quantities(field_map: FieldMap, coeffs: AsymptCoeffs,
 
     The tangential rows need a1^(1)/A and the normal rows m3 = -4 pi a0; both
     are taken from the supplied coefficient set (analytic or recovered).
-    When the map is SI the coefficients must carry the mu0 factor too.
+    When the map is SI the coefficients must carry the mu0 factor too.  The
+    values are in the map's field units and approach
+    t_quantities_analytic(coeffs, A) as A grows.
     """
     a = field_map.radius
     j = _AXES.index(axis)
-    scale = MU0 if field_map.unit_system == "si" else 1.0
     mu = list(field_map.moments[j])
     # closure columns: pi a1 / A^2 for the odd (tangential) rows, which are
     # scaled by A / pi, and m3 * mu0 / A = -4 pi a0 / A for the even (normal)
-    # rows, which are scaled by 1 / (pi A)
+    # rows, which are scaled by 1 / pi
     tangential = mu + [_PI * coeffs.a1[j] / a**2]
     normal = mu + [-4.0 * _PI * coeffs.a0 / a]
-    values = {f"t{q}": a / (_PI * scale) * _apply(_ROWS[("t", q)], tangential)
-              for q in (5, 7, 9, 11)}
-    values.update({f"t{q}": _apply(_ROWS[("t", q)], normal) / (_PI * a * scale)
-                   for q in (0, 2, 4, 6, 8)})
+    values = {f"t{q}": a / _PI * _apply(_ROWS[("t", q)], tangential) for q in (5, 7, 9, 11)}
+    values.update({f"t{q}": _apply(_ROWS[("t", q)], normal) / _PI for q in (0, 2, 4, 6, 8)})
     return TQuantities(**values)
 
 
 def t_quantities_analytic(coeffs: AsymptCoeffs, radius: float) -> TQuantities:
     """The algebraic left sides of the T quantities from exact coefficients."""
-    a3 = float(radius) ** 3
+    a3 = _positive_radius(radius) ** 3
     a4t = coeffs.a4[0] / a3
     a51t = coeffs.a5[0] / a3
     a54t = coeffs.a5[3] / a3
@@ -309,10 +297,8 @@ def predicted_leading_error(scene: DipoleScene, spec: EstimatorSpec,
             f"no closed-form leading error for {spec.label()}; "
             "supported: m1:1, m2:1, m3:2"
         )
-    radius = float(radius)
-    if not 0.0 < radius < math.inf:
-        raise ValueError(f"radius must be positive and finite, got {radius}")
-    return _leading_error(asympt_coefficients(scene), spec, radius, scene.mu0)
+    return _leading_error(asympt_coefficients(scene), spec, _positive_radius(radius),
+                          scene.mu0)
 
 
 def _leading_error(c: AsymptCoeffs, spec: EstimatorSpec, radius: float,
@@ -350,8 +336,8 @@ def recovered_coefficients(field_map: FieldMap) -> RecoveredCoeffs:
 
 @dataclass(frozen=True)
 class GridParams:
-    n_radial: int = 200
-    n_angular: int = 256
+    n_radial: int = _DEFAULT_GRID[0]
+    n_angular: int = _DEFAULT_GRID[1]
 
 
 @dataclass(frozen=True)
@@ -376,9 +362,9 @@ class SweepResult:
         return sorted(rows, key=lambda r: r.radius)
 
 
-def _sweep_cell(scene: DipoleScene, radius: float, specs: Sequence[EstimatorSpec],
-                grid_params: GridParams, noise: Optional[NoiseSpec],
-                stream: int, truth, coeffs: AsymptCoeffs) -> list[SweepRow]:
+def _sweep_cell(scene: DipoleScene, specs: Sequence[EstimatorSpec], grid_params: GridParams,
+                noise: Optional[NoiseSpec], truth, coeffs: AsymptCoeffs,
+                stream: int, radius: float) -> list[SweepRow]:
     grid = build_grid(radius, grid_params.n_radial, grid_params.n_angular)
     fmap = sample_field(scene, grid)
     if noise is not None and noise.snr_db != math.inf:
@@ -391,7 +377,7 @@ def _sweep_cell(scene: DipoleScene, radius: float, specs: Sequence[EstimatorSpec
         pred = None
         if (spec.component, spec.order) in _PREDICTED_SPECS:
             pred = _leading_error(coeffs, spec, radius, scene.mu0)
-        rows.append(SweepRow(radius, spec, est, truth[_COMPONENTS.index(spec.component)], pred))
+        rows.append(SweepRow(radius, spec, est, getattr(truth, spec.component), pred))
     return rows
 
 
@@ -423,16 +409,15 @@ def sweep(scene: DipoleScene, radii: Sequence[float], specs: Sequence[EstimatorS
         )
     truth = net_moment(scene)
     coeffs = asympt_coefficients(scene)
+    cell = functools.partial(_sweep_cell, scene, specs, grid_params, noise, truth, coeffs)
     if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(_sweep_cell, scene, a, specs, grid_params,
-                                   noise, i, truth, coeffs) for i, a in enumerate(radii)]
-            chunks = [f.result() for f in futures]
+            chunks = list(pool.map(cell, range(len(radii)), radii))
     else:
-        chunks = [_sweep_cell(scene, a, specs, grid_params, noise, i, truth, coeffs)
-                  for i, a in enumerate(radii)]
-    rows = tuple(row for chunk in chunks for row in chunk)
-    return SweepResult(rows=rows)
+        # one worker stays in this thread: a pool thread takes its own malloc
+        # arena, which costs the README sweep about 7 MB of peak RSS (+13 %)
+        chunks = list(map(cell, range(len(radii)), radii))
+    return SweepResult(rows=tuple(row for chunk in chunks for row in chunk))
 
 
 def convergence_slope(result: SweepResult, spec: EstimatorSpec,

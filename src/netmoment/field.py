@@ -2,9 +2,10 @@
 
 b3 is the exact closed-form field on the measurement plane.  The thirteen
 far-field coefficients are fixed linear combinations of the scene's
-monomial moments; b3_asympt evaluates the corresponding 1/|x|^3 ... 1/|x|^9
-expansion, and asympt_condition_margin gives the exact supremum of the
-large-disk applicability condition.
+monomial moments; b3_asympt sums the corresponding 1/|x|^3 ... 1/|x|^9
+terms, whose shapes are the one tuple _TERM_SHAPES, and
+asympt_condition_margin gives the exact supremum of the large-disk
+applicability condition.
 """
 from __future__ import annotations
 
@@ -24,6 +25,16 @@ __all__ = [
 ]
 
 _PI = math.pi
+
+# (a, b, n) of each far-field term x1^a x2^b / |x|^n, in AsymptCoeffs.as_array() order
+_TERM_SHAPES = (
+    (0, 0, 3),                                      # a0
+    (1, 0, 5), (0, 1, 5),                           # a1
+    (0, 0, 5),                                      # a2
+    (2, 0, 7), (0, 2, 7), (1, 1, 7),                # a3
+    (1, 0, 7), (0, 1, 7),                           # a4
+    (3, 0, 9), (0, 3, 9), (2, 1, 9), (1, 2, 9),     # a5
+)
 
 # (node, dipole) pairs b3 evaluates at once: each of its four block buffers is
 # 128 KB, small enough to stay in cache
@@ -59,6 +70,14 @@ class AsymptCoeffs:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.a0, *self.a1, self.a2, *self.a3, *self.a4, *self.a5])
+
+
+def _positive_radius(radius) -> float:
+    """radius as a float; NaN, infinite and nonpositive radii raise ValueError."""
+    radius = float(radius)
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
+    return radius
 
 
 def b3(scene: DipoleScene, x) -> np.ndarray | float:
@@ -165,15 +184,8 @@ def b3_asympt(coeffs: AsymptCoeffs, x) -> np.ndarray | float:
     if np.any(r2 == 0.0):
         raise ValueError("b3_asympt is singular at x = (0, 0)")
     r = np.sqrt(r2)
-    vals = (
-        coeffs.a0 / r**3
-        + (coeffs.a1[0] * x1 + coeffs.a1[1] * x2) / r**5
-        + coeffs.a2 / r**5
-        + (coeffs.a3[0] * x1**2 + coeffs.a3[1] * x2**2 + coeffs.a3[2] * x1 * x2) / r**7
-        + (coeffs.a4[0] * x1 + coeffs.a4[1] * x2) / r**7
-        + (coeffs.a5[0] * x1**3 + coeffs.a5[1] * x2**3
-           + coeffs.a5[2] * x1**2 * x2 + coeffs.a5[3] * x1 * x2**2) / r**9
-    )
+    vals = sum(c * x1**a * x2**b / r**n
+               for c, (a, b, n) in zip(coeffs.as_array(), _TERM_SHAPES))
     return float(vals[0]) if scalar else vals.reshape(x.shape[:-1])
 
 
@@ -184,9 +196,7 @@ def asympt_condition_margin(scene: DipoleScene, radius: float) -> float:
     horizontal offset, giving (t1^2 + t2^2 + (h-t3)^2 + 2 A sqrt(t1^2+t2^2))/A^2.
     The expansion machinery applies iff the returned margin is < 1.
     """
-    radius = float(radius)
-    if not 0.0 < radius < math.inf:
-        raise ValueError(f"radius must be positive and finite, got {radius}")
+    radius = _positive_radius(radius)
     if not len(scene.dipoles):
         return 0.0
     p = scene.positions

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .field import b3
+from .field import _positive_radius, b3
 from .scene import DipoleScene
 
 __all__ = [
@@ -30,6 +30,9 @@ __all__ = [
 
 # Highest power p of the monomial moments mu[j, p] a FieldMap carries.
 MAX_POWER = 11
+
+# (n_radial, n_angular) of the default disk rule
+_DEFAULT_GRID = (200, 256)
 
 
 def _read_only(values) -> np.ndarray:
@@ -119,11 +122,10 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(xg), _read_only(wg)
 
 
-def build_grid(radius: float, n_radial: int = 200, n_angular: int = 256) -> DiskGrid:
+def build_grid(radius: float, n_radial: int = _DEFAULT_GRID[0],
+               n_angular: int = _DEFAULT_GRID[1]) -> DiskGrid:
     """Gauss-Legendre x uniform-angle tensor rule on the disk of given radius."""
-    radius = float(radius)
-    if not 0.0 < radius < math.inf:
-        raise ValueError(f"radius must be positive and finite, got {radius}")
+    radius = _positive_radius(radius)
     if n_radial < 4:
         raise ValueError(f"n_radial must be at least 4, got {n_radial}")
     if n_angular < 8 or n_angular % 2:

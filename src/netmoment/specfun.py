@@ -25,6 +25,8 @@ from typing import Callable
 
 import numpy as np
 
+from .field import _TERM_SHAPES
+
 __all__ = [
     "DomainError",
     "IDENTITIES",
@@ -462,32 +464,22 @@ def sin_cos_components_quadrature(k1: float, radius: float,
     return SinCosComponents(i_sin=i_sin, i_cos=i_cos)
 
 
-# Exact per-group Taylor data of the exterior ring integrals about k1 = 0+.
-# Row q of the sin table: the q-th one-sided k1-derivative of the sin integral
-# equals  q! (2 pi)^(q+1) [ c1 a1 A^(q-2) + (c2 a4 + c3 a5 + c4 a54) A^(q-4) ];
-# cos rows analogously with groups (a0, a2, a3^(1), a3^(2)) and powers
-# (q-1, q-3).  Derived symbolically from the closed forms; the finite-
-# difference tests pin them against sin_cos_components.
-_SIN_TAYLOR_ROWS: dict[int, tuple[Fraction, ...]] = {
-    1: (Fraction(1, 2), Fraction(1, 6), Fraction(1, 8), Fraction(1, 24)),
-    3: (Fraction(1, 16), Fraction(-1, 16), Fraction(-5, 96), Fraction(-1, 96)),
-    5: (Fraction(-1, 1152), Fraction(-1, 384), Fraction(-7, 3072), Fraction(-1, 3072)),
-    7: (Fraction(1, 92160), Fraction(1, 55296), Fraction(1, 61440), Fraction(1, 552960)),
-    9: (Fraction(-1, 10321920), Fraction(-1, 7372800), Fraction(-11, 88473600),
-        Fraction(-1, 88473600)),
-    11: (Fraction(1, 1592524800), Fraction(1, 1238630400), Fraction(13, 17340825600),
-         Fraction(1, 17340825600)),
-}
-_COS_TAYLOR_ROWS: dict[int, tuple[Fraction, ...]] = {
-    0: (Fraction(1), Fraction(1, 3), Fraction(1, 6), Fraction(1, 6)),
-    2: (Fraction(1, 4), Fraction(-1, 4), Fraction(-3, 16), Fraction(-1, 16)),
-    4: (Fraction(-1, 192), Fraction(-1, 64), Fraction(-5, 384), Fraction(-1, 384)),
-    6: (Fraction(1, 11520), Fraction(1, 6912), Fraction(7, 55296), Fraction(1, 55296)),
-    8: (Fraction(-1, 1032192), Fraction(-1, 737280), Fraction(-1, 819200),
-        Fraction(-1, 7372800)),
-    10: (Fraction(1, 132710400), Fraction(1, 103219200), Fraction(11, 1238630400),
-         Fraction(1, 1238630400)),
-}
+# The finite part of iint_{|x|<A} x1^p * x1^a x2^b / |x|^n, per pi A^(p-e): the
+# exterior integral continued analytically, ang(p+a, b) / (p - e) with
+# e = n - 2 - a - b and ang(a, b) = (1/pi) int_0^2pi cos^a sin^b, which is
+# 2 (a-1)!! (b-1)!! / (a+b)!! for even a and b and 0 otherwise; parity rules
+# out the logarithmic case p = e.
+def _disk_far_term(p: int, a: int, b: int, n: int) -> Fraction:
+    if (p + a) % 2 or b % 2:
+        return Fraction(0)
+    ang = Fraction(2 * math.prod(range(p + a - 1, 0, -2)) * math.prod(range(b - 1, 0, -2)),
+                   math.prod(range(p + a + b, 0, -2)))
+    return ang / (p - (n - 2 - a - b))
+
+
+# coefficient groups of the ring integrals, as indices into _TERM_SHAPES:
+# (a1^(1), a4^(1), a5^(1), a5^(4)) on the sin side, (a0, a2, a3^(1), a3^(2)) on the cos
+_TAYLOR_GROUPS = {"sin": (1, 7, 9, 12), "cos": (0, 3, 4, 5)}
 
 
 def sin_cos_taylor(radius: float) -> dict[str, dict[int, tuple[float, ...]]]:
@@ -499,20 +491,25 @@ def sin_cos_taylor(radius: float) -> dict[str, dict[int, tuple[float, ...]]]:
     a5^(4)); cos orders 0..10 even pair with (a0, a2, a3^(1), a3^(2)).
     """
     radius = float(radius)
-    if radius <= 0.0:
-        raise DomainError("sin_cos_taylor needs radius > 0")
+    if not 0.0 < radius < math.inf:
+        raise DomainError(f"sin_cos_taylor needs finite radius > 0, got {radius}")
+    # Expanding trig(2 pi k1 x1) in powers of k1, the q-th derivative of the group
+    # with term shape (a, b, n) is q! (2 pi)^(q+1) c A^(q-e), where
+    # c = -(-1)^(q//2) _disk_far_term(q, a, b, n) / (2 q!): the exterior integral
+    # is minus the finite part over the disk.
     two_pi = 2.0 * math.pi
-    sin_rows = {}
-    for q, row in _SIN_TAYLOR_ROWS.items():
-        base = math.factorial(q) * two_pi ** (q + 1)
-        sin_rows[q] = (base * float(row[0]) * radius ** (q - 2),
-                       *(base * float(c) * radius ** (q - 4) for c in row[1:]))
-    cos_rows = {}
-    for q, row in _COS_TAYLOR_ROWS.items():
-        base = math.factorial(q) * two_pi ** (q + 1)
-        cos_rows[q] = (base * float(row[0]) * radius ** (q - 1),
-                       *(base * float(c) * radius ** (q - 3) for c in row[1:]))
-    return {"sin": sin_rows, "cos": cos_rows}
+    table = {}
+    for trig, first in (("sin", 1), ("cos", 0)):
+        table[trig] = {}
+        for q in range(first, 12, 2):
+            base = math.factorial(q) * two_pi ** (q + 1)
+            row = []
+            for a, b, n in (_TERM_SHAPES[t] for t in _TAYLOR_GROUPS[trig]):
+                c = -(-1) ** (q // 2) * _disk_far_term(q, a, b, n) / (2 * math.factorial(q))
+                e = n - 2 - a - b
+                row.append(base * float(c) * radius ** (q - e))
+            table[trig][q] = tuple(row)
+    return table
 
 
 # ---------------------------------------------------------------------------

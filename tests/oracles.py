@@ -4,12 +4,14 @@ Each oracle reaches a tested quantity by a different route than the library:
 exact Taylor coefficients of the dipole Fourier transform, harmonic-resolved
 ring fits of the raw field, high-precision one-sided differences of the ring
 integrals, closed-form polynomial disk integrals, a dense-grid maximisation
-of the far-field condition expression.
+of the far-field condition expression, the tabulated Taylor rows of the ring
+integrals, and an exact elimination that derives every estimator row.
 """
 from __future__ import annotations
 
 import csv
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -285,3 +287,167 @@ def high_precision_ring_fd(radius: float, coeff_sets, dps: int = 60):
         cos_out = {q: float(c_cos[q] / h**q * mp.factorial(q))
                    for q in (0, 2, 4, 6, 8, 10)}
     return sin_out, cos_out
+
+
+# Exact per-group Taylor data of the exterior ring integrals about k1 = 0+, as
+# tabulated by hand before sin_cos_taylor derived them from the finite-part
+# rule.  Row q of the sin table: the q-th one-sided k1-derivative of the sin
+# integral equals  q! (2 pi)^(q+1) [ c1 a1 A^(q-2) + (c2 a4 + c3 a5 + c4 a54) A^(q-4) ];
+# cos rows analogously with groups (a0, a2, a3^(1), a3^(2)) and powers
+# (q-1, q-3).
+SIN_TAYLOR_ROWS: dict[int, tuple[Fraction, ...]] = {
+    1: (Fraction(1, 2), Fraction(1, 6), Fraction(1, 8), Fraction(1, 24)),
+    3: (Fraction(1, 16), Fraction(-1, 16), Fraction(-5, 96), Fraction(-1, 96)),
+    5: (Fraction(-1, 1152), Fraction(-1, 384), Fraction(-7, 3072), Fraction(-1, 3072)),
+    7: (Fraction(1, 92160), Fraction(1, 55296), Fraction(1, 61440), Fraction(1, 552960)),
+    9: (Fraction(-1, 10321920), Fraction(-1, 7372800), Fraction(-11, 88473600),
+        Fraction(-1, 88473600)),
+    11: (Fraction(1, 1592524800), Fraction(1, 1238630400), Fraction(13, 17340825600),
+         Fraction(1, 17340825600)),
+}
+COS_TAYLOR_ROWS: dict[int, tuple[Fraction, ...]] = {
+    0: (Fraction(1), Fraction(1, 3), Fraction(1, 6), Fraction(1, 6)),
+    2: (Fraction(1, 4), Fraction(-1, 4), Fraction(-3, 16), Fraction(-1, 16)),
+    4: (Fraction(-1, 192), Fraction(-1, 64), Fraction(-5, 384), Fraction(-1, 384)),
+    6: (Fraction(1, 11520), Fraction(1, 6912), Fraction(7, 55296), Fraction(1, 55296)),
+    8: (Fraction(-1, 1032192), Fraction(-1, 737280), Fraction(-1, 819200),
+        Fraction(-1, 7372800)),
+    10: (Fraction(1, 132710400), Fraction(1, 103219200), Fraction(11, 1238630400),
+         Fraction(1, 1238630400)),
+}
+
+
+def sin_cos_taylor_tabulated(radius: float) -> dict[str, dict[int, tuple[float, ...]]]:
+    """sin_cos_taylor's table evaluated from the hand-tabulated rows above."""
+    radius = float(radius)
+    two_pi = 2.0 * math.pi
+    sin_rows = {}
+    for q, row in SIN_TAYLOR_ROWS.items():
+        base = math.factorial(q) * two_pi ** (q + 1)
+        sin_rows[q] = (base * float(row[0]) * radius ** (q - 2),
+                       *(base * float(c) * radius ** (q - 4) for c in row[1:]))
+    cos_rows = {}
+    for q, row in COS_TAYLOR_ROWS.items():
+        base = math.factorial(q) * two_pi ** (q + 1)
+        cos_rows[q] = (base * float(row[0]) * radius ** (q - 1),
+                       *(base * float(c) * radius ** (q - 3) for c in row[1:]))
+    return {"sin": sin_rows, "cos": cos_rows}
+
+
+# ---------------------------------------------------------------------------
+# the estimator rows by exact elimination
+# ---------------------------------------------------------------------------
+
+# far-field terms c x1^a x2^b / |x|^n as (a, b, n), named as in
+# identifiable_functionals
+FAR_TERMS = {
+    "a0": (0, 0, 3), "a1_1": (1, 0, 5), "a1_2": (0, 1, 5), "a2": (0, 0, 5),
+    "a3_1": (2, 0, 7), "a3_2": (0, 2, 7), "a3_3": (1, 1, 7), "a4_1": (1, 0, 7),
+    "a4_2": (0, 1, 7), "a5_1": (3, 0, 9), "a5_2": (0, 3, 9), "a5_3": (2, 1, 9),
+    "a5_4": (1, 2, 9),
+}
+
+
+def _double_factorial(k: int) -> int:
+    out = 1
+    while k > 1:
+        out *= k
+        k -= 2
+    return out
+
+
+def _ang(a: int, b: int) -> Fraction:
+    """(1/pi) times the integral of cos^a sin^b over the full circle."""
+    if a % 2 or b % 2:
+        return Fraction(0)
+    return Fraction(2 * _double_factorial(a - 1) * _double_factorial(b - 1),
+                    _double_factorial(a + b))
+
+
+def _bracket_entry(p: int, term: str) -> Fraction:
+    """ang(p+a, b) / (p - e): what power p of x1 contributes to the term's bracket."""
+    a, b, n = FAR_TERMS[term]
+    e = n - 2 - a - b
+    ang = _ang(p + a, b)
+    if ang == 0:
+        return Fraction(0)
+    assert p != e, "a logarithmic term"
+    return ang / (p - e)
+
+
+def _unique_solution(rows: list[list[Fraction]], n: int):
+    """The one solution of the augmented rows [A | y] in n unknowns, else None."""
+    m = [list(row) for row in rows]
+    rank = 0
+    for col in range(n):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if pivot is None:
+            return None                     # a free unknown
+        m[rank], m[pivot] = m[pivot], m[rank]
+        m[rank] = [v / m[rank][col] for v in m[rank]]
+        for i, row in enumerate(m):
+            if i != rank and row[col] != 0:
+                m[i] = [v - row[col] * w for v, w in zip(row, m[rank])]
+        rank += 1
+    if any(row[n] != 0 for row in m[rank:]):
+        return None                         # inconsistent
+    return [m[i][n] for i in range(n)]
+
+
+def _solve_row(powers, targets: dict[str, Fraction], fixed=None, closure=None):
+    """Row {p: c_p} whose bracket of every term in targets equals its target.
+
+    fixed holds known coefficients; closure, when given, maps terms to the
+    weight of one more unknown column, keyed "closure".
+    """
+    fixed = fixed or {}
+    unknowns = list(powers) + (["closure"] if closure is not None else [])
+    rows = []
+    for term, target in targets.items():
+        coeffs = [_bracket_entry(p, term) for p in powers]
+        if closure is not None:
+            coeffs.append(Fraction(closure.get(term, 0)))
+        known = sum((c * _bracket_entry(p, term) for p, c in fixed.items()), Fraction(0))
+        rows.append(coeffs + [Fraction(target) - known])
+    solution = _unique_solution(rows, len(unknowns))
+    return None if solution is None else {**fixed, **dict(zip(unknowns, solution))}
+
+
+def _fewest_powers(lead: list, first: int, targets: dict, fixed=None) -> dict:
+    """The unique row in the powers lead plus the fewest of first, first + 2, ..."""
+    for count in range(8):
+        row = _solve_row(lead + [first + 2 * i for i in range(count)], targets, fixed)
+        if row is not None:
+            return row
+    raise ValueError("no unique row")
+
+
+def derive_estimator_rows() -> dict[tuple[str, int], dict]:
+    """Every row of the estimator table, re-derived on the x1 axis.
+
+    The bracket of far-field term (a, b, n) under a row {p: c_p} is
+    sum_p c_p ang(p+a, b) / (p - e), e = n - 2 - a - b; an order-k estimator
+    A sum_p c_p mu_p carries the term at the power A^(1-e).  Closure columns
+    come back under the key "closure".
+    """
+    exponents = {t: n - 2 - a - b for t, (a, b, n) in FAR_TERMS.items()}
+    rows = {}
+    for k in range(1, 6):
+        # c_1 = 2; cancel every term above A^-k with the fewest odd powers >= k+1
+        targets = {t: 0 for t, e in exponents.items() if 1 - e > -k}
+        rows[("tangential", k)] = _fewest_powers([], k + 1 + k % 2, targets, {1: 2})
+    for k in range(2, 5):
+        # the a0 bracket is -4 (m3 = -4 pi a0); power 0 plus the fewest even powers >= k+1
+        targets = {t: (-4 if t == "a0" else 0) for t, e in exponents.items() if 1 - e > -k}
+        rows[("normal", k)] = _fewest_powers([0], k + 1 + (k + 1) % 2, targets)
+    for q in (5, 7, 9, 11):
+        rows[("t", q)] = _solve_row([q], {"a4_1": q + 3, "a5_1": q + 2, "a5_4": 1, "a1_1": 0},
+                                    closure={"a1_1": 1})
+    for q in (0, 2, 4, 6, 8):
+        rows[("t", q)] = _solve_row([q], {"a2": q + 2, "a3_1": q + 1, "a3_2": 1, "a0": 0},
+                                    closure={"a0": -4})
+    for name, targets in (("a1", {"a1_1": 1, "a4_1": 0, "a5_1": 0, "a5_4": 0}),
+                          ("combo", {"a1_1": 0, "a4_1": 4, "a5_1": 3, "a5_4": 1})):
+        for k in (4, 5):
+            rows[(name, k)] = _solve_row([2 * k - 3, 2 * k - 1, 2 * k + 1], targets)
+    return rows

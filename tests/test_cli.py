@@ -239,6 +239,26 @@ def test_estimate_rejects_synthesis_flags_with_field_csv(tmp_path, scene_file, c
     assert flag in captured.err and "No such file" not in captured.err
 
 
+@pytest.mark.parametrize("flags", [["--n-radial", "8"], ["--n-angular", "8"], ["--seed", "9"],
+                                   ["--plain-variance"]])
+def test_estimate_rejects_grid_and_noise_flags_with_field_csv(tmp_path, scene_file, capsys,
+                                                              flags):
+    out = tmp_path / "map.csv"
+    assert main(["synth", "--scene", scene_file, "--radius", "7.5e-4",
+                 "--n-radial", "8", "--n-angular", "8", "--out", str(out)]) == 0
+    capsys.readouterr()
+    rc = main(["estimate", "--field-csv", str(out), "--spec", "m1:1", *flags])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert flags[0] in captured.err and "--field-csv" in captured.err
+    # the flag is rejected before the file is opened
+    rc = main(["estimate", "--field-csv", str(tmp_path / "missing.csv"), *flags])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert flags[0] in captured.err and "No such file" not in captured.err
+
+
 def test_estimate_rejects_nan_radius(scene_file, capsys):
     rc = main(["estimate", "--scene", scene_file, "--radius", "nan", "--spec", "m1:1"])
     assert rc == 1

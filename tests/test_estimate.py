@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ from netmoment import (MU0, Dipole, DipoleScene, EstimatorSpec, FieldMap, GridPa
                        estimator_weight, integrate_weighted, net_moment,
                        predicted_leading_error, recovered_coefficients,
                        sample_field, sweep, t_quantities, t_quantities_analytic)
-from netmoment.estimate import SweepResult, SweepRow, all_specs
+from netmoment.estimate import _CLOSURE, _ROWS, SweepResult, SweepRow, all_specs
 from netmoment.field import AsymptCoeffs
 from netmoment.specfun import sin_cos_components, sin_cos_taylor
-from oracles import ft_im_direct, ft_series_coefficient
+from conftest import DEMO_DIPOLES, DEMO_HEIGHT
+from oracles import derive_estimator_rows, ft_im_direct, ft_series_coefficient
 
 finite_coeff = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 
@@ -165,10 +167,10 @@ def test_all_d_coefficients_match_transform_series(demo_scene):
     d = d_coefficients(demo_scene)
     for name, q in (("d1", 1), ("d3", 3), ("d5", 5), ("d7", 7), ("d9", 9), ("d11", 11)):
         im, _ = ft_series_coefficient(demo_scene, q)
-        assert getattr(d, name) == pytest.approx(im, rel=1e-9), name
+        assert getattr(d, name) == pytest.approx(im, rel=1e-12), name
     for name, q in (("d2", 2), ("d4", 4), ("d6", 6), ("d8", 8), ("d10", 10)):
         _, re = ft_series_coefficient(demo_scene, q)
-        assert getattr(d, name) == pytest.approx(re, rel=1e-9), name
+        assert getattr(d, name) == pytest.approx(re, rel=1e-12), name
 
 
 def test_transform_quadrature_bridge(demo_scene):
@@ -217,6 +219,35 @@ def test_t_combination_identities_exact(tup, radius):
     scale = abs(target) + max(abs(v) for v in dataclasses.astuple(t)) + 1e-30
     assert abs(4 * (t.t5 - t.t7) + t.t9 - target) <= 1e-12 * scale
     assert abs(5 * (t.t7 - t.t9) + t.t11 - target) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_t_quantities_analytic_rejects_nonpositive_or_nonfinite_radius(demo_scene, radius):
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        t_quantities_analytic(asympt_coefficients(demo_scene), radius)
+
+
+@pytest.mark.parametrize("units", ["si", "natural"])
+def test_t_quantities_approach_analytic_values(units):
+    """Data-side T's in the map's field units tend to the algebraic ones."""
+    scene = DipoleScene(DEMO_DIPOLES, DEMO_HEIGHT, units)
+    coeffs = asympt_coefficients(scene)
+    radius = 16e-3
+    data = t_quantities(sample_field(scene, build_grid(radius, 400, 512)), coeffs)
+    exact = t_quantities_analytic(coeffs, radius)
+    for name, value in dataclasses.asdict(data).items():
+        if name != "t2":  # t2 carries an O(1/A^2) contamination
+            ratio = value / getattr(exact, name)
+            assert abs(ratio - 1.0) <= 0.05, (units, name, ratio)
+
+
+def test_rows_match_independent_derivation():
+    """Every _ROWS row is the exact solution of its finite-part conditions."""
+    derived = derive_estimator_rows()
+    assert set(derived) == set(_ROWS)
+    for key, row in _ROWS.items():
+        got = [(_CLOSURE if p == "closure" else p, c) for p, c in derived[key].items()]
+        assert got == [(p, Fraction(c)) for p, c in row.items()], key
 
 
 def test_t_quantities_data_side_units(demo_scene, demo_map_2mm):

@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import pathlib
+import re
 
 import mpmath as mp
 import numpy as np
@@ -15,7 +16,7 @@ from netmoment.specfun import (DomainError, STRUVE_MAX_ARG, TailIntegralKind,
                                sin_cos_components_quadrature, sin_cos_taylor,
                                struve_h0, struve_h1, tail_integral,
                                tail_integral_quadrature, tail_recursion_rhs)
-from oracles import high_precision_ring_fd
+from oracles import high_precision_ring_fd, sin_cos_taylor_tabulated
 
 RHO_SET = (0.5, 1.0, 2.0, 5.0, 10.0, 25.0)
 
@@ -271,6 +272,23 @@ def test_taylor_table_against_high_precision_differences():
     for order, row in table["cos"].items():
         contracted = sum(c * v for c, v in zip(cos_groups, row))
         assert contracted == pytest.approx(fd_cos[order], rel=1e-4), ("cos", order)
+
+
+@pytest.mark.parametrize("radius", [1.7, 3.3e-3, 2.0, 0.25, 40.0])
+def test_taylor_table_bitwise_equals_tabulated_rows(radius):
+    """The finite-part rule reproduces the hand-tabulated rows to the last bit."""
+    table = sin_cos_taylor(radius)
+    want = sin_cos_taylor_tabulated(radius)
+    for trig in ("sin", "cos"):
+        assert list(table[trig]) == list(want[trig])
+        for q, row in want[trig].items():
+            assert [v.hex() for v in table[trig][q]] == [v.hex() for v in row], (trig, q)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_taylor_table_rejects_nonpositive_or_nonfinite_radius(radius):
+    with pytest.raises(DomainError, match=re.escape(f"radius > 0, got {radius}")):
+        sin_cos_taylor(radius)
 
 
 def test_ring_trig_integral_smoke():
