@@ -35,9 +35,12 @@ class ConfigError(ValueError):
 def _thread_cap() -> int:
     raw = os.environ.get("NETMOMENT_THREADS", "1")
     try:
-        return max(1, int(raw))
+        cap = int(raw)
     except ValueError:
-        raise ConfigError(f"NETMOMENT_THREADS must be an integer, got {raw!r}")
+        cap = 0                    # not an integer: reported below with the text
+    if cap < 1:
+        raise ConfigError(f"NETMOMENT_THREADS must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _radii_from_args(args) -> list[float]:

@@ -62,9 +62,15 @@ class DiskGrid:
         area = math.pi * self.radius**2
         if not abs(weights.sum() - area) <= 1e-12 * area:  # NaN fails too
             raise ValueError("grid weights do not sum to the disk area")
-        r2 = (nodes**2).sum(axis=1)
-        if np.any(r2 > self.radius**2 * (1 + 1e-12)):
-            raise ValueError("grid contains nodes outside the disk")
+        # the two columns squared and added: the bits of a row sum, without
+        # numpy looping over rows of length 2; NaN fails the test
+        x1, x2 = nodes.T
+        r2 = x1**2 + x2**2
+        inside = r2 <= self.radius**2 * (1 + 1e-12)
+        if not np.all(inside):
+            bad = np.flatnonzero(~inside)
+            raise ValueError(f"{len(bad)} grid node(s) outside the disk or not finite, "
+                             f"first node {bad[0]} at {tuple(nodes[bad[0]].tolist())}")
 
 
 @dataclass(frozen=True)

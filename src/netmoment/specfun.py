@@ -230,17 +230,17 @@ def _tail_integral_frac(kind: TailIntegralKind, rho: Fraction) -> Fraction:
     raise DomainError(f"unknown tail integral kind {kind!r}")
 
 
-def _lower_limit(fn: str, rho: float) -> float:
-    """rho as a float; NaN, infinite and nonpositive limits raise DomainError."""
-    rho = float(rho)
-    if not 0.0 < rho < math.inf:
-        raise DomainError(f"{fn} needs finite rho > 0, got {rho}")
-    return rho
+def _positive(fn: str, name: str, value: float) -> float:
+    """value as a float; NaN, infinite and nonpositive values raise DomainError naming it."""
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{fn} needs finite {name} > 0, got {value}")
+    return value
 
 
 def tail_integral(kind: TailIntegralKind, rho: float) -> float:
     """Closed form of the selected tail integral at lower limit rho."""
-    rho = _lower_limit("tail_integral", rho)
+    rho = _positive("tail_integral", "rho", rho)
     if rho > STRUVE_MAX_ARG:
         raise DomainError(
             f"tail_integral closed forms use Struve functions, capped at rho <= {STRUVE_MAX_ARG}"
@@ -258,7 +258,7 @@ def tail_recursion_rhs(n: int, rho: float) -> float:
     lower = {1: TailIntegralKind.J1_OVER_X_P1,
              2: TailIntegralKind.J1_OVER_X_P3,
              3: TailIntegralKind.J1_OVER_X_P5}[n]
-    r = Fraction(_lower_limit("tail_recursion_rhs", rho))
+    r = Fraction(_positive("tail_recursion_rhs", "rho", rho))
     j1 = _bessel_series_frac(r, 1)
     j1p = _bessel_series_frac(r, 0) - j1 / r
     return float((2 * n * j1 / r ** (2 * n) + j1p / r ** (2 * n - 1)
@@ -358,7 +358,7 @@ def tail_integral_quadrature(kind: TailIntegralKind, rho: float,
     half-period panels from rho, the first one graded, with Euler
     acceleration of the alternating panel sums.
     """
-    rho = _lower_limit("tail_integral_quadrature", rho)
+    rho = _positive("tail_integral_quadrature", "rho", rho)
     n, p = _TAIL_INTEGRANDS[kind]
     return _integrate_panels(lambda x: _bessel_integral(n, x) / x**p, rho, math.pi, tol)
 
@@ -381,10 +381,8 @@ class SinCosComponents:
 
 def sin_cos_components(k1: float, radius: float) -> SinCosComponents:
     """Closed-form values at rho = 2*pi*k1*radius (requires rho <= 50)."""
-    k1 = float(k1)
-    radius = float(radius)
-    if k1 <= 0.0 or radius <= 0.0:
-        raise DomainError("sin_cos_components needs k1 > 0 and radius > 0")
+    k1 = _positive("sin_cos_components", "k1", k1)
+    radius = _positive("sin_cos_components", "radius", radius)
     rho = 2.0 * math.pi * k1 * radius
     if rho > STRUVE_MAX_ARG:
         raise DomainError(
@@ -439,7 +437,8 @@ def ring_trig_integral(trig: str, cos_pow: int, sin_pow: int, inv_pow: int,
 
     with a periodic trapezoid in angle and accelerated half-period panels in r.
     """
-    k1 = float(k1)
+    k1 = _positive("ring_trig_integral", "k1", k1)
+    radius = _positive("ring_trig_integral", "radius", radius)
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
     ang = np.cos(theta) ** cos_pow * np.sin(theta) ** sin_pow
     ct = np.cos(theta)
@@ -451,12 +450,14 @@ def ring_trig_integral(trig: str, cos_pow: int, sin_pow: int, inv_pow: int,
         return vals / r**inv_pow
 
     period = 0.5 / k1  # half period of the fastest angular ray
-    return _integrate_panels(g, float(radius), period, tol)
+    return _integrate_panels(g, radius, period, tol)
 
 
 def sin_cos_components_quadrature(k1: float, radius: float,
                                   tol: float = 1e-12) -> SinCosComponents:
     """Defining double integrals of the eight components, quadrature route."""
+    k1 = _positive("sin_cos_components_quadrature", "k1", k1)
+    radius = _positive("sin_cos_components_quadrature", "radius", radius)
     i_sin = tuple(ring_trig_integral(*_RING_SPECS[("sin", j)], k1, radius, tol=tol)
                   for j in (1, 2, 3, 4))
     i_cos = tuple(ring_trig_integral(*_RING_SPECS[("cos", j)], k1, radius, tol=tol)
@@ -490,9 +491,7 @@ def sin_cos_taylor(radius: float) -> dict[str, dict[int, tuple[float, ...]]]:
     coefficient set.  Sin orders 1..11 odd pair with (a1^(1), a4^(1), a5^(1),
     a5^(4)); cos orders 0..10 even pair with (a0, a2, a3^(1), a3^(2)).
     """
-    radius = float(radius)
-    if not 0.0 < radius < math.inf:
-        raise DomainError(f"sin_cos_taylor needs finite radius > 0, got {radius}")
+    radius = _positive("sin_cos_taylor", "radius", radius)
     # Expanding trig(2 pi k1 x1) in powers of k1, the q-th derivative of the group
     # with term shape (a, b, n) is q! (2 pi)^(q+1) c A^(q-e), where
     # c = -(-1)^(q//2) _disk_far_term(q, a, b, n) / (2 q!): the exterior integral

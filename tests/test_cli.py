@@ -265,6 +265,34 @@ def test_estimate_rejects_nan_radius(scene_file, capsys):
     assert "radius" in capsys.readouterr().err
 
 
+def test_estimate_rejects_nan_node_in_field_csv(tmp_path, scene_file, capsys):
+    out = tmp_path / "map.csv"
+    assert main(["synth", "--scene", scene_file, "--radius", "7.5e-4",
+                 "--n-radial", "8", "--n-angular", "8", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines(keepends=True)
+    lines[1] = "nan" + lines[1][lines[1].index(","):]
+    out.write_text("".join(lines))
+    capsys.readouterr()
+    rc = main(["estimate", "--field-csv", str(out), "--spec", "m1:1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "first node 0 at (nan, " in captured.err
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_sweep_rejects_nonpositive_thread_cap(tmp_path, scene_file, capsys, monkeypatch,
+                                              threads):
+    monkeypatch.setenv("NETMOMENT_THREADS", threads)
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--scene", scene_file, "--radius-min", "7.5e-4",
+               "--radius-max", "2e-3", "--radius-count", "3", "--spec", "m1:1",
+               "--n-radial", "8", "--n-angular", "8", "--out", str(out)])
+    assert rc == 1
+    assert "NETMOMENT_THREADS" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_specfun_no_match_header_only(tmp_path):
     out = tmp_path / "empty.csv"
     rc = main(["verify-specfun", "--filter", "nonexistent-check", "--out", str(out)])

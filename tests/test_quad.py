@@ -191,6 +191,26 @@ def test_nonfinite_radius_rejected():
         DiskGrid(math.nan, 8, 16, grid.nodes, grid.weights)
 
 
+def test_grid_rejects_nan_node():
+    from netmoment import DiskGrid
+    grid = build_grid(1.0, 8, 16)
+    for column in (0, 1):
+        nodes = grid.nodes.copy()
+        nodes[5, column] = math.nan
+        with pytest.raises(ValueError, match="not finite, first node 5 at"):
+            DiskGrid(1.0, 8, 16, nodes, grid.weights)
+
+
+def test_read_field_csv_rejects_nan_node(tmp_path, demo_scene):
+    path = tmp_path / "map.csv"
+    write_field_csv(sample_field(demo_scene, build_grid(7.5e-4, 8, 8)), str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    lines[3] = "nan" + lines[3][lines[3].index(","):]
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match="first node 2 at \\(nan, "):
+        read_field_csv(str(path))
+
+
 def test_grid_invariant_rejects_bad_weights():
     from netmoment import DiskGrid
     grid = build_grid(1.0, 8, 16)

@@ -291,6 +291,24 @@ def test_taylor_table_rejects_nonpositive_or_nonfinite_radius(radius):
         sin_cos_taylor(radius)
 
 
+_K1_RADIUS_FUNCTIONS = {
+    "sin_cos_components": sin_cos_components,
+    "sin_cos_components_quadrature": sin_cos_components_quadrature,
+    "ring_trig_integral": lambda k1, radius: ring_trig_integral("sin", 1, 0, 3, k1, radius),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", sorted(_K1_RADIUS_FUNCTIONS))
+def test_ring_functions_reject_bad_k1_and_radius(name, bad):
+    fn = _K1_RADIUS_FUNCTIONS[name]
+    with pytest.raises(DomainError, match=re.escape(f"{name} needs finite k1 > 0, got {bad}")):
+        fn(bad, 1.0)
+    with pytest.raises(DomainError,
+                       match=re.escape(f"{name} needs finite radius > 0, got {bad}")):
+        fn(0.1, bad)
+
+
 def test_ring_trig_integral_smoke():
     # the first sin component by its defining double integral
     val = ring_trig_integral("sin", 1, 0, 3, 0.2, 2.0)
