@@ -1,9 +1,11 @@
 """Normal field of a dipole scene and its far-field expansion.
 
 b3 is the exact closed-form field on the measurement plane.  The thirteen
-far-field coefficients are fixed linear combinations of the scene's
-monomial moments; b3_asympt sums the corresponding 1/|x|^3 ... 1/|x|^9
-terms, whose shapes are the one tuple _TERM_SHAPES, and
+far-field coefficients are linear combinations of the scene's height
+moments, derived once at import by the binomial expansion of b3's own
+formula (_far_field_rows).  b3_asympt sums the corresponding 1/|x|^3 ...
+1/|x|^9 terms, whose shapes are the one tuple _TERM_SHAPES; the ring
+quadrature in specfun reads its term shapes from the same tuple.
 asympt_condition_margin gives the exact supremum of the large-disk
 applicability condition.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -57,16 +60,6 @@ class AsymptCoeffs:
     a3: tuple[float, float, float]
     a4: tuple[float, float]
     a5: tuple[float, float, float, float]
-
-    def scaled(self, factor: float) -> "AsymptCoeffs":
-        return AsymptCoeffs(
-            a0=self.a0 * factor,
-            a1=tuple(v * factor for v in self.a1),
-            a2=self.a2 * factor,
-            a3=tuple(v * factor for v in self.a3),
-            a4=tuple(v * factor for v in self.a4),
-            a5=tuple(v * factor for v in self.a5),
-        )
 
     def as_array(self) -> np.ndarray:
         return np.array([self.a0, *self.a1, self.a2, *self.a3, *self.a4, *self.a5])
@@ -140,44 +133,58 @@ def b3(scene: DipoleScene, x) -> np.ndarray | float:
     return float(vals[0]) if scalar else vals.reshape(x.shape[:-1])
 
 
-def asympt_coefficients(scene: DipoleScene) -> AsymptCoeffs:
-    """The thirteen far-field coefficients from the scene moments."""
-    def hm(p, q, r, n):
-        return height_moment(scene, p, q, r, n)
+# The far-field coefficients follow from b3's own formula.  Per dipole,
+#   4 pi B3 / mu0 = [3u (m1 y1 + m2 y2) + (2u^2 - |y|^2) m3] (|y|^2 + u^2)^(-5/2)
+# with y = x - t and u = h - t3.  Write |y|^2 + u^2 = |x|^2 (1 + s) with
+# s = (-2 x.t + |t|^2 + u^2) / |x|^2 and expand (1 + s)^(-5/2) by the binomial
+# series, keeping |x|^2 a symbol (it lowers n) and the terms of degree <= 3 in
+# (u, t1, t2).  Each term c u^p t1^q t2^r m_k x1^a x2^b / |x|^n then adds
+# c <u^p t1^q t2^r M_k> / (4 pi) to the coefficient of shape (a, b, n); a shape
+# outside _TERM_SHAPES raises.
+def _far_field_rows() -> tuple[dict[tuple[int, int, int, int], Fraction], ...]:
+    """{(p, q, r, k): c} per _TERM_SHAPES entry, by the expansion above."""
+    # a polynomial is {(p, q, r, a, b, n): c} for the sum of c u^p t1^q t2^r x1^a x2^b / |x|^n
+    def mul(f, g):
+        out = {}
+        for e, c in f.items():
+            for e2, c2 in g.items():
+                key = tuple(i + j for i, j in zip(e, e2))
+                if sum(key[:3]) <= 3:
+                    out[key] = out.get(key, 0) + c * c2
+        return out
 
-    m3 = hm(0, 0, 0, 3)
-    a0 = -m3 / (4 * _PI)
-    a1 = (
-        3 / (4 * _PI) * (hm(1, 0, 0, 1) - hm(0, 1, 0, 3)),
-        3 / (4 * _PI) * (hm(1, 0, 0, 2) - hm(0, 0, 1, 3)),
-    )
-    a2 = -3 / (8 * _PI) * (
-        2 * hm(1, 1, 0, 1) + 2 * hm(1, 0, 1, 2)
-        - 3 * hm(2, 0, 0, 3) - hm(0, 2, 0, 3) - hm(0, 0, 2, 3)
-    )
-    a3 = (
-        15 / (8 * _PI) * (2 * hm(1, 1, 0, 1) - hm(0, 2, 0, 3)),
-        15 / (8 * _PI) * (2 * hm(1, 0, 1, 2) - hm(0, 0, 2, 3)),
-        15 / (4 * _PI) * (hm(1, 0, 1, 1) + hm(1, 1, 0, 2) - hm(0, 1, 1, 3)),
-    )
-    a4 = (
-        -15 / (8 * _PI) * (
-            3 * hm(1, 2, 0, 1) + hm(1, 0, 2, 1) + hm(3, 0, 0, 1) + 2 * hm(1, 1, 1, 2)
-            - hm(0, 3, 0, 3) - hm(0, 1, 2, 3) - 3 * hm(2, 1, 0, 3)
-        ),
-        -15 / (8 * _PI) * (
-            3 * hm(1, 0, 2, 2) + hm(1, 2, 0, 2) + hm(3, 0, 0, 2) + 2 * hm(1, 1, 1, 1)
-            - hm(0, 0, 3, 3) - hm(0, 2, 1, 3) - 3 * hm(2, 0, 1, 3)
-        ),
-    )
-    a5 = (
-        35 / (8 * _PI) * (3 * hm(1, 2, 0, 1) - hm(0, 3, 0, 3)),
-        35 / (8 * _PI) * (3 * hm(1, 0, 2, 2) - hm(0, 0, 3, 3)),
-        105 / (8 * _PI) * (hm(1, 2, 0, 2) + 2 * hm(1, 1, 1, 1) - hm(0, 2, 1, 3)),
-        105 / (8 * _PI) * (hm(1, 0, 2, 1) + 2 * hm(1, 1, 1, 2) - hm(0, 1, 2, 3)),
-    )
-    coeffs = AsymptCoeffs(a0=a0, a1=a1, a2=a2, a3=a3, a4=a4, a5=a5)
-    return coeffs.scaled(scene.mu0) if scene.unit_system == "si" else coeffs
+    s = {(0, 1, 0, 1, 0, 2): -2, (0, 0, 1, 0, 1, 2): -2,
+         (0, 2, 0, 0, 0, 2): 1, (0, 0, 2, 0, 0, 2): 1, (2, 0, 0, 0, 0, 2): 1}
+    # |x|^-5 (1 + s)^(-5/2); every term of s has degree >= 1, so s^3 is the last needed
+    series, s_j, binom = {}, {(0, 0, 0, 0, 0, 5): 1}, Fraction(1)
+    for j in range(4):
+        for e, c in s_j.items():
+            series[e] = series.get(e, 0) + binom * c
+        s_j, binom = mul(s_j, s), binom * (Fraction(-5, 2) - j) / (j + 1)
+    numerators = {  # 3u y1, 3u y2 and 2u^2 - |y|^2 = 2u^2 - |x|^2 + 2 x.t - |t|^2
+        1: {(1, 0, 0, 1, 0, 0): 3, (1, 1, 0, 0, 0, 0): -3},
+        2: {(1, 0, 0, 0, 1, 0): 3, (1, 0, 1, 0, 0, 0): -3},
+        3: {(2, 0, 0, 0, 0, 0): 2, (0, 0, 0, 0, 0, -2): -1, (0, 1, 0, 1, 0, 0): 2,
+            (0, 0, 1, 0, 1, 0): 2, (0, 2, 0, 0, 0, 0): -1, (0, 0, 2, 0, 0, 0): -1},
+    }
+    rows = tuple({} for _ in _TERM_SHAPES)
+    for k, numerator in numerators.items():
+        for (p, q, r, a, b, n), c in mul(numerator, series).items():
+            if (a, b, n) not in _TERM_SHAPES:
+                raise ValueError(f"far-field term x1^{a} x2^{b} / |x|^{n} is not in _TERM_SHAPES")
+            rows[_TERM_SHAPES.index((a, b, n))][(p, q, r, k)] = c
+    return rows
+
+
+# {(p, q, r, k): c} per _TERM_SHAPES entry: coefficient = sum c <u^p t1^q t2^r M_k> / (4 pi)
+_FAR_FIELD_ROWS = _far_field_rows()
+
+
+def asympt_coefficients(scene: DipoleScene) -> AsymptCoeffs:
+    """The thirteen far-field coefficients from the scene's height moments."""
+    v = [math.fsum(float(c) * height_moment(scene, *key) for key, c in row.items())
+         / (4 * _PI) * scene.mu0 for row in _FAR_FIELD_ROWS]
+    return AsymptCoeffs(v[0], tuple(v[1:3]), v[3], tuple(v[4:7]), tuple(v[7:9]), tuple(v[9:]))
 
 
 def b3_asympt(coeffs: AsymptCoeffs, x) -> np.ndarray | float:

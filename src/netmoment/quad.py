@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -15,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .field import _positive_radius, b3
-from .scene import DipoleScene
+from .scene import _UNIT_SYSTEMS, DipoleScene
 
 __all__ = [
     "DiskGrid",
@@ -94,6 +95,8 @@ class FieldMap:
     provenance: Provenance = Provenance("clean")
 
     def __post_init__(self):
+        if self.unit_system not in _UNIT_SYSTEMS:
+            raise ValueError(f"unit_system must be one of {_UNIT_SYSTEMS}, got {self.unit_system!r}")
         samples = _read_only(self.samples)
         if samples.shape != (len(self.grid.nodes),):
             raise ValueError("sample count must match the grid node count")
@@ -132,6 +135,9 @@ def build_grid(radius: float, n_radial: int = _DEFAULT_GRID[0],
                n_angular: int = _DEFAULT_GRID[1]) -> DiskGrid:
     """Gauss-Legendre x uniform-angle tensor rule on the disk of given radius."""
     radius = _positive_radius(radius)
+    for name, n in (("n_radial", n_radial), ("n_angular", n_angular)):
+        if not isinstance(n, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {n!r}")
     if n_radial < 4:
         raise ValueError(f"n_radial must be at least 4, got {n_radial}")
     if n_angular < 8 or n_angular % 2:

@@ -271,6 +271,13 @@ def tail_recursion_rhs(n: int, rho: float) -> float:
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
+# relative stopping tolerances of the tail and the ring-integral quadratures, the
+# panel cap of _integrate_panels and the angular node count of ring_trig_integral
+_TAIL_TOL = 1e-14
+_RING_TOL = 1e-12
+_MAX_PANELS = 400
+_N_THETA = 256
+
 
 def _euler_sum(panels: list[float]) -> float:
     """Euler transform of an (eventually) alternating panel series."""
@@ -290,7 +297,7 @@ def _gauss_legendre(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float)
 
 
 def _integrate_panels(f: Callable[[np.ndarray], np.ndarray], a: float,
-                      period: float, tol: float, max_panels: int = 400) -> float:
+                      period: float, tol: float) -> float:
     """Integrate f on (a, inf): half-period panels + Euler acceleration.
 
     The first panel [a, a + period] is graded: cut at a, 2a, 4a, ... so a
@@ -305,7 +312,7 @@ def _integrate_panels(f: Callable[[np.ndarray], np.ndarray], a: float,
     lo = a + period
     prev = math.inf
     stable = 0
-    for i in range(1, max_panels):
+    for i in range(1, _MAX_PANELS):
         hi = lo + period
         panels.append(_gauss_legendre(f, lo, hi))
         lo = hi
@@ -349,8 +356,7 @@ _TAIL_INTEGRANDS = {
 }
 
 
-def tail_integral_quadrature(kind: TailIntegralKind, rho: float,
-                             tol: float = 1e-14) -> float:
+def tail_integral_quadrature(kind: TailIntegralKind, rho: float) -> float:
     """The defining integral evaluated numerically, closed forms untouched.
 
     J0, J1 and J2 come from `_bessel_integral` (Bessel's integral, not the
@@ -360,12 +366,18 @@ def tail_integral_quadrature(kind: TailIntegralKind, rho: float,
     """
     rho = _positive("tail_integral_quadrature", "rho", rho)
     n, p = _TAIL_INTEGRANDS[kind]
-    return _integrate_panels(lambda x: _bessel_integral(n, x) / x**p, rho, math.pi, tol)
+    return _integrate_panels(lambda x: _bessel_integral(n, x) / x**p, rho, math.pi,
+                             _TAIL_TOL)
 
 
 # ---------------------------------------------------------------------------
 # exterior ring integrals of the far-field expansion
 # ---------------------------------------------------------------------------
+
+# coefficient groups of the ring integrals, as indices into _TERM_SHAPES:
+# (a1^(1), a4^(1), a5^(1), a5^(4)) on the sin side, (a0, a2, a3^(1), a3^(2)) on the cos
+_TAYLOR_GROUPS = {"sin": (1, 7, 9, 12), "cos": (0, 3, 4, 5)}
+
 
 @dataclass(frozen=True)
 class SinCosComponents:
@@ -415,53 +427,44 @@ def sin_cos_components(k1: float, radius: float) -> SinCosComponents:
     return SinCosComponents(i_sin=i_sin, i_cos=i_cos)
 
 
-_RING_SPECS = {
-    # component -> (trig, cos power, sin power, radial inverse power)
-    ("sin", 1): ("sin", 1, 0, 3),
-    ("sin", 2): ("sin", 1, 0, 5),
-    ("sin", 3): ("sin", 3, 0, 5),
-    ("sin", 4): ("sin", 1, 2, 5),
-    ("cos", 1): ("cos", 0, 0, 2),
-    ("cos", 2): ("cos", 0, 0, 4),
-    ("cos", 3): ("cos", 2, 0, 4),
-    ("cos", 4): ("cos", 0, 2, 4),
-}
-
-
 def ring_trig_integral(trig: str, cos_pow: int, sin_pow: int, inv_pow: int,
-                       k1: float, radius: float, n_theta: int = 256,
-                       tol: float = 1e-12) -> float:
+                       k1: float, radius: float) -> float:
     """Direct quadrature of
 
         int_radius^inf int_0^2pi trig(2 pi k1 r cos t) cos^a t sin^b t dt dr / r^p
 
     with a periodic trapezoid in angle and accelerated half-period panels in r.
     """
+    if trig not in ("sin", "cos"):
+        raise DomainError(f"ring_trig_integral needs trig 'sin' or 'cos', got {trig!r}")
     k1 = _positive("ring_trig_integral", "k1", k1)
     radius = _positive("ring_trig_integral", "radius", radius)
-    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
+    theta = 2.0 * math.pi * np.arange(_N_THETA) / _N_THETA
     ang = np.cos(theta) ** cos_pow * np.sin(theta) ** sin_pow
     ct = np.cos(theta)
     fun = np.sin if trig == "sin" else np.cos
 
     def g(r: np.ndarray) -> np.ndarray:
         phase = 2.0 * math.pi * k1 * np.outer(r, ct)
-        vals = fun(phase) @ ang * (2.0 * math.pi / n_theta)
+        vals = fun(phase) @ ang * (2.0 * math.pi / _N_THETA)
         return vals / r**inv_pow
 
     period = 0.5 / k1  # half period of the fastest angular ray
-    return _integrate_panels(g, radius, period, tol)
+    return _integrate_panels(g, radius, period, _RING_TOL)
 
 
-def sin_cos_components_quadrature(k1: float, radius: float,
-                                  tol: float = 1e-12) -> SinCosComponents:
-    """Defining double integrals of the eight components, quadrature route."""
+def sin_cos_components_quadrature(k1: float, radius: float) -> SinCosComponents:
+    """Defining double integrals of the eight components, quadrature route.
+
+    Each component integrates trig(2 pi k1 x1) against the far-field term
+    x1^a x2^b / |x|^n of its coefficient group: cos^a sin^b in angle over
+    r^(n - a - b - 1) in radius.
+    """
     k1 = _positive("sin_cos_components_quadrature", "k1", k1)
     radius = _positive("sin_cos_components_quadrature", "radius", radius)
-    i_sin = tuple(ring_trig_integral(*_RING_SPECS[("sin", j)], k1, radius, tol=tol)
-                  for j in (1, 2, 3, 4))
-    i_cos = tuple(ring_trig_integral(*_RING_SPECS[("cos", j)], k1, radius, tol=tol)
-                  for j in (1, 2, 3, 4))
+    i_sin, i_cos = (tuple(ring_trig_integral(trig, a, b, n - a - b - 1, k1, radius)
+                          for a, b, n in (_TERM_SHAPES[t] for t in _TAYLOR_GROUPS[trig]))
+                    for trig in ("sin", "cos"))
     return SinCosComponents(i_sin=i_sin, i_cos=i_cos)
 
 
@@ -476,11 +479,6 @@ def _disk_far_term(p: int, a: int, b: int, n: int) -> Fraction:
     ang = Fraction(2 * math.prod(range(p + a - 1, 0, -2)) * math.prod(range(b - 1, 0, -2)),
                    math.prod(range(p + a + b, 0, -2)))
     return ang / (p - (n - 2 - a - b))
-
-
-# coefficient groups of the ring integrals, as indices into _TERM_SHAPES:
-# (a1^(1), a4^(1), a5^(1), a5^(4)) on the sin side, (a0, a2, a3^(1), a3^(2)) on the cos
-_TAYLOR_GROUPS = {"sin": (1, 7, 9, 12), "cos": (0, 3, 4, 5)}
 
 
 def sin_cos_taylor(radius: float) -> dict[str, dict[int, tuple[float, ...]]]:

@@ -5,7 +5,8 @@ exact Taylor coefficients of the dipole Fourier transform, harmonic-resolved
 ring fits of the raw field, high-precision one-sided differences of the ring
 integrals, closed-form polynomial disk integrals, a dense-grid maximisation
 of the far-field condition expression, the tabulated Taylor rows of the ring
-integrals, and an exact elimination that derives every estimator row.
+integrals, the hand-expanded far-field coefficients, and an exact elimination
+that derives every estimator row.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from netmoment import DipoleScene, FieldMap, b3
+from netmoment import AsymptCoeffs, DipoleScene, FieldMap, b3, height_moment
 
 
 def b3_unchunked(scene: DipoleScene, x) -> np.ndarray | float:
@@ -332,6 +333,60 @@ def sin_cos_taylor_tabulated(radius: float) -> dict[str, dict[int, tuple[float, 
         cos_rows[q] = (base * float(row[0]) * radius ** (q - 1),
                        *(base * float(c) * radius ** (q - 3) for c in row[1:]))
     return {"sin": sin_rows, "cos": cos_rows}
+
+
+# ---------------------------------------------------------------------------
+# the far-field coefficients as hand-expanded formulas
+# ---------------------------------------------------------------------------
+
+def far_field_tabulated(hm) -> AsymptCoeffs:
+    """The thirteen far-field coefficients in natural units, as expanded by hand
+    before asympt_coefficients derived them from the dipole field's expansion.
+
+    hm(p, q, r, n) is the height moment <(h - x3)^p x1^q x2^r M_n>.
+    """
+    _PI = math.pi
+    m3 = hm(0, 0, 0, 3)
+    a0 = -m3 / (4 * _PI)
+    a1 = (
+        3 / (4 * _PI) * (hm(1, 0, 0, 1) - hm(0, 1, 0, 3)),
+        3 / (4 * _PI) * (hm(1, 0, 0, 2) - hm(0, 0, 1, 3)),
+    )
+    a2 = -3 / (8 * _PI) * (
+        2 * hm(1, 1, 0, 1) + 2 * hm(1, 0, 1, 2)
+        - 3 * hm(2, 0, 0, 3) - hm(0, 2, 0, 3) - hm(0, 0, 2, 3)
+    )
+    a3 = (
+        15 / (8 * _PI) * (2 * hm(1, 1, 0, 1) - hm(0, 2, 0, 3)),
+        15 / (8 * _PI) * (2 * hm(1, 0, 1, 2) - hm(0, 0, 2, 3)),
+        15 / (4 * _PI) * (hm(1, 0, 1, 1) + hm(1, 1, 0, 2) - hm(0, 1, 1, 3)),
+    )
+    a4 = (
+        -15 / (8 * _PI) * (
+            3 * hm(1, 2, 0, 1) + hm(1, 0, 2, 1) + hm(3, 0, 0, 1) + 2 * hm(1, 1, 1, 2)
+            - hm(0, 3, 0, 3) - hm(0, 1, 2, 3) - 3 * hm(2, 1, 0, 3)
+        ),
+        -15 / (8 * _PI) * (
+            3 * hm(1, 0, 2, 2) + hm(1, 2, 0, 2) + hm(3, 0, 0, 2) + 2 * hm(1, 1, 1, 1)
+            - hm(0, 0, 3, 3) - hm(0, 2, 1, 3) - 3 * hm(2, 0, 1, 3)
+        ),
+    )
+    a5 = (
+        35 / (8 * _PI) * (3 * hm(1, 2, 0, 1) - hm(0, 3, 0, 3)),
+        35 / (8 * _PI) * (3 * hm(1, 0, 2, 2) - hm(0, 0, 3, 3)),
+        105 / (8 * _PI) * (hm(1, 2, 0, 2) + 2 * hm(1, 1, 1, 1) - hm(0, 2, 1, 3)),
+        105 / (8 * _PI) * (hm(1, 0, 2, 1) + 2 * hm(1, 1, 1, 2) - hm(0, 1, 2, 3)),
+    )
+    return AsymptCoeffs(a0=a0, a1=a1, a2=a2, a3=a3, a4=a4, a5=a5)
+
+
+def asympt_coefficients_tabulated(scene: DipoleScene) -> AsymptCoeffs:
+    """The hand formulas on the scene's height moments, each times mu0 when SI."""
+    coeffs = far_field_tabulated(lambda p, q, r, n: height_moment(scene, p, q, r, n))
+    if scene.unit_system != "si":
+        return coeffs
+    v = [c * scene.mu0 for c in coeffs.as_array().tolist()]
+    return AsymptCoeffs(v[0], tuple(v[1:3]), v[3], tuple(v[4:7]), tuple(v[7:9]), tuple(v[9:]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from netmoment import (Dipole, DipoleScene, asympt_coefficients,
                        asympt_condition_margin, b3, b3_asympt, build_grid, net_moment)
-from netmoment.field import _PAIR_BUDGET, AsymptCoeffs
-from oracles import (b3_unchunked, condition_margin_bruteforce, identifiable_functionals,
-                     ring_harmonic_fit)
+from netmoment import field
+from netmoment.field import _FAR_FIELD_ROWS, _PAIR_BUDGET, _TERM_SHAPES, AsymptCoeffs
+from oracles import (asympt_coefficients_tabulated, b3_unchunked, condition_margin_bruteforce,
+                     far_field_tabulated, identifiable_functionals, ring_harmonic_fit)
 
 
 def vertical_dipole(m3=1e-12, h=2.5e-4, units="si"):
@@ -230,3 +232,41 @@ def test_net_moment_from_a0(demo_scene):
     coeffs = asympt_coefficients(demo_scene)
     m3 = -4 * math.pi * coeffs.a0 / demo_scene.mu0
     assert m3 == pytest.approx(net_moment(demo_scene).m3, rel=1e-13)
+
+
+def test_far_field_rule_equals_hand_formulas_exactly():
+    # the height moments the hand formulas read, then each one alone set to 1:
+    # 4 pi times each coefficient is then one rational entry of the formulas
+    keys = set()
+    far_field_tabulated(lambda *key: keys.add(key) or 0.0)
+    tabulated = [{} for _ in _TERM_SHAPES]
+    for key in keys:
+        values = far_field_tabulated(lambda *k: float(k == key)).as_array()
+        for row, v in zip(tabulated, values):
+            if v:
+                row[key] = Fraction(4 * math.pi * v).limit_denominator(1000)
+    assert sum(len(row) for row in tabulated) == 41
+    assert [set(row) for row in _FAR_FIELD_ROWS] == [set(row) for row in tabulated]
+    for i, (got, want) in enumerate(zip(_FAR_FIELD_ROWS, tabulated)):
+        for key, c in want.items():
+            assert Fraction(got[key]) == c, (_TERM_SHAPES[i], key)
+
+
+@pytest.mark.parametrize("units", ["si", "natural"])
+def test_asympt_coefficients_match_hand_formulas(units):
+    for seed in range(200):
+        rng = np.random.default_rng(4000 + seed)
+        scale = 1e-4 if units == "si" else 1.0
+        dipoles = tuple(Dipole(tuple(rng.uniform(-scale, scale, 3)),
+                               tuple(rng.uniform(-1, 1, 3) * (1e-12 if units == "si" else 1.0)))
+                        for _ in range(rng.integers(1, 6)))
+        scene = DipoleScene(dipoles, 2.5 * scale, units)
+        got = asympt_coefficients(scene).as_array()
+        want = asympt_coefficients_tabulated(scene).as_array()
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), seed
+
+
+def test_far_field_rule_rejects_shape_outside_table(monkeypatch):
+    monkeypatch.setattr(field, "_TERM_SHAPES", _TERM_SHAPES[:-1])
+    with pytest.raises(ValueError, match=r"x1\^1 x2\^2 / \|x\|\^9 is not in _TERM_SHAPES"):
+        field._far_field_rows()

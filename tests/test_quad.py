@@ -244,3 +244,32 @@ def test_map_arrays_are_read_only(demo_scene):
     for arr in (fmap.samples, fmap.grid.nodes, fmap.grid.weights, fmap.moments):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
+
+
+def test_grid_rejects_fractional_radial_count():
+    with pytest.raises(ValueError, match="n_radial must be an integer, got 8.5"):
+        build_grid(1e-3, 8.5, 16)
+
+
+def test_grid_rejects_float_angular_count():
+    with pytest.raises(ValueError, match="n_angular must be an integer, got 16.0"):
+        build_grid(1e-3, 10, 16.0)
+
+
+def test_grid_accepts_numpy_integer_counts():
+    grid = build_grid(1e-3, np.int64(10), np.int32(16))
+    assert len(grid.nodes) == 160
+    assert (grid.n_radial, grid.n_angular) == (10, 16)
+
+
+def test_field_map_rejects_unknown_unit_system():
+    grid = build_grid(1e-3, 8, 16)
+    with pytest.raises(ValueError, match="unit_system must be one of .*, got 'SI'"):
+        FieldMap(grid, np.ones(len(grid.nodes)), unit_system="SI")
+
+
+def test_read_field_csv_rejects_unknown_unit_system(tmp_path, demo_scene):
+    path = tmp_path / "map.csv"
+    write_field_csv(sample_field(demo_scene, build_grid(7.5e-4, 8, 8)), str(path))
+    with pytest.raises(ValueError, match="unit_system must be one of .*, got 'SI'"):
+        read_field_csv(str(path), "SI")

@@ -313,3 +313,21 @@ def test_ring_trig_integral_smoke():
     # the first sin component by its defining double integral
     val = ring_trig_integral("sin", 1, 0, 3, 0.2, 2.0)
     assert val == pytest.approx(sin_cos_components(0.2, 2.0).i_sin[0], rel=1e-9)
+
+
+def test_ring_trig_integral_rejects_unknown_trig():
+    for trig in ("tan", "Sin", ""):
+        with pytest.raises(DomainError, match=re.escape(f"'sin' or 'cos', got {trig!r}")):
+            ring_trig_integral(trig, 0, 0, 2, 0.2, 2.0)
+
+
+def test_ring_quadrature_term_shapes(monkeypatch):
+    # (trig, cos power, sin power, radial inverse power) of the eight components,
+    # written out here, not read from the far-field term shapes
+    want = [("sin", 1, 0, 3), ("sin", 1, 0, 5), ("sin", 3, 0, 5), ("sin", 1, 2, 5),
+            ("cos", 0, 0, 2), ("cos", 0, 0, 4), ("cos", 2, 0, 4), ("cos", 0, 2, 4)]
+    calls = []
+    monkeypatch.setattr(specfun, "ring_trig_integral",
+                        lambda trig, a, b, p, k1, radius: calls.append((trig, a, b, p)) or 0.0)
+    sin_cos_components_quadrature(0.2, 2.0)
+    assert calls == want
