@@ -146,6 +146,9 @@ def cmd_sweep(args) -> int:
     radii = _radii_from_args(args)
     specs = _parse_specs(args.spec)
     grid, noise = _synthesis_from_args(args)
+    if args.detrend_window is not None and not 3 <= args.detrend_window <= len(radii):
+        raise ConfigError(f"--detrend-window must lie between 3 and the number of radii, "
+                          f"{len(radii)}; got {args.detrend_window}")
     result = sweep(scene, radii, specs, grid, noise=noise, max_workers=_thread_cap())
     detrended = {}
     if args.detrend_window is not None:
@@ -153,11 +156,10 @@ def cmd_sweep(args) -> int:
             if spec.component != "m3":
                 continue
             series = [(r.radius, r.estimate) for r in result.for_spec(spec)]
-            if len(series) >= args.detrend_window:
-                detrended[spec.label()] = {
-                    p.radius: p for p in detrend_backward(series, args.detrend_window,
-                                                          power=-spec.order)
-                }
+            detrended[spec.label()] = {
+                p.radius: p for p in detrend_backward(series, args.detrend_window,
+                                                      power=-spec.order)
+            }
     header = ["A", "component", "order", "axis", "estimate", "true_value",
               "abs_error", "predicted_error"]
     if detrended:

@@ -9,12 +9,14 @@ with log-log convergence slopes.
 
 Every data-side quantity here is a fixed linear combination of the monomial
 disk moments FieldMap.moments; the exact coefficients live in one table,
-_ROWS.
+_ROWS, derived at import from the finite-part rule field._finite_part, which
+the algebraic T quantities and the closed-form leading errors also read.
 """
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -23,7 +25,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .field import (AsymptCoeffs, _positive_radius, asympt_coefficients,
+from .field import (_A0, _A1, _A2, _A4, _A31, _A32, _A51, _A54, _TERM_SHAPES,
+                    AsymptCoeffs, _finite_part, _positive_radius, asympt_coefficients,
                     asympt_condition_margin, b3)
 from .noise import NoiseSpec, _generator, add_noise
 from .quad import _DEFAULT_GRID, MAX_POWER, FieldMap, build_grid, sample_field
@@ -64,34 +67,70 @@ _LADDER = {"m1": "tangential", "m2": "tangential", "m3": "normal"}
 #  - ("t", q): the T quantities; column _CLOSURE holds the a1~ (odd q) or m3
 #    (even q) closure term, see t_quantities.
 #  - ("a1" | "combo", order): the recovered coefficients are
-#    (A / pi) * sum_p c_p mu[j, p]; each combo row already includes its a1
-#    correction, 100/21 (order 4) or 124/63 (order 5) times the a1 row.
+#    (A / pi) * sum_p c_p mu[j, p].
+# On axis x1, far-field term (a, b, n) of _TERM_SHAPES, with e = n - 2 - a - b,
+# enters A * sum_p c_p mu[j, p] as pi * F * coefficient * A^(1-e), where
+# F = sum_p c_p _finite_part(p, a, b, n) is the term's finite part under the
+# row; each row is the unique one whose F meets prescribed targets.
 _CLOSURE = MAX_POWER + 1
-_ROWS: dict[tuple[str, int], dict[int, int | Fraction]] = {
-    ("tangential", 1): {1: 2},
-    ("tangential", 2): {1: 2, 3: Fraction(8, 3)},
-    ("tangential", 3): {1: 2, 5: Fraction(48, 5)},
-    ("tangential", 4): {1: 2, 5: Fraction(-192, 5), 7: Fraction(2560, 7), 9: Fraction(-1280, 3)},
-    # the p = 9 coefficient of order 5 follows from the exact T-ladder
-    ("tangential", 5): {1: 2, 7: Fraction(-3200, 7), 9: Fraction(6400, 3),
-                        11: Fraction(-21504, 11)},
-    ("normal", 2): {0: 2},
-    ("normal", 3): {0: Fraction(5, 4), 4: 10, 6: -32},
-    ("normal", 4): {0: Fraction(35, 24), 6: Fraction(224, 3), 8: Fraction(-400, 3)},
-    ("t", 5): {5: Fraction(64, 5), _CLOSURE: Fraction(-8, 3)},
-    ("t", 7): {7: Fraction(384, 7), _CLOSURE: -6},
-    ("t", 9): {9: Fraction(2560, 21), _CLOSURE: Fraction(-60, 7)},
-    ("t", 11): {11: Fraction(7168, 33), _CLOSURE: Fraction(-98, 9)},
-    ("t", 0): {0: -3, _CLOSURE: Fraction(3, 2)},
-    ("t", 2): {2: -4, _CLOSURE: -1},
-    ("t", 4): {4: 8, _CLOSURE: Fraction(1, 2)},
-    ("t", 6): {6: Fraction(192, 5), _CLOSURE: Fraction(6, 5)},
-    ("t", 8): {8: Fraction(640, 7), _CLOSURE: Fraction(25, 14)},
-    ("a1", 4): {5: Fraction(-84, 5), 7: 144, 9: -160},
-    ("a1", 5): {7: -216, 9: 960, 11: Fraction(-9408, 11)},
-    ("combo", 4): {5: Fraction(-144, 5), 7: Fraction(3264, 7), 9: -640},
-    ("combo", 5): {7: Fraction(-1056, 7), 9: 1280, 11: Fraction(-16128, 11)},
-}
+# T quantity q is sum target * coefficient / A^3 over these terms; its row meets
+# the targets with a closure column that cancels the a1 (odd q) or a0 (even q) term
+_T_TARGETS = {q: {_A4: q + 3, _A51: q + 2, _A54: 1} for q in (5, 7, 9, 11)}
+_T_TARGETS.update({q: {_A2: q + 2, _A31: q + 1, _A32: 1} for q in (0, 2, 4, 6, 8)})
+
+
+# Exact Gauss-Jordan elimination over the unknown coefficients of the given
+# powers: fixed holds known coefficients, and a nonempty closure maps terms to
+# their weight in one more unknown column, _CLOSURE.  None when an unknown
+# stays free or the targets conflict.
+def _row(powers, targets: dict, fixed: dict = {}, closure: dict = {}):
+    """The row {p: c_p} whose F meets every target, else None."""
+    cols = list(powers) + ([_CLOSURE] if closure else [])
+    m = [[Fraction(closure.get(t, 0)) if p == _CLOSURE else _finite_part(p, *_TERM_SHAPES[t])
+          for p in cols]
+         + [target - sum(c * _finite_part(p, *_TERM_SHAPES[t]) for p, c in fixed.items())]
+         for t, target in targets.items()]
+    for i in range(len(cols)):
+        k = next((h for h in range(i, len(m)) if m[h][i]), None)
+        if k is None:
+            return None
+        m[i], m[k] = m[k], m[i]
+        pivot = [v / m[i][i] for v in m[i]]
+        m = [pivot if h == i else [v - r[i] * w for v, w in zip(r, pivot)]
+             for h, r in enumerate(m)]
+    # conflicting targets leave a nonzero right side below the pivots
+    return None if any(r[-1] for r in m[len(cols):]) else {
+        **fixed, **{p: r[-1] for p, r in zip(cols, m)}}
+
+
+# Every row, derived on the x1 axis (the x2 rows are the same by symmetry).
+def _derive_rows() -> dict[tuple[str, int], dict[int, int | Fraction]]:
+    def fewest(lead, first, targets, fixed={}):
+        # the row in lead plus the fewest of the powers first, first + 2, ...
+        return next(filter(None, (_row(lead + list(range(first, first + 2 * count, 2)),
+                                       targets, fixed) for count in range(8))))
+
+    def cancel(k):
+        return {t: 0 for t, (a, b, n) in enumerate(_TERM_SHAPES) if n - 2 - a - b <= k}
+
+    rows = {}
+    for k in range(1, 6):
+        # c_1 = 2, every term with e <= k cancelled, the fewest odd powers >= k + 1
+        rows[("tangential", k)] = fewest([], k + 1 + k % 2, cancel(k), {1: 2})
+    for k in range(2, 5):
+        # the a0 target is -4 (m3 = -4 pi a0); the fewest even powers >= k + 1
+        rows[("normal", k)] = fewest([0], k + 1 + (k + 1) % 2, cancel(k) | {_A0: -4})
+    for q, targets in _T_TARGETS.items():
+        closure = {_A1: 1} if q % 2 else {_A0: -4}
+        rows[("t", q)] = _row([q], {**targets, **dict.fromkeys(closure, 0)}, closure=closure)
+    for name, targets in (("a1", {_A1: 1, _A4: 0, _A51: 0, _A54: 0}),
+                          ("combo", {_A1: 0, _A4: 4, _A51: 3, _A54: 1})):
+        for k in (4, 5):
+            rows[(name, k)] = _row([2 * k - 3, 2 * k - 1, 2 * k + 1], targets)
+    return rows
+
+
+_ROWS = _derive_rows()
 
 
 def _apply(row: dict[int, int | Fraction], columns) -> float:
@@ -263,23 +302,16 @@ def t_quantities(field_map: FieldMap, coeffs: AsymptCoeffs,
     # rows, which are scaled by 1 / pi
     tangential = mu + [_PI * coeffs.a1[j] / a**2]
     normal = mu + [-4.0 * _PI * coeffs.a0 / a]
-    values = {f"t{q}": a / _PI * _apply(_ROWS[("t", q)], tangential) for q in (5, 7, 9, 11)}
-    values.update({f"t{q}": _apply(_ROWS[("t", q)], normal) / _PI for q in (0, 2, 4, 6, 8)})
-    return TQuantities(**values)
+    return TQuantities(**{f"t{q}": a / _PI * _apply(_ROWS[("t", q)], tangential) if q % 2
+                          else _apply(_ROWS[("t", q)], normal) / _PI for q in _T_TARGETS})
 
 
 def t_quantities_analytic(coeffs: AsymptCoeffs, radius: float) -> TQuantities:
     """The algebraic left sides of the T quantities from exact coefficients."""
     a3 = _positive_radius(radius) ** 3
-    a4t = coeffs.a4[0] / a3
-    a51t = coeffs.a5[0] / a3
-    a54t = coeffs.a5[3] / a3
-    a2t = coeffs.a2 / a3
-    a31t = coeffs.a3[0] / a3
-    a32t = coeffs.a3[1] / a3
-    values = {f"t{q}": (q + 3) * a4t + (q + 2) * a51t + a54t for q in (5, 7, 9, 11)}
-    values.update({f"t{q}": (q + 2) * a2t + (q + 1) * a31t + a32t for q in (0, 2, 4, 6, 8)})
-    return TQuantities(**values)
+    c = coeffs.as_array().tolist()
+    return TQuantities(**{f"t{q}": sum(target * (c[t] / a3) for t, target in targets.items())
+                          for q, targets in _T_TARGETS.items()})
 
 
 _PREDICTED_SPECS = {("m1", 1), ("m2", 1), ("m3", 2)}
@@ -301,13 +333,22 @@ def predicted_leading_error(scene: DipoleScene, spec: EstimatorSpec,
                           scene.mu0)
 
 
+# The true moment minus the estimate is -pi * sum (F - target) * coefficient * A^(1-e)
+# over the far-field terms.  The row meets its targets exactly for e <= order, which
+# leaves the terms with e > order, whose target is 0; axis x2 mirrors each shape.
+@functools.cache
+def _leftover_terms(spec: EstimatorSpec) -> tuple[tuple[int, float, int], ...]:
+    """(term index, F, 1 - e) of each far-field term that the spec's row leaves."""
+    row, j = _estimator_row(spec)
+    return tuple((t, float(sum(c * _finite_part(p, *((a, b), (b, a))[j], n)
+                               for p, c in row.items())), 3 + a + b - n)
+                 for t, (a, b, n) in enumerate(_TERM_SHAPES) if n - 2 - a - b > spec.order)
+
+
 def _leading_error(c: AsymptCoeffs, spec: EstimatorSpec, radius: float,
                    scale: float) -> float:
-    if spec.component == "m3":
-        return (2 * _PI / 3) * (2 * c.a2 + c.a3[0] + c.a3[1]) / radius**2 / scale
-    j = _COMPONENTS.index(spec.component)
-    combo = 4 * c.a4[j] + 3 * c.a5[j] + c.a5[3 - j]
-    return 2 * _PI * (c.a1[j] / radius + combo / (12 * radius**3)) / scale
+    v = c.as_array().tolist()
+    return -_PI * math.fsum(f * v[t] * radius ** k for t, f, k in _leftover_terms(spec)) / scale
 
 
 @dataclass(frozen=True)
@@ -456,8 +497,8 @@ def raster_m3_drift_series(scene: DipoleScene, radii: Sequence[float],
     if spec.component != "m3":
         raise ValueError("drift series is defined for the normal component")
     radii = _ascending_radii(radii)
-    if n_pixels < 1:
-        raise ValueError(f"n_pixels must be at least 1, got {n_pixels}")
+    if not isinstance(n_pixels, numbers.Integral) or n_pixels < 1:
+        raise ValueError(f"n_pixels must be an integer of at least 1, got {n_pixels!r}")
     r_max = radii[-1]
     step = 2.0 * r_max / n_pixels
     centers = -r_max + step * (np.arange(n_pixels) + 0.5)

@@ -4,8 +4,9 @@ b3 is the exact closed-form field on the measurement plane.  The thirteen
 far-field coefficients are linear combinations of the scene's height
 moments, derived once at import by the binomial expansion of b3's own
 formula (_far_field_rows).  b3_asympt sums the corresponding 1/|x|^3 ...
-1/|x|^9 terms, whose shapes are the one tuple _TERM_SHAPES; the ring
-quadrature in specfun reads its term shapes from the same tuple.
+1/|x|^9 terms, whose shapes are the one tuple _TERM_SHAPES; specfun and
+estimate read the shapes from it, and derive the ring Taylor rows and the
+estimator rows from the one finite-part rule, _finite_part.
 asympt_condition_margin gives the exact supremum of the large-disk
 applicability condition.
 """
@@ -38,6 +39,23 @@ _TERM_SHAPES = (
     (1, 0, 7), (0, 1, 7),                           # a4
     (3, 0, 9), (0, 3, 9), (2, 1, 9), (1, 2, 9),     # a5
 )
+# the _TERM_SHAPES indices of a0, a1^(1), a2, a3^(1), a3^(2), a4^(1), a5^(1) and a5^(4),
+# the terms of the estimator rows and of the ring integrals
+_A0, _A1, _A2, _A31, _A32, _A4, _A51, _A54 = 0, 1, 3, 4, 5, 7, 9, 12
+
+
+# The finite part of iint_{|x|<A} x1^p * x1^a x2^b / |x|^n, per pi A^(p-e): the
+# exterior integral continued analytically, ang(p+a, b) / (p - e) with
+# e = n - 2 - a - b and ang(a, b) = (1/pi) int_0^2pi cos^a sin^b, which is
+# 2 (a-1)!! (b-1)!! / (a+b)!! for even a and b and 0 otherwise; parity rules
+# out the logarithmic case p = e.
+def _finite_part(p: int, a: int, b: int, n: int) -> Fraction:
+    if (p + a) % 2 or b % 2:
+        return Fraction(0)
+    ang = Fraction(2 * math.prod(range(p + a - 1, 0, -2)) * math.prod(range(b - 1, 0, -2)),
+                   math.prod(range(p + a + b, 0, -2)))
+    return ang / (p - (n - 2 - a - b))
+
 
 # (node, dipole) pairs b3 evaluates at once: each of its four block buffers is
 # 128 KB, small enough to stay in cache

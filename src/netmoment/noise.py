@@ -14,6 +14,7 @@ where the estimates converge; the default power = 1 extrapolates to A = 0.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,6 +50,8 @@ class NoiseSpec:
             raise ValueError("snr_db must be finite or +inf")
         # each fills 64 bits of the 128-bit Philox key, so wider values would alias
         for name, value in (("seed", self.seed), ("stream", self.stream)):
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
             if not 0 <= value < 2**64:
                 raise ValueError(f"{name} must be in [0, 2**64), got {value}")
 
@@ -108,8 +111,8 @@ def detrend_backward(series: Sequence[tuple[float, float]],
     reports about v - A*dv/dA, which turns a -C/A**2 bias into -3C/A**2.
     Earlier points keep their raw value, flagged fitted=False.
     """
-    if window < 3:
-        raise ValueError(f"window must be at least 3, got {window}")
+    if not isinstance(window, numbers.Integral) or window < 3:
+        raise ValueError(f"window must be an integer of at least 3, got {window!r}")
     power = float(power)
     if power == 0.0 or not math.isfinite(power):
         raise ValueError(f"power must be finite and nonzero, got {power}")

@@ -4,9 +4,9 @@ Everything here feeds the far-field moment estimators: J0/J1 (series for
 moderate arguments, Hankel big-argument form beyond), Struve H0/H1 by exact
 rational series, closed forms for the semi-infinite Bessel tail integrals,
 an oscillation-aware quadrature that independently confirms each closed
-form, and the small-frequency Taylor tables of the exterior sin/cos ring
-integrals, plus `IDENTITIES`, the one table of identity checks that
-`netmoment verify-specfun` runs.
+form, the small-frequency Taylor tables of the exterior sin/cos ring
+integrals from the finite-part rule field._finite_part, and `IDENTITIES`,
+the one table of identity checks that `netmoment verify-specfun` runs.
 
 The quadrature route shares no code with the closed forms: its integrands
 evaluate J_n by a vectorised midpoint rule on Bessel's integral
@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .field import _TERM_SHAPES
+from .field import _A0, _A1, _A2, _A4, _A31, _A32, _A51, _A54, _TERM_SHAPES, _finite_part
 
 __all__ = [
     "DomainError",
@@ -374,9 +374,8 @@ def tail_integral_quadrature(kind: TailIntegralKind, rho: float) -> float:
 # exterior ring integrals of the far-field expansion
 # ---------------------------------------------------------------------------
 
-# coefficient groups of the ring integrals, as indices into _TERM_SHAPES:
-# (a1^(1), a4^(1), a5^(1), a5^(4)) on the sin side, (a0, a2, a3^(1), a3^(2)) on the cos
-_TAYLOR_GROUPS = {"sin": (1, 7, 9, 12), "cos": (0, 3, 4, 5)}
+# coefficient groups of the ring integrals, as indices into _TERM_SHAPES
+_TAYLOR_GROUPS = {"sin": (_A1, _A4, _A51, _A54), "cos": (_A0, _A2, _A31, _A32)}
 
 
 @dataclass(frozen=True)
@@ -468,19 +467,6 @@ def sin_cos_components_quadrature(k1: float, radius: float) -> SinCosComponents:
     return SinCosComponents(i_sin=i_sin, i_cos=i_cos)
 
 
-# The finite part of iint_{|x|<A} x1^p * x1^a x2^b / |x|^n, per pi A^(p-e): the
-# exterior integral continued analytically, ang(p+a, b) / (p - e) with
-# e = n - 2 - a - b and ang(a, b) = (1/pi) int_0^2pi cos^a sin^b, which is
-# 2 (a-1)!! (b-1)!! / (a+b)!! for even a and b and 0 otherwise; parity rules
-# out the logarithmic case p = e.
-def _disk_far_term(p: int, a: int, b: int, n: int) -> Fraction:
-    if (p + a) % 2 or b % 2:
-        return Fraction(0)
-    ang = Fraction(2 * math.prod(range(p + a - 1, 0, -2)) * math.prod(range(b - 1, 0, -2)),
-                   math.prod(range(p + a + b, 0, -2)))
-    return ang / (p - (n - 2 - a - b))
-
-
 def sin_cos_taylor(radius: float) -> dict[str, dict[int, tuple[float, ...]]]:
     """Per-coefficient-group one-sided derivatives of the ring integrals at k1 = 0+.
 
@@ -492,7 +478,7 @@ def sin_cos_taylor(radius: float) -> dict[str, dict[int, tuple[float, ...]]]:
     radius = _positive("sin_cos_taylor", "radius", radius)
     # Expanding trig(2 pi k1 x1) in powers of k1, the q-th derivative of the group
     # with term shape (a, b, n) is q! (2 pi)^(q+1) c A^(q-e), where
-    # c = -(-1)^(q//2) _disk_far_term(q, a, b, n) / (2 q!): the exterior integral
+    # c = -(-1)^(q//2) _finite_part(q, a, b, n) / (2 q!): the exterior integral
     # is minus the finite part over the disk.
     two_pi = 2.0 * math.pi
     table = {}
@@ -502,7 +488,7 @@ def sin_cos_taylor(radius: float) -> dict[str, dict[int, tuple[float, ...]]]:
             base = math.factorial(q) * two_pi ** (q + 1)
             row = []
             for a, b, n in (_TERM_SHAPES[t] for t in _TAYLOR_GROUPS[trig]):
-                c = -(-1) ** (q // 2) * _disk_far_term(q, a, b, n) / (2 * math.factorial(q))
+                c = -(-1) ** (q // 2) * _finite_part(q, a, b, n) / (2 * math.factorial(q))
                 e = n - 2 - a - b
                 row.append(base * float(c) * radius ** (q - e))
             table[trig][q] = tuple(row)

@@ -5,8 +5,8 @@ exact Taylor coefficients of the dipole Fourier transform, harmonic-resolved
 ring fits of the raw field, high-precision one-sided differences of the ring
 integrals, closed-form polynomial disk integrals, a dense-grid maximisation
 of the far-field condition expression, the tabulated Taylor rows of the ring
-integrals, the hand-expanded far-field coefficients, and an exact elimination
-that derives every estimator row.
+integrals, the hand-expanded far-field coefficients, and the hand-tabulated
+estimator rows with the T-quantity and leading-error formulas.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from netmoment import AsymptCoeffs, DipoleScene, FieldMap, b3, height_moment
+from netmoment.estimate import _CLOSURE
 
 
 def b3_unchunked(scene: DipoleScene, x) -> np.ndarray | float:
@@ -390,119 +391,57 @@ def asympt_coefficients_tabulated(scene: DipoleScene) -> AsymptCoeffs:
 
 
 # ---------------------------------------------------------------------------
-# the estimator rows by exact elimination
+# the estimator table and its two hand formulas
 # ---------------------------------------------------------------------------
 
-# far-field terms c x1^a x2^b / |x|^n as (a, b, n), named as in
-# identifiable_functionals
-FAR_TERMS = {
-    "a0": (0, 0, 3), "a1_1": (1, 0, 5), "a1_2": (0, 1, 5), "a2": (0, 0, 5),
-    "a3_1": (2, 0, 7), "a3_2": (0, 2, 7), "a3_3": (1, 1, 7), "a4_1": (1, 0, 7),
-    "a4_2": (0, 1, 7), "a5_1": (3, 0, 9), "a5_2": (0, 3, 9), "a5_3": (2, 1, 9),
-    "a5_4": (1, 2, 9),
+# The estimate module's coefficient rows as tabulated by hand before they were
+# derived from the finite-part rule; keyed and ordered as there.
+ESTIMATOR_ROWS: dict[tuple[str, int], dict[int, int | Fraction]] = {
+    ("tangential", 1): {1: 2},
+    ("tangential", 2): {1: 2, 3: Fraction(8, 3)},
+    ("tangential", 3): {1: 2, 5: Fraction(48, 5)},
+    ("tangential", 4): {1: 2, 5: Fraction(-192, 5), 7: Fraction(2560, 7), 9: Fraction(-1280, 3)},
+    # the p = 9 coefficient of order 5 follows from the exact T-ladder
+    ("tangential", 5): {1: 2, 7: Fraction(-3200, 7), 9: Fraction(6400, 3),
+                        11: Fraction(-21504, 11)},
+    ("normal", 2): {0: 2},
+    ("normal", 3): {0: Fraction(5, 4), 4: 10, 6: -32},
+    ("normal", 4): {0: Fraction(35, 24), 6: Fraction(224, 3), 8: Fraction(-400, 3)},
+    ("t", 5): {5: Fraction(64, 5), _CLOSURE: Fraction(-8, 3)},
+    ("t", 7): {7: Fraction(384, 7), _CLOSURE: -6},
+    ("t", 9): {9: Fraction(2560, 21), _CLOSURE: Fraction(-60, 7)},
+    ("t", 11): {11: Fraction(7168, 33), _CLOSURE: Fraction(-98, 9)},
+    ("t", 0): {0: -3, _CLOSURE: Fraction(3, 2)},
+    ("t", 2): {2: -4, _CLOSURE: -1},
+    ("t", 4): {4: 8, _CLOSURE: Fraction(1, 2)},
+    ("t", 6): {6: Fraction(192, 5), _CLOSURE: Fraction(6, 5)},
+    ("t", 8): {8: Fraction(640, 7), _CLOSURE: Fraction(25, 14)},
+    ("a1", 4): {5: Fraction(-84, 5), 7: 144, 9: -160},
+    ("a1", 5): {7: -216, 9: 960, 11: Fraction(-9408, 11)},
+    ("combo", 4): {5: Fraction(-144, 5), 7: Fraction(3264, 7), 9: -640},
+    ("combo", 5): {7: Fraction(-1056, 7), 9: 1280, 11: Fraction(-16128, 11)},
 }
 
 
-def _double_factorial(k: int) -> int:
-    out = 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
+def t_quantities_tabulated(coeffs: AsymptCoeffs, radius: float) -> dict[str, float]:
+    """The T quantities' algebraic left sides as written out by hand, by name."""
+    a3 = radius ** 3
+    a4t = coeffs.a4[0] / a3
+    a51t = coeffs.a5[0] / a3
+    a54t = coeffs.a5[3] / a3
+    a2t = coeffs.a2 / a3
+    a31t = coeffs.a3[0] / a3
+    a32t = coeffs.a3[1] / a3
+    values = {f"t{q}": (q + 3) * a4t + (q + 2) * a51t + a54t for q in (5, 7, 9, 11)}
+    values.update({f"t{q}": (q + 2) * a2t + (q + 1) * a31t + a32t for q in (0, 2, 4, 6, 8)})
+    return values
 
 
-def _ang(a: int, b: int) -> Fraction:
-    """(1/pi) times the integral of cos^a sin^b over the full circle."""
-    if a % 2 or b % 2:
-        return Fraction(0)
-    return Fraction(2 * _double_factorial(a - 1) * _double_factorial(b - 1),
-                    _double_factorial(a + b))
-
-
-def _bracket_entry(p: int, term: str) -> Fraction:
-    """ang(p+a, b) / (p - e): what power p of x1 contributes to the term's bracket."""
-    a, b, n = FAR_TERMS[term]
-    e = n - 2 - a - b
-    ang = _ang(p + a, b)
-    if ang == 0:
-        return Fraction(0)
-    assert p != e, "a logarithmic term"
-    return ang / (p - e)
-
-
-def _unique_solution(rows: list[list[Fraction]], n: int):
-    """The one solution of the augmented rows [A | y] in n unknowns, else None."""
-    m = [list(row) for row in rows]
-    rank = 0
-    for col in range(n):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            return None                     # a free unknown
-        m[rank], m[pivot] = m[pivot], m[rank]
-        m[rank] = [v / m[rank][col] for v in m[rank]]
-        for i, row in enumerate(m):
-            if i != rank and row[col] != 0:
-                m[i] = [v - row[col] * w for v, w in zip(row, m[rank])]
-        rank += 1
-    if any(row[n] != 0 for row in m[rank:]):
-        return None                         # inconsistent
-    return [m[i][n] for i in range(n)]
-
-
-def _solve_row(powers, targets: dict[str, Fraction], fixed=None, closure=None):
-    """Row {p: c_p} whose bracket of every term in targets equals its target.
-
-    fixed holds known coefficients; closure, when given, maps terms to the
-    weight of one more unknown column, keyed "closure".
-    """
-    fixed = fixed or {}
-    unknowns = list(powers) + (["closure"] if closure is not None else [])
-    rows = []
-    for term, target in targets.items():
-        coeffs = [_bracket_entry(p, term) for p in powers]
-        if closure is not None:
-            coeffs.append(Fraction(closure.get(term, 0)))
-        known = sum((c * _bracket_entry(p, term) for p, c in fixed.items()), Fraction(0))
-        rows.append(coeffs + [Fraction(target) - known])
-    solution = _unique_solution(rows, len(unknowns))
-    return None if solution is None else {**fixed, **dict(zip(unknowns, solution))}
-
-
-def _fewest_powers(lead: list, first: int, targets: dict, fixed=None) -> dict:
-    """The unique row in the powers lead plus the fewest of first, first + 2, ..."""
-    for count in range(8):
-        row = _solve_row(lead + [first + 2 * i for i in range(count)], targets, fixed)
-        if row is not None:
-            return row
-    raise ValueError("no unique row")
-
-
-def derive_estimator_rows() -> dict[tuple[str, int], dict]:
-    """Every row of the estimator table, re-derived on the x1 axis.
-
-    The bracket of far-field term (a, b, n) under a row {p: c_p} is
-    sum_p c_p ang(p+a, b) / (p - e), e = n - 2 - a - b; an order-k estimator
-    A sum_p c_p mu_p carries the term at the power A^(1-e).  Closure columns
-    come back under the key "closure".
-    """
-    exponents = {t: n - 2 - a - b for t, (a, b, n) in FAR_TERMS.items()}
-    rows = {}
-    for k in range(1, 6):
-        # c_1 = 2; cancel every term above A^-k with the fewest odd powers >= k+1
-        targets = {t: 0 for t, e in exponents.items() if 1 - e > -k}
-        rows[("tangential", k)] = _fewest_powers([], k + 1 + k % 2, targets, {1: 2})
-    for k in range(2, 5):
-        # the a0 bracket is -4 (m3 = -4 pi a0); power 0 plus the fewest even powers >= k+1
-        targets = {t: (-4 if t == "a0" else 0) for t, e in exponents.items() if 1 - e > -k}
-        rows[("normal", k)] = _fewest_powers([0], k + 1 + (k + 1) % 2, targets)
-    for q in (5, 7, 9, 11):
-        rows[("t", q)] = _solve_row([q], {"a4_1": q + 3, "a5_1": q + 2, "a5_4": 1, "a1_1": 0},
-                                    closure={"a1_1": 1})
-    for q in (0, 2, 4, 6, 8):
-        rows[("t", q)] = _solve_row([q], {"a2": q + 2, "a3_1": q + 1, "a3_2": 1, "a0": 0},
-                                    closure={"a0": -4})
-    for name, targets in (("a1", {"a1_1": 1, "a4_1": 0, "a5_1": 0, "a5_4": 0}),
-                          ("combo", {"a1_1": 0, "a4_1": 4, "a5_1": 3, "a5_4": 1})):
-        for k in (4, 5):
-            rows[(name, k)] = _solve_row([2 * k - 3, 2 * k - 1, 2 * k + 1], targets)
-    return rows
+def leading_error_tabulated(c: AsymptCoeffs, component: str, radius: float,
+                            scale: float) -> float:
+    """The leading error of m1:1, m2:1 or m3:2 by the hand formula."""
+    if component == "m3":
+        return (2 * math.pi / 3) * (2 * c.a2 + c.a3[0] + c.a3[1]) / radius**2 / scale
+    j = ("m1", "m2").index(component)
+    combo = 4 * c.a4[j] + 3 * c.a5[j] + c.a5[3 - j]
+    return 2 * math.pi * (c.a1[j] / radius + combo / (12 * radius**3)) / scale

@@ -136,6 +136,21 @@ def test_sweep_detrend_columns(tmp_path, scene_file):
     assert all(r["predicted_error"] != "" for r in m1_rows)
 
 
+@pytest.mark.parametrize("window", ["11", "2"])
+def test_sweep_rejects_detrend_window_outside_radius_count(tmp_path, scene_file, capsys,
+                                                            window):
+    # a window above the 6 radii used to drop the detrended columns without a word
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--scene", scene_file, "--radius-min", "7.5e-4",
+               "--radius-max", "2e-3", "--radius-count", "6", "--spec", "m3:2",
+               "--detrend-window", window, "--n-radial", "8", "--n-angular", "8",
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "--detrend-window" in err and "number of radii, 6" in err and f"got {window}" in err
+    assert not out.exists()
+
+
 def test_sweep_bad_range(tmp_path, scene_file, capsys):
     rc = main(["sweep", "--scene", scene_file, "--radius-min", "2e-3",
                "--radius-max", "1e-3", "--radius-count", "5",

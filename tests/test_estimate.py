@@ -13,11 +13,12 @@ from netmoment import (MU0, Dipole, DipoleScene, EstimatorSpec, FieldMap, GridPa
                        estimator_weight, integrate_weighted, net_moment,
                        predicted_leading_error, recovered_coefficients,
                        sample_field, sweep, t_quantities, t_quantities_analytic)
-from netmoment.estimate import _CLOSURE, _ROWS, SweepResult, SweepRow, all_specs
+from netmoment.estimate import _ROWS, SweepResult, SweepRow, all_specs
 from netmoment.field import AsymptCoeffs
 from netmoment.specfun import sin_cos_components, sin_cos_taylor
 from conftest import DEMO_DIPOLES, DEMO_HEIGHT
-from oracles import derive_estimator_rows, ft_im_direct, ft_series_coefficient
+from oracles import (ESTIMATOR_ROWS, ft_im_direct, ft_series_coefficient,
+                     leading_error_tabulated, t_quantities_tabulated)
 
 finite_coeff = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 
@@ -242,12 +243,50 @@ def test_t_quantities_approach_analytic_values(units):
 
 
 def test_rows_match_independent_derivation():
-    """Every _ROWS row is the exact solution of its finite-part conditions."""
-    derived = derive_estimator_rows()
-    assert set(derived) == set(_ROWS)
-    for key, row in _ROWS.items():
-        got = [(_CLOSURE if p == "closure" else p, c) for p, c in derived[key].items()]
-        assert got == [(p, Fraction(c)) for p, c in row.items()], key
+    """_ROWS, derived at import, is the tabulated table: same keys, same order, exact."""
+    assert list(_ROWS) == list(ESTIMATOR_ROWS)
+    for key, row in ESTIMATOR_ROWS.items():
+        got = list(_ROWS[key].items())
+        assert all(isinstance(c, (int, Fraction)) for _, c in got), key
+        want = [(p, Fraction(c)) for p, c in row.items()]
+        assert [(p, Fraction(c)) for p, c in got] == want, key
+
+
+def coeffs_from_array(v) -> AsymptCoeffs:
+    v = [float(x) for x in v]
+    return AsymptCoeffs(v[0], tuple(v[1:3]), v[3], tuple(v[4:7]), tuple(v[7:9]), tuple(v[9:]))
+
+
+def test_t_quantities_analytic_equals_hand_formula_bitwise():
+    rng = np.random.default_rng(1101)
+    for _ in range(300):
+        coeffs = coeffs_from_array(rng.uniform(-1, 1, 13) * 10.0 ** rng.uniform(-20, 2, 13))
+        radius = 10.0 ** rng.uniform(-4, 1)
+        got = dataclasses.asdict(t_quantities_analytic(coeffs, radius))
+        want = t_quantities_tabulated(coeffs, radius)
+        assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+
+
+@pytest.mark.parametrize("units", ["si", "natural"])
+def test_leading_error_matches_hand_formula(units):
+    """The finite-part sum agrees with the hand formula to within 1e-15 of its terms' size."""
+    scale = 1e-4 if units == "si" else 1.0
+    for seed in range(200):
+        rng = np.random.default_rng(1201 + seed)
+        dipoles = tuple(Dipole(tuple(rng.uniform(-scale, scale, 3)),
+                               tuple(rng.uniform(-1, 1, 3) * (1e-12 if units == "si" else 1.0)))
+                        for _ in range(rng.integers(1, 6)))
+        scene = DipoleScene(dipoles, 2.5 * scale, units)
+        coeffs = asympt_coefficients(scene)
+        # every term of the hand formula has a positive weight, so on |c| it
+        # is the sum of the terms' magnitudes
+        magnitudes = coeffs_from_array(np.abs(coeffs.as_array()))
+        radius = 10.0 ** rng.uniform(1, 2.5) * scale
+        for spec in (EstimatorSpec("m1", 1), EstimatorSpec("m2", 1), EstimatorSpec("m3", 2)):
+            got = predicted_leading_error(scene, spec, radius)
+            want = leading_error_tabulated(coeffs, spec.component, radius, scene.mu0)
+            size = leading_error_tabulated(magnitudes, spec.component, radius, scene.mu0)
+            assert abs(got - want) <= 1e-15 * size, (seed, spec.label(), got, want)
 
 
 def test_t_quantities_data_side_units(demo_scene, demo_map_2mm):
@@ -422,7 +461,8 @@ def test_drift_series_rejects_too_few_pixels(demo_scene):
     from netmoment import raster_m3_drift_series
 
     spec = EstimatorSpec("m3", 2)
-    for n_pixels in (0, -4):
+    # 64.5 pixels per side used to be accepted and to give a slightly different series
+    for n_pixels in (0, -4, 64.5):
         with pytest.raises(ValueError, match="n_pixels"):
             raster_m3_drift_series(demo_scene, [1e-3, 2e-3], spec, None, n_pixels=n_pixels)
     # 2 x 2 pixel centres lie at 0.71 r_max: a 0.1 r_max subdisk holds none

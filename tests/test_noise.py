@@ -55,6 +55,20 @@ def test_seed_and_stream_beyond_64_bits_rejected():
                 NoiseSpec(20.0, **{"seed": 0, field: bad})
 
 
+@pytest.mark.parametrize("field, bad", [("seed", 1.5), ("seed", 1.0), ("stream", 0.9),
+                                        ("stream", "1")])
+def test_non_integer_seed_and_stream_rejected(field, bad):
+    # a float seed used to be truncated into the key: seed=1.5 drew the noise of seed=1
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        NoiseSpec(20.0, **{"seed": 0, field: bad})
+
+
+def test_numpy_integer_seed_and_stream_accepted(small_map):
+    a = add_noise(small_map, NoiseSpec(20.0, seed=np.int64(7), stream=np.uint8(3)))
+    b = add_noise(small_map, NoiseSpec(20.0, seed=7, stream=3))
+    assert np.array_equal(a.samples, b.samples)
+
+
 def test_double_noising_rejected(small_map):
     noisy = add_noise(small_map, NoiseSpec(20.0, seed=0))
     with pytest.raises(ValueError, match="already"):
@@ -138,8 +152,9 @@ def test_detrend_power_validation():
 
 def test_detrend_input_validation():
     good = [(float(i), 0.0) for i in range(1, 15)]
-    with pytest.raises(ValueError, match="window"):
-        detrend_backward(good, window=2)
+    for window in (2, 3.5, 11.0):  # 3.5 used to fail inside numpy's slicing
+        with pytest.raises(ValueError, match="window"):
+            detrend_backward(good, window=window)
     with pytest.raises(ValueError, match="ascending"):
         detrend_backward(list(reversed(good)))
     with pytest.raises(ValueError, match="predecessors"):
