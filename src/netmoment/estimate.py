@@ -25,9 +25,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .field import (_A0, _A1, _A2, _A4, _A31, _A32, _A51, _A54, _TERM_SHAPES,
-                    AsymptCoeffs, _finite_part, _positive_radius, asympt_coefficients,
-                    asympt_condition_margin, b3)
+from .field import (_FAR_FIELD_ROWS, AsymptCoeffs, _finite_part, _positive_radius,
+                    asympt_coefficients, asympt_condition_margin, b3)
 from .noise import NoiseSpec, _generator, add_noise
 from .quad import _DEFAULT_GRID, MAX_POWER, FieldMap, build_grid, sample_field
 from .scene import MU0, DipoleScene, net_moment
@@ -68,27 +67,27 @@ _LADDER = {"m1": "tangential", "m2": "tangential", "m3": "normal"}
 #    (even q) closure term, see t_quantities.
 #  - ("a1" | "combo", order): the recovered coefficients are
 #    (A / pi) * sum_p c_p mu[j, p].
-# On axis x1, far-field term (a, b, n) of _TERM_SHAPES, with e = n - 2 - a - b,
+# On axis x1, the far-field term of shape (a, b, n), with e = n - 2 - a - b,
 # enters A * sum_p c_p mu[j, p] as pi * F * coefficient * A^(1-e), where
 # F = sum_p c_p _finite_part(p, a, b, n) is the term's finite part under the
 # row; each row is the unique one whose F meets prescribed targets.
 _CLOSURE = MAX_POWER + 1
 # T quantity q is sum target * coefficient / A^3 over these terms; its row meets
 # the targets with a closure column that cancels the a1 (odd q) or a0 (even q) term
-_T_TARGETS = {q: {_A4: q + 3, _A51: q + 2, _A54: 1} for q in (5, 7, 9, 11)}
-_T_TARGETS.update({q: {_A2: q + 2, _A31: q + 1, _A32: 1} for q in (0, 2, 4, 6, 8)})
+_T_TARGETS = {q: {(1, 0, 7): q + 3, (3, 0, 9): q + 2, (1, 2, 9): 1} for q in (5, 7, 9, 11)}
+_T_TARGETS.update({q: {(0, 0, 5): q + 2, (2, 0, 7): q + 1, (0, 2, 7): 1}
+                   for q in (0, 2, 4, 6, 8)})
 
 
 # Exact Gauss-Jordan elimination over the unknown coefficients of the given
-# powers: fixed holds known coefficients, and a nonempty closure maps terms to
-# their weight in one more unknown column, _CLOSURE.  None when an unknown
-# stays free or the targets conflict.
+# powers: targets are keyed by term shape, fixed holds known coefficients, and
+# a nonempty closure maps shapes to their weight in one more unknown column,
+# _CLOSURE.  None when an unknown stays free or the targets conflict.
 def _row(powers, targets: dict, fixed: dict = {}, closure: dict = {}):
     """The row {p: c_p} whose F meets every target, else None."""
     cols = list(powers) + ([_CLOSURE] if closure else [])
-    m = [[Fraction(closure.get(t, 0)) if p == _CLOSURE else _finite_part(p, *_TERM_SHAPES[t])
-          for p in cols]
-         + [target - sum(c * _finite_part(p, *_TERM_SHAPES[t]) for p, c in fixed.items())]
+    m = [[Fraction(closure.get(t, 0)) if p == _CLOSURE else _finite_part(p, *t) for p in cols]
+         + [target - sum(c * _finite_part(p, *t) for p, c in fixed.items())]
          for t, target in targets.items()]
     for i in range(len(cols)):
         k = next((h for h in range(i, len(m)) if m[h][i]), None)
@@ -111,7 +110,7 @@ def _derive_rows() -> dict[tuple[str, int], dict[int, int | Fraction]]:
                                        targets, fixed) for count in range(8))))
 
     def cancel(k):
-        return {t: 0 for t, (a, b, n) in enumerate(_TERM_SHAPES) if n - 2 - a - b <= k}
+        return {(a, b, n): 0 for a, b, n in _FAR_FIELD_ROWS if n - 2 - a - b <= k}
 
     rows = {}
     for k in range(1, 6):
@@ -119,12 +118,12 @@ def _derive_rows() -> dict[tuple[str, int], dict[int, int | Fraction]]:
         rows[("tangential", k)] = fewest([], k + 1 + k % 2, cancel(k), {1: 2})
     for k in range(2, 5):
         # the a0 target is -4 (m3 = -4 pi a0); the fewest even powers >= k + 1
-        rows[("normal", k)] = fewest([0], k + 1 + (k + 1) % 2, cancel(k) | {_A0: -4})
+        rows[("normal", k)] = fewest([0], k + 1 + (k + 1) % 2, cancel(k) | {(0, 0, 3): -4})
     for q, targets in _T_TARGETS.items():
-        closure = {_A1: 1} if q % 2 else {_A0: -4}
+        closure = {(1, 0, 5): 1} if q % 2 else {(0, 0, 3): -4}
         rows[("t", q)] = _row([q], {**targets, **dict.fromkeys(closure, 0)}, closure=closure)
-    for name, targets in (("a1", {_A1: 1, _A4: 0, _A51: 0, _A54: 0}),
-                          ("combo", {_A1: 0, _A4: 4, _A51: 3, _A54: 1})):
+    for name, targets in (("a1", {(1, 0, 5): 1, (1, 0, 7): 0, (3, 0, 9): 0, (1, 2, 9): 0}),
+                          ("combo", {(1, 0, 5): 0, (1, 0, 7): 4, (3, 0, 9): 3, (1, 2, 9): 1})):
         for k in (4, 5):
             rows[(name, k)] = _row([2 * k - 3, 2 * k - 1, 2 * k + 1], targets)
     return rows
@@ -155,6 +154,9 @@ class EstimatorSpec:
             raise ValueError(f"component must be one of {_COMPONENTS}, got {self.component!r}")
         if self.axis not in _AXES:
             raise ValueError(f"axis must be one of {_AXES}, got {self.axis!r}")
+        # a float or bool order would label itself m1:1.0 or m1:True
+        if isinstance(self.order, bool) or not isinstance(self.order, numbers.Integral):
+            raise ValueError(f"order must be an integer, got {self.order!r}")
         valid = _orders(self.component)
         if self.order not in valid:
             raise ValueError(
@@ -288,20 +290,23 @@ def t_quantities(field_map: FieldMap, coeffs: AsymptCoeffs,
                  axis: str = "x1") -> TQuantities:
     """Data-side T quantities from a field map plus the a1~/m3 closures.
 
-    The tangential rows need a1^(1)/A and the normal rows m3 = -4 pi a0; both
-    are taken from the supplied coefficient set (analytic or recovered).
+    The tangential rows need a1/A, shape (1, 0, 5) on x1 or (0, 1, 5) on x2,
+    and the normal rows m3 = -4 pi a0, shape (0, 0, 3); both come from the
+    supplied coefficient set (analytic or recovered).
     When the map is SI the coefficients must carry the mu0 factor too.  The
     values are in the map's field units and approach
     t_quantities_analytic(coeffs, A) as A grows.
     """
+    if axis not in _AXES:
+        raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
     a = field_map.radius
     j = _AXES.index(axis)
     mu = list(field_map.moments[j])
     # closure columns: pi a1 / A^2 for the odd (tangential) rows, which are
     # scaled by A / pi, and m3 * mu0 / A = -4 pi a0 / A for the even (normal)
     # rows, which are scaled by 1 / pi
-    tangential = mu + [_PI * coeffs.a1[j] / a**2]
-    normal = mu + [-4.0 * _PI * coeffs.a0 / a]
+    tangential = mu + [_PI * coeffs[((1, 0, 5), (0, 1, 5))[j]] / a**2]
+    normal = mu + [-4.0 * _PI * coeffs[(0, 0, 3)] / a]
     return TQuantities(**{f"t{q}": a / _PI * _apply(_ROWS[("t", q)], tangential) if q % 2
                           else _apply(_ROWS[("t", q)], normal) / _PI for q in _T_TARGETS})
 
@@ -309,8 +314,7 @@ def t_quantities(field_map: FieldMap, coeffs: AsymptCoeffs,
 def t_quantities_analytic(coeffs: AsymptCoeffs, radius: float) -> TQuantities:
     """The algebraic left sides of the T quantities from exact coefficients."""
     a3 = _positive_radius(radius) ** 3
-    c = coeffs.as_array().tolist()
-    return TQuantities(**{f"t{q}": sum(target * (c[t] / a3) for t, target in targets.items())
+    return TQuantities(**{f"t{q}": sum(target * (coeffs[t] / a3) for t, target in targets.items())
                           for q, targets in _T_TARGETS.items()})
 
 
@@ -337,18 +341,17 @@ def predicted_leading_error(scene: DipoleScene, spec: EstimatorSpec,
 # over the far-field terms.  The row meets its targets exactly for e <= order, which
 # leaves the terms with e > order, whose target is 0; axis x2 mirrors each shape.
 @functools.cache
-def _leftover_terms(spec: EstimatorSpec) -> tuple[tuple[int, float, int], ...]:
-    """(term index, F, 1 - e) of each far-field term that the spec's row leaves."""
+def _leftover_terms(spec: EstimatorSpec) -> tuple[tuple[tuple[int, int, int], float, int], ...]:
+    """(shape, F, 1 - e) of each far-field term that the spec's row leaves."""
     row, j = _estimator_row(spec)
-    return tuple((t, float(sum(c * _finite_part(p, *((a, b), (b, a))[j], n)
-                               for p, c in row.items())), 3 + a + b - n)
-                 for t, (a, b, n) in enumerate(_TERM_SHAPES) if n - 2 - a - b > spec.order)
+    return tuple(((a, b, n), float(sum(c * _finite_part(p, *((a, b), (b, a))[j], n)
+                                       for p, c in row.items())), 3 + a + b - n)
+                 for a, b, n in _FAR_FIELD_ROWS if n - 2 - a - b > spec.order)
 
 
 def _leading_error(c: AsymptCoeffs, spec: EstimatorSpec, radius: float,
                    scale: float) -> float:
-    v = c.as_array().tolist()
-    return -_PI * math.fsum(f * v[t] * radius ** k for t, f, k in _leftover_terms(spec)) / scale
+    return -_PI * math.fsum(f * c[t] * radius ** k for t, f, k in _leftover_terms(spec)) / scale
 
 
 @dataclass(frozen=True)

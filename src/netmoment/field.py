@@ -3,17 +3,16 @@
 b3 is the exact closed-form field on the measurement plane.  The thirteen
 far-field coefficients are linear combinations of the scene's height
 moments, derived once at import by the binomial expansion of b3's own
-formula (_far_field_rows).  b3_asympt sums the corresponding 1/|x|^3 ...
-1/|x|^9 terms, whose shapes are the one tuple _TERM_SHAPES; specfun and
-estimate read the shapes from it, and derive the ring Taylor rows and the
-estimator rows from the one finite-part rule, _finite_part.
-asympt_condition_margin gives the exact supremum of the large-disk
-applicability condition.
+formula (_far_field_rows), which also names the terms: each is keyed by its
+shape (a, b, n), for x1^a x2^b / |x|^n, from 1/|x|^3 to 1/|x|^9.  b3_asympt
+sums them; specfun and estimate key their terms by the same shapes, and
+derive the ring Taylor rows and the estimator rows from the one finite-part
+rule, _finite_part.  asympt_condition_margin gives the exact supremum of the
+large-disk applicability condition.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -30,18 +29,11 @@ __all__ = [
 
 _PI = math.pi
 
-# (a, b, n) of each far-field term x1^a x2^b / |x|^n, in AsymptCoeffs.as_array() order
-_TERM_SHAPES = (
-    (0, 0, 3),                                      # a0
-    (1, 0, 5), (0, 1, 5),                           # a1
-    (0, 0, 5),                                      # a2
-    (2, 0, 7), (0, 2, 7), (1, 1, 7),                # a3
-    (1, 0, 7), (0, 1, 7),                           # a4
-    (3, 0, 9), (0, 3, 9), (2, 1, 9), (1, 2, 9),     # a5
-)
-# the _TERM_SHAPES indices of a0, a1^(1), a2, a3^(1), a3^(2), a4^(1), a5^(1) and a5^(4),
-# the terms of the estimator rows and of the ring integrals
-_A0, _A1, _A2, _A31, _A32, _A4, _A51, _A54 = 0, 1, 3, 4, 5, 7, 9, 12
+# The far-field coefficients keyed by term shape (a, b, n), for x1^a x2^b / |x|^n,
+# in field units (mu0 folded in for SI scenes).  The paper's names: a0 = (0, 0, 3);
+# a1 = (1, 0, 5), (0, 1, 5); a2 = (0, 0, 5); a3 = (2, 0, 7), (0, 2, 7), (1, 1, 7);
+# a4 = (1, 0, 7), (0, 1, 7); a5 = (3, 0, 9), (0, 3, 9), (2, 1, 9), (1, 2, 9).
+AsymptCoeffs = dict[tuple[int, int, int], float]
 
 
 # The finite part of iint_{|x|<A} x1^p * x1^a x2^b / |x|^n, per pi A^(p-e): the
@@ -60,27 +52,6 @@ def _finite_part(p: int, a: int, b: int, n: int) -> Fraction:
 # (node, dipole) pairs b3 evaluates at once: each of its four block buffers is
 # 128 KB, small enough to stay in cache
 _PAIR_BUDGET = 1 << 14
-
-
-@dataclass(frozen=True)
-class AsymptCoeffs:
-    """Far-field expansion coefficients, in field units.
-
-    a0 scales 1/|x|^3; a1 the odd 1/|x|^5 pair; a2 the even 1/|x|^5 term;
-    a3 the quadratic 1/|x|^7 triple; a4 the odd 1/|x|^7 pair; a5 the cubic
-    1/|x|^9 quadruple.  When the source scene is SI the mu0 factor is folded
-    in, matching tesla-valued fields.
-    """
-
-    a0: float
-    a1: tuple[float, float]
-    a2: float
-    a3: tuple[float, float, float]
-    a4: tuple[float, float]
-    a5: tuple[float, float, float, float]
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a0, *self.a1, self.a2, *self.a3, *self.a4, *self.a5])
 
 
 def _positive_radius(radius) -> float:
@@ -157,10 +128,9 @@ def b3(scene: DipoleScene, x) -> np.ndarray | float:
 # s = (-2 x.t + |t|^2 + u^2) / |x|^2 and expand (1 + s)^(-5/2) by the binomial
 # series, keeping |x|^2 a symbol (it lowers n) and the terms of degree <= 3 in
 # (u, t1, t2).  Each term c u^p t1^q t2^r m_k x1^a x2^b / |x|^n then adds
-# c <u^p t1^q t2^r M_k> / (4 pi) to the coefficient of shape (a, b, n); a shape
-# outside _TERM_SHAPES raises.
-def _far_field_rows() -> tuple[dict[tuple[int, int, int, int], Fraction], ...]:
-    """{(p, q, r, k): c} per _TERM_SHAPES entry, by the expansion above."""
+# c <u^p t1^q t2^r M_k> / (4 pi) to the coefficient of shape (a, b, n).
+def _far_field_rows() -> dict[tuple[int, int, int], dict[tuple[int, int, int, int], Fraction]]:
+    """{(a, b, n): {(p, q, r, k): c}} over the shapes of the expansion above."""
     # a polynomial is {(p, q, r, a, b, n): c} for the sum of c u^p t1^q t2^r x1^a x2^b / |x|^n
     def mul(f, g):
         out = {}
@@ -185,28 +155,25 @@ def _far_field_rows() -> tuple[dict[tuple[int, int, int, int], Fraction], ...]:
         3: {(2, 0, 0, 0, 0, 0): 2, (0, 0, 0, 0, 0, -2): -1, (0, 1, 0, 1, 0, 0): 2,
             (0, 0, 1, 0, 1, 0): 2, (0, 2, 0, 0, 0, 0): -1, (0, 0, 2, 0, 0, 0): -1},
     }
-    rows = tuple({} for _ in _TERM_SHAPES)
+    rows = {}
     for k, numerator in numerators.items():
         for (p, q, r, a, b, n), c in mul(numerator, series).items():
-            if (a, b, n) not in _TERM_SHAPES:
-                raise ValueError(f"far-field term x1^{a} x2^{b} / |x|^{n} is not in _TERM_SHAPES")
-            rows[_TERM_SHAPES.index((a, b, n))][(p, q, r, k)] = c
+            rows.setdefault((a, b, n), {})[(p, q, r, k)] = c
     return rows
 
 
-# {(p, q, r, k): c} per _TERM_SHAPES entry: coefficient = sum c <u^p t1^q t2^r M_k> / (4 pi)
+# {shape: {(p, q, r, k): c}}: coefficient = sum c <u^p t1^q t2^r M_k> / (4 pi)
 _FAR_FIELD_ROWS = _far_field_rows()
 
 
 def asympt_coefficients(scene: DipoleScene) -> AsymptCoeffs:
-    """The thirteen far-field coefficients from the scene's height moments."""
-    v = [math.fsum(float(c) * height_moment(scene, *key) for key, c in row.items())
-         / (4 * _PI) * scene.mu0 for row in _FAR_FIELD_ROWS]
-    return AsymptCoeffs(v[0], tuple(v[1:3]), v[3], tuple(v[4:7]), tuple(v[7:9]), tuple(v[9:]))
+    """The thirteen far-field coefficients, keyed by shape, from the scene's height moments."""
+    return {shape: math.fsum(float(c) * height_moment(scene, *key) for key, c in row.items())
+            / (4 * _PI) * scene.mu0 for shape, row in _FAR_FIELD_ROWS.items()}
 
 
 def b3_asympt(coeffs: AsymptCoeffs, x) -> np.ndarray | float:
-    """Far-field expansion at planar points x (|x| > 0 required)."""
+    """Far-field expansion at planar points x (|x| > 0 required), over any set of shapes."""
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 1
     pts = np.atleast_2d(x)
@@ -216,8 +183,8 @@ def b3_asympt(coeffs: AsymptCoeffs, x) -> np.ndarray | float:
     if np.any(r2 == 0.0):
         raise ValueError("b3_asympt is singular at x = (0, 0)")
     r = np.sqrt(r2)
-    vals = sum(c * x1**a * x2**b / r**n
-               for c, (a, b, n) in zip(coeffs.as_array(), _TERM_SHAPES))
+    # the zero start keeps the points' shape when coeffs is empty
+    vals = sum((c * x1**a * x2**b / r**n for (a, b, n), c in coeffs.items()), np.zeros_like(r))
     return float(vals[0]) if scalar else vals.reshape(x.shape[:-1])
 
 

@@ -48,9 +48,10 @@ class NoiseSpec:
     def __post_init__(self):
         if not (math.isfinite(self.snr_db) or self.snr_db == math.inf):
             raise ValueError("snr_db must be finite or +inf")
-        # each fills 64 bits of the 128-bit Philox key, so wider values would alias
+        # each fills 64 bits of the 128-bit Philox key, so wider values would alias;
+        # a bool is an Integral, but True would silently draw the noise of 1
         for name, value in (("seed", self.seed), ("stream", self.stream)):
-            if not isinstance(value, numbers.Integral):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if not 0 <= value < 2**64:
                 raise ValueError(f"{name} must be in [0, 2**64), got {value}")

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .field import _A0, _A1, _A2, _A4, _A31, _A32, _A51, _A54, _TERM_SHAPES, _finite_part
+from .field import _finite_part
 
 __all__ = [
     "DomainError",
@@ -374,16 +374,17 @@ def tail_integral_quadrature(kind: TailIntegralKind, rho: float) -> float:
 # exterior ring integrals of the far-field expansion
 # ---------------------------------------------------------------------------
 
-# coefficient groups of the ring integrals, as indices into _TERM_SHAPES
-_TAYLOR_GROUPS = {"sin": (_A1, _A4, _A51, _A54), "cos": (_A0, _A2, _A31, _A32)}
+# the far-field term shapes (a, b, n) of the ring integrals' coefficient groups
+_TAYLOR_GROUPS = {"sin": ((1, 0, 5), (1, 0, 7), (3, 0, 9), (1, 2, 9)),
+                  "cos": ((0, 0, 3), (0, 0, 5), (2, 0, 7), (0, 2, 7))}
 
 
 @dataclass(frozen=True)
 class SinCosComponents:
     """The four sin-type and four cos-type exterior ring integrals.
 
-    i_sin pairs with the coefficient groups (a1^(1), a4^(1), a5^(1), a5^(4)),
-    i_cos with (a0, a2, a3^(1), a3^(2)).
+    i_sin pairs with the coefficients of shapes (1, 0, 5), (1, 0, 7), (3, 0, 9)
+    and (1, 2, 9); i_cos with (0, 0, 3), (0, 0, 5), (2, 0, 7) and (0, 2, 7).
     """
 
     i_sin: tuple[float, float, float, float]
@@ -462,7 +463,7 @@ def sin_cos_components_quadrature(k1: float, radius: float) -> SinCosComponents:
     k1 = _positive("sin_cos_components_quadrature", "k1", k1)
     radius = _positive("sin_cos_components_quadrature", "radius", radius)
     i_sin, i_cos = (tuple(ring_trig_integral(trig, a, b, n - a - b - 1, k1, radius)
-                          for a, b, n in (_TERM_SHAPES[t] for t in _TAYLOR_GROUPS[trig]))
+                          for a, b, n in _TAYLOR_GROUPS[trig])
                     for trig in ("sin", "cos"))
     return SinCosComponents(i_sin=i_sin, i_cos=i_cos)
 
@@ -472,8 +473,8 @@ def sin_cos_taylor(radius: float) -> dict[str, dict[int, tuple[float, ...]]]:
 
     Returns {"sin": {order: (per-group derivative coefficients)},
              "cos": {...}} so a caller contracts each row with an actual
-    coefficient set.  Sin orders 1..11 odd pair with (a1^(1), a4^(1), a5^(1),
-    a5^(4)); cos orders 0..10 even pair with (a0, a2, a3^(1), a3^(2)).
+    coefficient set.  Sin orders 1..11 odd and cos orders 0..10 even pair with
+    the shapes of _TAYLOR_GROUPS, as in SinCosComponents.
     """
     radius = _positive("sin_cos_taylor", "radius", radius)
     # Expanding trig(2 pi k1 x1) in powers of k1, the q-th derivative of the group
@@ -487,7 +488,7 @@ def sin_cos_taylor(radius: float) -> dict[str, dict[int, tuple[float, ...]]]:
         for q in range(first, 12, 2):
             base = math.factorial(q) * two_pi ** (q + 1)
             row = []
-            for a, b, n in (_TERM_SHAPES[t] for t in _TAYLOR_GROUPS[trig]):
+            for a, b, n in _TAYLOR_GROUPS[trig]:
                 c = -(-1) ** (q // 2) * _finite_part(q, a, b, n) / (2 * math.factorial(q))
                 e = n - 2 - a - b
                 row.append(base * float(c) * radius ** (q - e))

@@ -6,18 +6,45 @@ ring fits of the raw field, high-precision one-sided differences of the ring
 integrals, closed-form polynomial disk integrals, a dense-grid maximisation
 of the far-field condition expression, the tabulated Taylor rows of the ring
 integrals, the hand-expanded far-field coefficients, and the hand-tabulated
-estimator rows with the T-quantity and leading-error formulas.
+estimator rows with the T-quantity and leading-error formulas.  The library
+keys each far-field coefficient by its term's shape (a, b, n) alone; the
+paper's names and order for them are kept here, in PAPER_NAMES.
 """
 from __future__ import annotations
 
 import csv
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
 from netmoment import AsymptCoeffs, DipoleScene, FieldMap, b3, height_moment
 from netmoment.estimate import _CLOSURE
+
+# The paper's name of each far-field coefficient group and the shapes (a, b, n)
+# of its terms x1^a x2^b / |x|^n, in the paper's order.
+PAPER_NAMES = {
+    "a0": ((0, 0, 3),),
+    "a1": ((1, 0, 5), (0, 1, 5)),
+    "a2": ((0, 0, 5),),
+    "a3": ((2, 0, 7), (0, 2, 7), (1, 1, 7)),
+    "a4": ((1, 0, 7), (0, 1, 7)),
+    "a5": ((3, 0, 9), (0, 3, 9), (2, 1, 9), (1, 2, 9)),
+}
+PAPER_ORDER = tuple(shape for shapes in PAPER_NAMES.values() for shape in shapes)
+
+
+def named(coeffs: AsymptCoeffs) -> SimpleNamespace:
+    """The coefficients by the paper's names: a0 and a2 floats, a1, a3, a4, a5 tuples."""
+    return SimpleNamespace(**{
+        name: coeffs[shapes[0]] if len(shapes) == 1 else tuple(coeffs[s] for s in shapes)
+        for name, shapes in PAPER_NAMES.items()})
+
+
+def from_paper_order(values) -> AsymptCoeffs:
+    """The shape-keyed coefficients of thirteen values in the paper's order."""
+    return dict(zip(PAPER_ORDER, map(float, values), strict=True))
 
 
 def b3_unchunked(scene: DipoleScene, x) -> np.ndarray | float:
@@ -161,8 +188,9 @@ def ring_harmonic_fit(scene: DipoleScene, r_lo: float, r_hi: float,
     return out
 
 
-def identifiable_functionals(coeffs) -> dict[str, float]:
+def identifiable_functionals(coeffs: AsymptCoeffs) -> dict[str, float]:
     """The same ten functionals computed from an exact coefficient set."""
+    coeffs = named(coeffs)
     a3_1, a3_2, a3_3 = coeffs.a3
     a5_1, a5_2, a5_3, a5_4 = coeffs.a5
     return {
@@ -378,7 +406,7 @@ def far_field_tabulated(hm) -> AsymptCoeffs:
         105 / (8 * _PI) * (hm(1, 2, 0, 2) + 2 * hm(1, 1, 1, 1) - hm(0, 2, 1, 3)),
         105 / (8 * _PI) * (hm(1, 0, 2, 1) + 2 * hm(1, 1, 1, 2) - hm(0, 1, 2, 3)),
     )
-    return AsymptCoeffs(a0=a0, a1=a1, a2=a2, a3=a3, a4=a4, a5=a5)
+    return from_paper_order([a0, *a1, a2, *a3, *a4, *a5])
 
 
 def asympt_coefficients_tabulated(scene: DipoleScene) -> AsymptCoeffs:
@@ -386,8 +414,7 @@ def asympt_coefficients_tabulated(scene: DipoleScene) -> AsymptCoeffs:
     coeffs = far_field_tabulated(lambda p, q, r, n: height_moment(scene, p, q, r, n))
     if scene.unit_system != "si":
         return coeffs
-    v = [c * scene.mu0 for c in coeffs.as_array().tolist()]
-    return AsymptCoeffs(v[0], tuple(v[1:3]), v[3], tuple(v[4:7]), tuple(v[7:9]), tuple(v[9:]))
+    return {shape: c * scene.mu0 for shape, c in coeffs.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +453,7 @@ ESTIMATOR_ROWS: dict[tuple[str, int], dict[int, int | Fraction]] = {
 def t_quantities_tabulated(coeffs: AsymptCoeffs, radius: float) -> dict[str, float]:
     """The T quantities' algebraic left sides as written out by hand, by name."""
     a3 = radius ** 3
+    coeffs = named(coeffs)
     a4t = coeffs.a4[0] / a3
     a51t = coeffs.a5[0] / a3
     a54t = coeffs.a5[3] / a3
@@ -440,6 +468,7 @@ def t_quantities_tabulated(coeffs: AsymptCoeffs, radius: float) -> dict[str, flo
 def leading_error_tabulated(c: AsymptCoeffs, component: str, radius: float,
                             scale: float) -> float:
     """The leading error of m1:1, m2:1 or m3:2 by the hand formula."""
+    c = named(c)
     if component == "m3":
         return (2 * math.pi / 3) * (2 * c.a2 + c.a3[0] + c.a3[1]) / radius**2 / scale
     j = ("m1", "m2").index(component)

@@ -17,13 +17,12 @@ from netmoment import (Dipole, DipoleScene, EstimatorSpec, GridParams, NoiseSpec
                        estimator_weight, integrate_weighted, net_moment,
                        noise_sigma, raster_m3_drift_series, sample_field, sweep,
                        t_quantities_analytic)
-from netmoment.field import AsymptCoeffs
 from netmoment.specfun import (TailIntegralKind, sin_cos_components,
                                sin_cos_components_quadrature, sin_cos_taylor,
                                tail_integral, tail_integral_quadrature,
                                tail_recursion_rhs)
 from conftest import DEMO_TRUE
-from oracles import high_precision_ring_fd
+from oracles import from_paper_order, high_precision_ring_fd, named
 
 
 def report(criterion: str, detail: str) -> None:
@@ -167,12 +166,11 @@ def test_criterion_5_t_identities():
     worst = 0.0
     for _ in range(200):
         vals = rng.uniform(-5, 5, 13)
-        coeffs = AsymptCoeffs(a0=vals[0], a1=(vals[1], vals[2]), a2=vals[3],
-                              a3=tuple(vals[4:7]), a4=tuple(vals[7:9]),
-                              a5=tuple(vals[9:13]))
+        coeffs = from_paper_order(vals)
         radius = float(rng.uniform(0.5, 5.0))
         t = t_quantities_analytic(coeffs, radius)
-        target = (4 * coeffs.a4[0] + 3 * coeffs.a5[0] + coeffs.a5[3]) / radius**3
+        c = named(coeffs)
+        target = (4 * c.a4[0] + 3 * c.a5[0] + c.a5[3]) / radius**3
         scale = max(abs(v) for v in dataclasses.astuple(t)) + abs(target) + 1e-30
         residuals = (
             0.5 * (t.t5 + t.t9) - t.t7,

@@ -14,11 +14,10 @@ from netmoment import (MU0, Dipole, DipoleScene, EstimatorSpec, FieldMap, GridPa
                        predicted_leading_error, recovered_coefficients,
                        sample_field, sweep, t_quantities, t_quantities_analytic)
 from netmoment.estimate import _ROWS, SweepResult, SweepRow, all_specs
-from netmoment.field import AsymptCoeffs
 from netmoment.specfun import sin_cos_components, sin_cos_taylor
 from conftest import DEMO_DIPOLES, DEMO_HEIGHT
-from oracles import (ESTIMATOR_ROWS, ft_im_direct, ft_series_coefficient,
-                     leading_error_tabulated, t_quantities_tabulated)
+from oracles import (ESTIMATOR_ROWS, from_paper_order, ft_im_direct, ft_series_coefficient,
+                     leading_error_tabulated, named, t_quantities_tabulated)
 
 finite_coeff = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 
@@ -57,6 +56,20 @@ def test_invalid_specs_rejected():
         EstimatorSpec("m4", 1)
     with pytest.raises(ValueError):
         EstimatorSpec("m3", 3, "x3")
+
+
+@pytest.mark.parametrize("order", [1.0, True, 2.5, "1", None])
+def test_non_integer_spec_order_rejected(order):
+    # a float or bool order used to pass and label itself m1:1.0 or m1:True
+    with pytest.raises(ValueError, match="order must be an integer"):
+        EstimatorSpec("m1", order)
+
+
+def test_numpy_integer_spec_order_accepted():
+    spec = EstimatorSpec("m1", np.int64(1))
+    assert spec == EstimatorSpec("m1", 1)
+    assert spec.label() == "m1:1"
+    assert EstimatorSpec("m3", np.uint8(3), "x2").label() == "m3:3:x2"
 
 
 def test_spec_parsing_round_trip():
@@ -183,7 +196,7 @@ def test_transform_quadrature_bridge(demo_scene):
     fmap = sample_field(demo_scene, build_grid(radius, 300, 384))
     disk = float(np.dot(np.sin(2 * math.pi * k1 * fmap.grid.nodes[:, 0])
                         * fmap.grid.weights, fmap.samples))
-    c = asympt_coefficients(demo_scene)
+    c = named(asympt_coefficients(demo_scene))
     comp = sin_cos_components(k1, radius)
     tail = (c.a1[0] * comp.i_sin[0] + c.a4[0] * comp.i_sin[1]
             + c.a5[0] * comp.i_sin[2] + c.a5[3] * comp.i_sin[3])
@@ -196,8 +209,7 @@ def test_transform_quadrature_bridge(demo_scene):
 
 def random_coeffs(draw_tuple):
     a0, a2, a31, a32, a33, a41, a42, a51, a52, a53, a54, a11, a12 = draw_tuple
-    return AsymptCoeffs(a0=a0, a1=(a11, a12), a2=a2, a3=(a31, a32, a33),
-                        a4=(a41, a42), a5=(a51, a52, a53, a54))
+    return from_paper_order([a0, a11, a12, a2, a31, a32, a33, a41, a42, a51, a52, a53, a54])
 
 
 @given(st.tuples(*[finite_coeff] * 13), st.floats(0.5, 4.0))
@@ -216,7 +228,8 @@ def test_t_linear_dependencies_exact(tup, radius):
 def test_t_combination_identities_exact(tup, radius):
     coeffs = random_coeffs(tup)
     t = t_quantities_analytic(coeffs, radius)
-    target = (4 * coeffs.a4[0] + 3 * coeffs.a5[0] + coeffs.a5[3]) / radius**3
+    c = named(coeffs)
+    target = (4 * c.a4[0] + 3 * c.a5[0] + c.a5[3]) / radius**3
     scale = abs(target) + max(abs(v) for v in dataclasses.astuple(t)) + 1e-30
     assert abs(4 * (t.t5 - t.t7) + t.t9 - target) <= 1e-12 * scale
     assert abs(5 * (t.t7 - t.t9) + t.t11 - target) <= 1e-12 * scale
@@ -252,15 +265,10 @@ def test_rows_match_independent_derivation():
         assert [(p, Fraction(c)) for p, c in got] == want, key
 
 
-def coeffs_from_array(v) -> AsymptCoeffs:
-    v = [float(x) for x in v]
-    return AsymptCoeffs(v[0], tuple(v[1:3]), v[3], tuple(v[4:7]), tuple(v[7:9]), tuple(v[9:]))
-
-
 def test_t_quantities_analytic_equals_hand_formula_bitwise():
     rng = np.random.default_rng(1101)
     for _ in range(300):
-        coeffs = coeffs_from_array(rng.uniform(-1, 1, 13) * 10.0 ** rng.uniform(-20, 2, 13))
+        coeffs = from_paper_order(rng.uniform(-1, 1, 13) * 10.0 ** rng.uniform(-20, 2, 13))
         radius = 10.0 ** rng.uniform(-4, 1)
         got = dataclasses.asdict(t_quantities_analytic(coeffs, radius))
         want = t_quantities_tabulated(coeffs, radius)
@@ -280,13 +288,19 @@ def test_leading_error_matches_hand_formula(units):
         coeffs = asympt_coefficients(scene)
         # every term of the hand formula has a positive weight, so on |c| it
         # is the sum of the terms' magnitudes
-        magnitudes = coeffs_from_array(np.abs(coeffs.as_array()))
+        magnitudes = {shape: abs(v) for shape, v in coeffs.items()}
         radius = 10.0 ** rng.uniform(1, 2.5) * scale
         for spec in (EstimatorSpec("m1", 1), EstimatorSpec("m2", 1), EstimatorSpec("m3", 2)):
             got = predicted_leading_error(scene, spec, radius)
             want = leading_error_tabulated(coeffs, spec.component, radius, scene.mu0)
             size = leading_error_tabulated(magnitudes, spec.component, radius, scene.mu0)
             assert abs(got - want) <= 1e-15 * size, (seed, spec.label(), got, want)
+
+
+def test_t_quantities_rejects_unknown_axis(demo_scene, demo_map_2mm):
+    coeffs = asympt_coefficients(demo_scene)
+    with pytest.raises(ValueError, match=r"axis must be one of \('x1', 'x2'\), got 'x3'"):
+        t_quantities(demo_map_2mm, coeffs, axis="x3")
 
 
 def test_t_quantities_data_side_units(demo_scene, demo_map_2mm):
@@ -309,7 +323,7 @@ def test_predicted_error_unsupported_spec(demo_scene):
 def test_predicted_error_axial_dipole_reduces():
     # a vertical on-axis dipole has a1 = 0, leaving only the 1/A^3 group
     scene = DipoleScene((Dipole((0.0, 0.0, 0.0), (0.0, 0.0, 1e-12)),), 2.5e-4, "natural")
-    c = asympt_coefficients(scene)
+    c = named(asympt_coefficients(scene))
     assert c.a1[0] == 0.0
     radius = 5e-3
     want = 2 * math.pi * (4 * c.a4[0] + 3 * c.a5[0] + c.a5[3]) / (12 * radius**3)
@@ -349,7 +363,7 @@ def test_recovered_a1_horizontal_dipole():
 
 
 def test_recovered_converges_to_analytic(demo_scene):
-    exact = asympt_coefficients(demo_scene)
+    exact = named(asympt_coefficients(demo_scene))
     errs4 = []
     errs5 = []
     for radius in (2e-3, 4e-3, 8e-3):

@@ -7,10 +7,10 @@ import pytest
 
 from netmoment import (Dipole, DipoleScene, asympt_coefficients,
                        asympt_condition_margin, b3, b3_asympt, build_grid, net_moment)
-from netmoment import field
-from netmoment.field import _FAR_FIELD_ROWS, _PAIR_BUDGET, _TERM_SHAPES, AsymptCoeffs
-from oracles import (asympt_coefficients_tabulated, b3_unchunked, condition_margin_bruteforce,
-                     far_field_tabulated, identifiable_functionals, ring_harmonic_fit)
+from netmoment.field import _FAR_FIELD_ROWS, _PAIR_BUDGET
+from oracles import (PAPER_ORDER, asympt_coefficients_tabulated, b3_unchunked,
+                     condition_margin_bruteforce, far_field_tabulated, identifiable_functionals,
+                     named, ring_harmonic_fit)
 
 
 def vertical_dipole(m3=1e-12, h=2.5e-4, units="si"):
@@ -133,20 +133,21 @@ def test_b3_and_coefficients_scale_linearly(demo_scene):
         demo_scene.height, "si")
     pts = np.array([[2e-4, -1e-4]])
     assert b3(scaled, pts)[0] == pytest.approx(2.0 * b3(demo_scene, pts)[0], rel=1e-15)
-    ca = asympt_coefficients(demo_scene).as_array()
-    cb = asympt_coefficients(scaled).as_array()
-    assert np.allclose(cb, 2.0 * ca, rtol=1e-15)
+    ca = asympt_coefficients(demo_scene)
+    cb = asympt_coefficients(scaled)
+    assert ca.keys() == cb.keys()
+    assert np.allclose([cb[s] for s in ca], [2.0 * v for v in ca.values()], rtol=1e-15)
 
 
 def test_a0_is_minus_m3_over_4pi():
     scene = vertical_dipole(m3=3.5, h=4.0, units="natural")
-    assert asympt_coefficients(scene).a0 == pytest.approx(-3.5 / (4 * math.pi), rel=1e-15)
+    assert asympt_coefficients(scene)[(0, 0, 3)] == pytest.approx(-3.5 / (4 * math.pi), rel=1e-15)
 
 
 def test_a1_single_horizontal_dipole_at_origin():
     h = 2.0
     scene = DipoleScene((Dipole((0.0, 0.0, 0.0), (1.5, 0.0, 0.0)),), h, "natural")
-    coeffs = asympt_coefficients(scene)
+    coeffs = named(asympt_coefficients(scene))
     assert coeffs.a1[0] == pytest.approx(3 * h * 1.5 / (4 * math.pi), rel=1e-15)
     assert coeffs.a1[1] == 0.0
 
@@ -177,12 +178,35 @@ def test_asympt_expansion_tail_decay(demo_scene):
 
 
 def test_b3_asympt_zero_and_single_term():
-    zero = AsymptCoeffs(0.0, (0.0, 0.0), 0.0, (0.0, 0.0, 0.0), (0.0, 0.0),
-                        (0.0, 0.0, 0.0, 0.0))
-    assert b3_asympt(zero, (3.0, -1.0)) == 0.0
-    only_a0 = AsymptCoeffs(1.0, (0.0, 0.0), 0.0, (0.0, 0.0, 0.0), (0.0, 0.0),
-                           (0.0, 0.0, 0.0, 0.0))
-    assert b3_asympt(only_a0, (2.0, 0.0)) == pytest.approx(0.125, rel=1e-15)
+    pts = np.array([[[3.0, -1.0], [2.0, 0.0], [-0.5, 1.5]]] * 2)
+    zero = b3_asympt({}, pts)
+    assert zero.shape == (2, 3) and zero.dtype == float and not zero.any()
+    value = b3_asympt({}, (3.0, -1.0))
+    assert isinstance(value, float) and value == 0.0
+    got = b3_asympt({(0, 0, 3): 1.0}, pts)
+    assert np.allclose(got, np.hypot(pts[..., 0], pts[..., 1]) ** -3, rtol=1e-15, atol=0)
+    assert b3_asympt({(0, 0, 3): 1.0}, (2.0, 0.0)) == pytest.approx(0.125, rel=1e-15)
+
+
+def test_b3_asympt_equals_paper_order_sum():
+    """Summed over the expansion's shapes, b3_asympt is the thirteen-term sum in the
+    paper's order to within the rounding of its terms."""
+    rng = np.random.default_rng(1301)
+    for seed in range(200):
+        units = ("si", "natural")[seed % 2]
+        scale = 1e-4 if units == "si" else 1.0
+        dipoles = tuple(Dipole(tuple(rng.uniform(-scale, scale, 3)),
+                               tuple(rng.uniform(-1, 1, 3) * (1e-12 if units == "si" else 1.0)))
+                        for _ in range(rng.integers(1, 6)))
+        coeffs = asympt_coefficients(DipoleScene(dipoles, 2.5 * scale, units))
+        assert set(coeffs) == set(PAPER_ORDER)
+        pts = rng.uniform(-20, 20, (200, 2)) * scale
+        x1, x2 = pts[:, 0], pts[:, 1]
+        r = np.hypot(x1, x2)
+        terms = [coeffs[a, b, n] * x1**a * x2**b / r**n for a, b, n in PAPER_ORDER]
+        size = np.sum(np.abs(terms), axis=0)
+        gap = np.abs(b3_asympt(coeffs, pts) - sum(terms))
+        assert np.all(gap <= 2e-15 * size), seed
 
 
 def test_b3_asympt_rejects_origin(demo_scene):
@@ -223,14 +247,16 @@ def test_margin_empty_scene_zero():
 
 
 def test_si_coefficients_carry_mu0(demo_scene, demo_scene_natural):
-    si = asympt_coefficients(demo_scene).as_array()
-    nat = asympt_coefficients(demo_scene_natural).as_array()
-    assert np.allclose(si, nat * demo_scene.mu0, rtol=1e-15)
+    si = asympt_coefficients(demo_scene)
+    nat = asympt_coefficients(demo_scene_natural)
+    assert si.keys() == nat.keys()
+    assert np.allclose(list(si.values()), [v * demo_scene.mu0 for v in nat.values()],
+                       rtol=1e-15)
 
 
 def test_net_moment_from_a0(demo_scene):
     coeffs = asympt_coefficients(demo_scene)
-    m3 = -4 * math.pi * coeffs.a0 / demo_scene.mu0
+    m3 = -4 * math.pi * coeffs[(0, 0, 3)] / demo_scene.mu0
     assert m3 == pytest.approx(net_moment(demo_scene).m3, rel=1e-13)
 
 
@@ -239,17 +265,17 @@ def test_far_field_rule_equals_hand_formulas_exactly():
     # 4 pi times each coefficient is then one rational entry of the formulas
     keys = set()
     far_field_tabulated(lambda *key: keys.add(key) or 0.0)
-    tabulated = [{} for _ in _TERM_SHAPES]
+    tabulated = {shape: {} for shape in PAPER_ORDER}
     for key in keys:
-        values = far_field_tabulated(lambda *k: float(k == key)).as_array()
-        for row, v in zip(tabulated, values):
+        for shape, v in far_field_tabulated(lambda *k: float(k == key)).items():
             if v:
-                row[key] = Fraction(4 * math.pi * v).limit_denominator(1000)
-    assert sum(len(row) for row in tabulated) == 41
-    assert [set(row) for row in _FAR_FIELD_ROWS] == [set(row) for row in tabulated]
-    for i, (got, want) in enumerate(zip(_FAR_FIELD_ROWS, tabulated)):
-        for key, c in want.items():
-            assert Fraction(got[key]) == c, (_TERM_SHAPES[i], key)
+                tabulated[shape][key] = Fraction(4 * math.pi * v).limit_denominator(1000)
+    assert sum(len(row) for row in tabulated.values()) == 41
+    # the expansion yields exactly the paper's thirteen shapes, each with its terms
+    assert {s: set(row) for s, row in _FAR_FIELD_ROWS.items()} == {
+        s: set(row) for s, row in tabulated.items()}
+    for shape, want in tabulated.items():
+        assert {key: Fraction(c) for key, c in _FAR_FIELD_ROWS[shape].items()} == want, shape
 
 
 @pytest.mark.parametrize("units", ["si", "natural"])
@@ -261,12 +287,8 @@ def test_asympt_coefficients_match_hand_formulas(units):
                                tuple(rng.uniform(-1, 1, 3) * (1e-12 if units == "si" else 1.0)))
                         for _ in range(rng.integers(1, 6)))
         scene = DipoleScene(dipoles, 2.5 * scale, units)
-        got = asympt_coefficients(scene).as_array()
-        want = asympt_coefficients_tabulated(scene).as_array()
-        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), seed
-
-
-def test_far_field_rule_rejects_shape_outside_table(monkeypatch):
-    monkeypatch.setattr(field, "_TERM_SHAPES", _TERM_SHAPES[:-1])
-    with pytest.raises(ValueError, match=r"x1\^1 x2\^2 / \|x\|\^9 is not in _TERM_SHAPES"):
-        field._far_field_rows()
+        got = asympt_coefficients(scene)
+        want = asympt_coefficients_tabulated(scene)
+        assert got.keys() == want.keys()
+        gap = max(abs(got[s] - want[s]) for s in want)
+        assert gap <= 1e-15 * max(abs(v) for v in want.values()), seed

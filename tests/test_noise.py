@@ -56,7 +56,7 @@ def test_seed_and_stream_beyond_64_bits_rejected():
 
 
 @pytest.mark.parametrize("field, bad", [("seed", 1.5), ("seed", 1.0), ("stream", 0.9),
-                                        ("stream", "1")])
+                                        ("stream", "1"), ("seed", True), ("stream", True)])
 def test_non_integer_seed_and_stream_rejected(field, bad):
     # a float seed used to be truncated into the key: seed=1.5 drew the noise of seed=1
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
