@@ -17,12 +17,12 @@ from .field import (AsymptCoeffs, asympt_coefficients, asympt_condition_margin,
 from .quad import (DiskGrid, FieldMap, Provenance, build_grid, integrate_weighted,
                    read_field_csv, sample_field, write_field_csv)
 from .noise import DetrendPoint, NoiseSpec, add_noise, detrend_backward, noise_sigma
-from .estimate import (DCoefficients, EstimatorSpec, GridParams, RecoveredCoeffs,
-                       SweepResult, SweepRow, TQuantities, all_specs,
-                       convergence_slope, d_coefficients, estimate_moment,
-                       estimator_weight, predicted_leading_error,
-                       raster_m3_drift_series, recovered_coefficients, sweep,
-                       t_quantities, t_quantities_analytic)
+from .estimate import (EstimatorSpec, GridParams, RecoveredCoeffs, SweepResult,
+                       SweepRow, TQuantities, all_specs, convergence_slope,
+                       d_coefficients, estimate_moment, estimator_weight,
+                       predicted_leading_error, raster_m3_drift_series,
+                       recovered_coefficients, sweep, t_quantities,
+                       t_quantities_analytic)
 from . import specfun
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "add_noise",
     "detrend_backward",
     "noise_sigma",
-    "DCoefficients",
     "EstimatorSpec",
     "GridParams",
     "RecoveredCoeffs",

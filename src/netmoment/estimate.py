@@ -2,10 +2,10 @@
 
 Tangential components support orders 1..5, the normal component orders 2..4
 (with a free axis choice at orders >= 3).  Alongside the estimators live the
-Fourier-side Taylor coefficients (d's), the data-side T quantities whose
-exact linear dependences raise the estimator order, closed-form leading
-error terms, far-field coefficient recovery from data, and radius sweeps
-with log-log convergence slopes.
+Fourier-side Taylor coefficients d_q, keyed by the power q up to MAX_POWER,
+the data-side T quantities whose exact linear dependences raise the
+estimator order, closed-form leading error terms, far-field coefficient
+recovery from data, and radius sweeps with log-log convergence slopes.
 
 Every data-side quantity here is a fixed linear combination of the monomial
 disk moments FieldMap.moments; the exact coefficients live in one table,
@@ -27,13 +27,12 @@ import numpy as np
 
 from .field import (_FAR_FIELD_ROWS, AsymptCoeffs, _finite_part, _positive_radius,
                     asympt_coefficients, asympt_condition_margin, b3)
-from .noise import NoiseSpec, _generator, add_noise
+from .noise import NoiseSpec, _noisy, _sigma, add_noise
 from .quad import _DEFAULT_GRID, MAX_POWER, FieldMap, build_grid, sample_field
 from .scene import MU0, DipoleScene, net_moment
 
 __all__ = [
     "EstimatorSpec",
-    "DCoefficients",
     "TQuantities",
     "RecoveredCoeffs",
     "GridParams",
@@ -142,7 +141,8 @@ class EstimatorSpec:
     """Which moment component, at which asymptotic order, along which axis.
 
     The axis matters only for the normal component at order >= 3, where the
-    data enter through powers of either x1 or x2.
+    data enter through powers of either x1 or x2; elsewhere it is set to x1,
+    so specs that estimate the same thing compare equal.
     """
 
     component: str
@@ -163,6 +163,8 @@ class EstimatorSpec:
                 f"order {self.order} not available for {self.component}; "
                 f"supported: {valid}"
             )
+        if _shown_axis(self) is None:
+            object.__setattr__(self, "axis", _AXES[0])
 
     def label(self) -> str:
         axis = _shown_axis(self)
@@ -200,8 +202,9 @@ def _estimator_row(spec: EstimatorSpec) -> tuple[dict[int, int | Fraction], int]
 
 def all_specs() -> list[EstimatorSpec]:
     """Every implemented estimator, both axes where the axis matters."""
-    specs = [EstimatorSpec(c, o, ax) for c in _COMPONENTS for o in _orders(c) for ax in _AXES]
-    return [spec for spec in specs if spec.axis == _AXES[0] or _shown_axis(spec)]
+    # where the axis does not matter, both axes give the same (x1) spec
+    return list(dict.fromkeys(EstimatorSpec(c, o, ax) for c in _COMPONENTS
+                              for o in _orders(c) for ax in _AXES))
 
 
 def estimator_weight(spec: EstimatorSpec, radius: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -226,29 +229,12 @@ def estimate_moment(field_map: FieldMap, spec: EstimatorSpec) -> float:
     return value / MU0 if field_map.unit_system == "si" else value
 
 
-@dataclass(frozen=True)
-class DCoefficients:
-    """Taylor coefficients at k1 = 0+ of the field's planar Fourier transform.
+def d_coefficients(scene: DipoleScene) -> dict[int, float]:
+    """{q: d_q} for q = 1 .. MAX_POWER, the Taylor coefficients at k1 = 0+ of the
+    field's planar Fourier transform, from the transform's generating function.
 
-    Odd entries scale Im B3-hat along the k1 axis, even entries Re B3-hat.
-    d1 equals pi*m1 identically.
+    Odd q scale Im B3-hat along the k1 axis, even q Re B3-hat; d_1 = pi m1.
     """
-
-    d1: float
-    d3: float
-    d5: float
-    d7: float
-    d9: float
-    d11: float
-    d2: float
-    d4: float
-    d6: float
-    d8: float
-    d10: float
-
-
-def d_coefficients(scene: DipoleScene) -> DCoefficients:
-    """The d's as Taylor coefficients of the transform's generating function."""
     # Along the k1 axis, for k1 > 0, B3-hat(k1, 0) = pi mu0 k1 sum_d Re[w e^(-2 pi k1 z)]
     # (Im part) and Re[i w e^(-2 pi k1 z)] (Re part), with w = m1 - i m3 and
     # z = (h - t3) - i t1 per dipole, so
@@ -257,12 +243,11 @@ def d_coefficients(scene: DipoleScene) -> DCoefficients:
     z = (scene.height - pos[:, 2]) - 1j * pos[:, 0]
     wz = mom[:, 0] - 1j * mom[:, 2]                 # w z^(q-1), starting at q = 1
     values = {}
-    for q in range(1, 12):
+    for q in range(1, MAX_POWER + 1):
         total = complex(np.sum(wz)) * (1 if q % 2 else 1j)
-        values[f"d{q}"] = (scene.mu0 * _PI * (-2 * _PI) ** (q - 1) / math.factorial(q - 1)
-                           * total.real)
+        values[q] = scene.mu0 * _PI * (-2 * _PI) ** (q - 1) / math.factorial(q - 1) * total.real
         wz = wz * z
-    return DCoefficients(**values)
+    return values
 
 
 @dataclass(frozen=True)
@@ -286,6 +271,14 @@ class TQuantities:
     t8: float
 
 
+def _coeff(coeffs: AsymptCoeffs, shape: tuple[int, int, int]) -> float:
+    """coeffs[shape], or a ValueError naming the shape that the mapping lacks."""
+    try:
+        return coeffs[shape]
+    except KeyError:
+        raise ValueError(f"coefficients lack the term of shape {shape}") from None
+
+
 def t_quantities(field_map: FieldMap, coeffs: AsymptCoeffs,
                  axis: str = "x1") -> TQuantities:
     """Data-side T quantities from a field map plus the a1~/m3 closures.
@@ -305,8 +298,8 @@ def t_quantities(field_map: FieldMap, coeffs: AsymptCoeffs,
     # closure columns: pi a1 / A^2 for the odd (tangential) rows, which are
     # scaled by A / pi, and m3 * mu0 / A = -4 pi a0 / A for the even (normal)
     # rows, which are scaled by 1 / pi
-    tangential = mu + [_PI * coeffs[((1, 0, 5), (0, 1, 5))[j]] / a**2]
-    normal = mu + [-4.0 * _PI * coeffs[(0, 0, 3)] / a]
+    tangential = mu + [_PI * _coeff(coeffs, ((1, 0, 5), (0, 1, 5))[j]) / a**2]
+    normal = mu + [-4.0 * _PI * _coeff(coeffs, (0, 0, 3)) / a]
     return TQuantities(**{f"t{q}": a / _PI * _apply(_ROWS[("t", q)], tangential) if q % 2
                           else _apply(_ROWS[("t", q)], normal) / _PI for q in _T_TARGETS})
 
@@ -314,7 +307,8 @@ def t_quantities(field_map: FieldMap, coeffs: AsymptCoeffs,
 def t_quantities_analytic(coeffs: AsymptCoeffs, radius: float) -> TQuantities:
     """The algebraic left sides of the T quantities from exact coefficients."""
     a3 = _positive_radius(radius) ** 3
-    return TQuantities(**{f"t{q}": sum(target * (coeffs[t] / a3) for t, target in targets.items())
+    return TQuantities(**{f"t{q}": sum(target * (_coeff(coeffs, t) / a3)
+                                       for t, target in targets.items())
                           for q, targets in _T_TARGETS.items()})
 
 
@@ -437,8 +431,10 @@ def _ascending_radii(radii: Sequence[float]) -> list[float]:
 def sweep(scene: DipoleScene, radii: Sequence[float], specs: Sequence[EstimatorSpec],
           grid_params: GridParams = GridParams(), noise: Optional[NoiseSpec] = None,
           max_workers: int = 1) -> SweepResult:
-    """Estimate every spec on every radius; rows sorted by radius within spec.
+    """Estimate every spec on every radius.
 
+    The rows come grouped by ascending radius, each group in the order of
+    specs; SweepResult.for_spec returns one spec's rows sorted by radius.
     Noise draws are keyed by (seed, radius index), so parallel execution
     cannot change the result.  A margin >= 1 at the smallest radius only
     warns: small radii outside the asymptotic regime are still useful data.
@@ -511,8 +507,8 @@ def raster_m3_drift_series(scene: DipoleScene, radii: Sequence[float],
     pts = np.stack([gx.ravel()[inside], gy.ravel()[inside]], axis=-1)
     samples = b3(scene, pts)
     if noise is not None and noise.snr_db != math.inf:
-        sigma = math.sqrt(10.0 ** (-noise.snr_db / 10.0) * samples.var())
-        samples = samples + sigma * _generator(noise).standard_normal(len(samples))
+        # the plain variance over the raster's pixels, whatever noise.weighted_variance says
+        samples = _noisy(samples, _sigma(noise.snr_db, samples), noise)
     order = np.argsort(r2[inside])
     r_sorted = np.sqrt(r2[inside][order])
     row, j = _estimator_row(spec)

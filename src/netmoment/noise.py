@@ -46,6 +46,9 @@ class NoiseSpec:
     weighted_variance: bool = True
 
     def __post_init__(self):
+        # a bool is a Real too, but True would silently be a 1 dB SNR
+        if isinstance(self.snr_db, bool) or not isinstance(self.snr_db, numbers.Real):
+            raise ValueError(f"snr_db must be a real number, got {self.snr_db!r}")
         if not (math.isfinite(self.snr_db) or self.snr_db == math.inf):
             raise ValueError("snr_db must be finite or +inf")
         # each fills 64 bits of the 128-bit Philox key, so wider values would alias;
@@ -62,18 +65,27 @@ def _generator(spec: NoiseSpec) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _sigma(snr_db: float, s: np.ndarray, w: np.ndarray | None = None) -> float:
+    """sqrt(10^(-SNR/10) * Var(s)), Var weighted by w when given, else plain."""
+    if w is None:
+        var = float(s.var())
+    else:
+        mean = float(np.sum(w * s) / np.sum(w))
+        var = float(np.sum(w * (s - mean) ** 2) / np.sum(w))
+    return math.sqrt(10.0 ** (-snr_db / 10.0) * var)
+
+
+def _noisy(samples: np.ndarray, sigma: float, spec: NoiseSpec) -> np.ndarray:
+    """samples plus sigma times the spec's standard normal draws, in index order."""
+    return samples + sigma * _generator(spec).standard_normal(len(samples))
+
+
 def noise_sigma(field_map: FieldMap, spec: NoiseSpec) -> float:
     """Per-node noise standard deviation implied by the SNR."""
     if spec.snr_db == math.inf:
         return 0.0
-    s = field_map.samples
-    if spec.weighted_variance:
-        w = field_map.grid.weights
-        mean = float(np.sum(w * s) / np.sum(w))
-        var = float(np.sum(w * (s - mean) ** 2) / np.sum(w))
-    else:
-        var = float(s.var())
-    return math.sqrt(10.0 ** (-spec.snr_db / 10.0) * var)
+    return _sigma(spec.snr_db, field_map.samples,
+                  field_map.grid.weights if spec.weighted_variance else None)
 
 
 def add_noise(field_map: FieldMap, spec: NoiseSpec) -> FieldMap:
@@ -84,10 +96,8 @@ def add_noise(field_map: FieldMap, spec: NoiseSpec) -> FieldMap:
         return FieldMap(grid=field_map.grid, samples=field_map.samples,
                         unit_system=field_map.unit_system,
                         provenance=Provenance("noisy", snr_db=math.inf, seed=spec.seed))
-    sigma = noise_sigma(field_map, spec)
-    draws = _generator(spec).standard_normal(len(field_map.samples))
     return FieldMap(grid=field_map.grid,
-                    samples=field_map.samples + sigma * draws,
+                    samples=_noisy(field_map.samples, noise_sigma(field_map, spec), spec),
                     unit_system=field_map.unit_system,
                     provenance=Provenance("noisy", snr_db=spec.snr_db, seed=spec.seed))
 

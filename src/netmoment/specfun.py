@@ -4,9 +4,13 @@ Everything here feeds the far-field moment estimators: J0/J1 (series for
 moderate arguments, Hankel big-argument form beyond), Struve H0/H1 by exact
 rational series, closed forms for the semi-infinite Bessel tail integrals,
 an oscillation-aware quadrature that independently confirms each closed
-form, the small-frequency Taylor tables of the exterior sin/cos ring
-integrals from the finite-part rule field._finite_part, and `IDENTITIES`,
-the one table of identity checks that `netmoment verify-specfun` runs.
+form, the exterior ring integrals and their small-frequency Taylor tables
+from the finite-part rule field._finite_part, and `IDENTITIES`, the one
+table of identity checks that `netmoment verify-specfun` runs.
+
+The ring integrals are keyed like the far-field coefficients, by term shape
+(a, b, n): their shapes are the far-field shapes with even b, and odd a
+pairs with sin, even a with cos.
 
 The quadrature route shares no code with the closed forms: its integrands
 evaluate J_n by a vectorised midpoint rule on Bessel's integral
@@ -18,21 +22,20 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
-from .field import _finite_part
+from .field import _FAR_FIELD_ROWS, _finite_part
+from .quad import MAX_POWER
 
 __all__ = [
     "DomainError",
     "IDENTITIES",
     "STRUVE_MAX_ARG",
     "TailIntegralKind",
-    "SinCosComponents",
     "bessel_j0",
     "bessel_j1",
     "bessel_j1_prime",
@@ -374,25 +377,14 @@ def tail_integral_quadrature(kind: TailIntegralKind, rho: float) -> float:
 # exterior ring integrals of the far-field expansion
 # ---------------------------------------------------------------------------
 
-# the far-field term shapes (a, b, n) of the ring integrals' coefficient groups
-_TAYLOR_GROUPS = {"sin": ((1, 0, 5), (1, 0, 7), (3, 0, 9), (1, 2, 9)),
-                  "cos": ((0, 0, 3), (0, 0, 5), (2, 0, 7), (0, 2, 7))}
+# The far-field term shapes (a, b, n) of the ring integrals: a term odd in x2
+# has a zero transform on the x1 axis.  trig(2 pi k1 x1) is sin for odd a and
+# cos for even a, the other one integrating the term to zero.
+_RING_SHAPES = tuple(shape for shape in _FAR_FIELD_ROWS if shape[1] % 2 == 0)
 
 
-@dataclass(frozen=True)
-class SinCosComponents:
-    """The four sin-type and four cos-type exterior ring integrals.
-
-    i_sin pairs with the coefficients of shapes (1, 0, 5), (1, 0, 7), (3, 0, 9)
-    and (1, 2, 9); i_cos with (0, 0, 3), (0, 0, 5), (2, 0, 7) and (0, 2, 7).
-    """
-
-    i_sin: tuple[float, float, float, float]
-    i_cos: tuple[float, float, float, float]
-
-
-def sin_cos_components(k1: float, radius: float) -> SinCosComponents:
-    """Closed-form values at rho = 2*pi*k1*radius (requires rho <= 50)."""
+def sin_cos_components(k1: float, radius: float) -> dict[tuple[int, int, int], float]:
+    """Closed-form ring integrals by term shape at rho = 2*pi*k1*radius (requires rho <= 50)."""
     k1 = _positive("sin_cos_components", "k1", k1)
     radius = _positive("sin_cos_components", "radius", radius)
     rho = 2.0 * math.pi * k1 * radius
@@ -410,21 +402,18 @@ def sin_cos_components(k1: float, radius: float) -> SinCosComponents:
     two_pi = 2.0 * math.pi
     pre_s1 = two_pi**2 * k1 / radius
     pre_s3 = two_pi**2 * k1 / radius**3
-    i_sin = (
-        pre_s1 * rho * t3,
-        pre_s3 * rho**3 * t5,
-        pre_s3 * (5 * j1 / rho**3 + j1p / rho**2 - 30 * rho**3 * t7),
-        -pre_s3 * (5 * j1 / rho**3 + j1p / rho**2 - rho**3 * t5 - 30 * rho**3 * t7),
-    )
     pre_c1 = two_pi / radius
     pre_c3 = two_pi / radius**3
-    i_cos = (
-        pre_c1 * (j0 - rho * t1),
-        pre_c3 * (j0 - rho**3 * t3) / 3.0,
-        pre_c3 * (-j1 / rho + 4 * rho**3 * t5),
-        pre_c3 * (j0 / 3.0 + j1 / rho - rho**3 * t3 / 3.0 - 4 * rho**3 * t5),
-    )
-    return SinCosComponents(i_sin=i_sin, i_cos=i_cos)
+    return {
+        (1, 0, 5): pre_s1 * rho * t3,
+        (1, 0, 7): pre_s3 * rho**3 * t5,
+        (3, 0, 9): pre_s3 * (5 * j1 / rho**3 + j1p / rho**2 - 30 * rho**3 * t7),
+        (1, 2, 9): -pre_s3 * (5 * j1 / rho**3 + j1p / rho**2 - rho**3 * t5 - 30 * rho**3 * t7),
+        (0, 0, 3): pre_c1 * (j0 - rho * t1),
+        (0, 0, 5): pre_c3 * (j0 - rho**3 * t3) / 3.0,
+        (2, 0, 7): pre_c3 * (-j1 / rho + 4 * rho**3 * t5),
+        (0, 2, 7): pre_c3 * (j0 / 3.0 + j1 / rho - rho**3 * t3 / 3.0 - 4 * rho**3 * t5),
+    }
 
 
 def ring_trig_integral(trig: str, cos_pow: int, sin_pow: int, inv_pow: int,
@@ -453,46 +442,42 @@ def ring_trig_integral(trig: str, cos_pow: int, sin_pow: int, inv_pow: int,
     return _integrate_panels(g, radius, period, _RING_TOL)
 
 
-def sin_cos_components_quadrature(k1: float, radius: float) -> SinCosComponents:
-    """Defining double integrals of the eight components, quadrature route.
+def sin_cos_components_quadrature(k1: float, radius: float) -> dict[tuple[int, int, int], float]:
+    """Defining double integrals of the ring integrals by term shape, quadrature route.
 
-    Each component integrates trig(2 pi k1 x1) against the far-field term
-    x1^a x2^b / |x|^n of its coefficient group: cos^a sin^b in angle over
+    The component of shape (a, b, n) integrates trig(2 pi k1 x1) against the
+    far-field term x1^a x2^b / |x|^n: cos^a sin^b in angle over
     r^(n - a - b - 1) in radius.
     """
     k1 = _positive("sin_cos_components_quadrature", "k1", k1)
     radius = _positive("sin_cos_components_quadrature", "radius", radius)
-    i_sin, i_cos = (tuple(ring_trig_integral(trig, a, b, n - a - b - 1, k1, radius)
-                          for a, b, n in _TAYLOR_GROUPS[trig])
-                    for trig in ("sin", "cos"))
-    return SinCosComponents(i_sin=i_sin, i_cos=i_cos)
+    return {(a, b, n): ring_trig_integral("sin" if a % 2 else "cos", a, b, n - a - b - 1,
+                                          k1, radius)
+            for a, b, n in _RING_SHAPES}
 
 
-def sin_cos_taylor(radius: float) -> dict[str, dict[int, tuple[float, ...]]]:
-    """Per-coefficient-group one-sided derivatives of the ring integrals at k1 = 0+.
+def sin_cos_taylor(radius: float) -> dict[int, dict[tuple[int, int, int], float]]:
+    """One-sided k1-derivatives of the ring integrals at k1 = 0+, by order and term shape.
 
-    Returns {"sin": {order: (per-group derivative coefficients)},
-             "cos": {...}} so a caller contracts each row with an actual
-    coefficient set.  Sin orders 1..11 odd and cos orders 0..10 even pair with
-    the shapes of _TAYLOR_GROUPS, as in SinCosComponents.
+    Returns {q: {shape: value}} for q = 0 .. MAX_POWER, so a caller contracts
+    each order with an actual coefficient set.  Order q holds the shapes with
+    a = q (mod 2): the odd derivatives of the sin integrals, the even ones of
+    the cos integrals.
     """
     radius = _positive("sin_cos_taylor", "radius", radius)
-    # Expanding trig(2 pi k1 x1) in powers of k1, the q-th derivative of the group
-    # with term shape (a, b, n) is q! (2 pi)^(q+1) c A^(q-e), where
+    # Expanding trig(2 pi k1 x1) in powers of k1, the q-th derivative of the term
+    # of shape (a, b, n) is q! (2 pi)^(q+1) c A^(q-e), where
     # c = -(-1)^(q//2) _finite_part(q, a, b, n) / (2 q!): the exterior integral
     # is minus the finite part over the disk.
     two_pi = 2.0 * math.pi
     table = {}
-    for trig, first in (("sin", 1), ("cos", 0)):
-        table[trig] = {}
-        for q in range(first, 12, 2):
-            base = math.factorial(q) * two_pi ** (q + 1)
-            row = []
-            for a, b, n in _TAYLOR_GROUPS[trig]:
+    for q in range(MAX_POWER + 1):
+        base = math.factorial(q) * two_pi ** (q + 1)
+        table[q] = {}
+        for a, b, n in _RING_SHAPES:
+            if (q - a) % 2 == 0:
                 c = -(-1) ** (q // 2) * _finite_part(q, a, b, n) / (2 * math.factorial(q))
-                e = n - 2 - a - b
-                row.append(base * float(c) * radius ** (q - e))
-            table[trig][q] = tuple(row)
+                table[q][(a, b, n)] = base * float(c) * radius ** (q - (n - 2 - a - b))
     return table
 
 
@@ -585,27 +570,29 @@ def _ring_closed_forms() -> float:
     for k1, radius in ((0.05, 1.0), (0.2, 2.0), (0.5, 3.0)):
         cf = sin_cos_components(k1, radius)
         ref = sin_cos_components_quadrature(k1, radius)
-        for a, b in zip(cf.i_sin + cf.i_cos, ref.i_sin + ref.i_cos):
-            worst = _max(worst, _gap(a, b))
+        for shape, value in cf.items():
+            worst = _max(worst, _gap(value, ref[shape]))
     return worst
 
 
-# Taylor rows sin 1 and cos 0 vs one-sided differences of the closed forms;
-# the integrals carry every power of k1, so one-sided third-order
+# Taylor orders 1 (sin) and 0 (cos) vs one-sided differences of the closed
+# forms; the integrals carry every power of k1, so one-sided third-order
 # extrapolations recover the value and first derivative at 0+
 def _taylor_low_orders() -> float:
     radius = 2.0
     table = sin_cos_taylor(radius)
     h = 1e-4 / radius
+    sin_w = {(1, 0, 5): 0.7, (1, 0, 7): -0.4, (3, 0, 9): 0.9, (1, 2, 9): 0.3}
+    cos_w = {(0, 0, 3): 0.7, (0, 0, 5): -0.4, (2, 0, 7): 0.9, (0, 2, 7): 0.3}
 
-    def contract(row) -> float:
-        return sum(c * v for c, v in zip((0.7, -0.4, 0.9, 0.3), row))
+    def contract(w, values) -> float:
+        return sum(c * values[shape] for shape, c in w.items())
 
     comps = [sin_cos_components(j * h, radius) for j in (1, 2, 3)]
-    s1, s2, s3 = (contract(cf.i_sin) for cf in comps)
-    c1, c2, c3 = (contract(cf.i_cos) for cf in comps)
-    return _max(_gap((18 * s1 - 9 * s2 + 2 * s3) / (6 * h), contract(table["sin"][1])),
-                _gap(3 * c1 - 3 * c2 + c3, contract(table["cos"][0])))
+    s1, s2, s3 = (contract(sin_w, cf) for cf in comps)
+    c1, c2, c3 = (contract(cos_w, cf) for cf in comps)
+    return _max(_gap((18 * s1 - 9 * s2 + 2 * s3) / (6 * h), contract(sin_w, table[1])),
+                _gap(3 * c1 - 3 * c2 + c3, contract(cos_w, table[0])))
 
 
 # row name -> (tolerance, check returning the worst error), in report order

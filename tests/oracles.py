@@ -324,7 +324,9 @@ def high_precision_ring_fd(radius: float, coeff_sets, dps: int = 60):
 # rule.  Row q of the sin table: the q-th one-sided k1-derivative of the sin
 # integral equals  q! (2 pi)^(q+1) [ c1 a1 A^(q-2) + (c2 a4 + c3 a5 + c4 a54) A^(q-4) ];
 # cos rows analogously with groups (a0, a2, a3^(1), a3^(2)) and powers
-# (q-1, q-3).
+# (q-1, q-3).  The groups' term shapes, in the rows' order:
+SIN_TAYLOR_SHAPES = ((1, 0, 5), (1, 0, 7), (3, 0, 9), (1, 2, 9))
+COS_TAYLOR_SHAPES = ((0, 0, 3), (0, 0, 5), (2, 0, 7), (0, 2, 7))
 SIN_TAYLOR_ROWS: dict[int, tuple[Fraction, ...]] = {
     1: (Fraction(1, 2), Fraction(1, 6), Fraction(1, 8), Fraction(1, 24)),
     3: (Fraction(1, 16), Fraction(-1, 16), Fraction(-5, 96), Fraction(-1, 96)),

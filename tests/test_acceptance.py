@@ -22,7 +22,8 @@ from netmoment.specfun import (TailIntegralKind, sin_cos_components,
                                tail_integral, tail_integral_quadrature,
                                tail_recursion_rhs)
 from conftest import DEMO_TRUE
-from oracles import from_paper_order, high_precision_ring_fd, named
+from oracles import (COS_TAYLOR_SHAPES, SIN_TAYLOR_SHAPES, from_paper_order,
+                     high_precision_ring_fd, named)
 
 
 def report(criterion: str, detail: str) -> None:
@@ -131,7 +132,8 @@ def test_criterion_4_ring_integral_forms():
     for (k1, radius) in ((0.05, 1.0), (0.2, 2.0), (0.5, 3.0)):
         closed = sin_cos_components(k1, radius)
         ref = sin_cos_components_quadrature(k1, radius)
-        for got, want in zip(closed.i_sin + closed.i_cos, ref.i_sin + ref.i_cos):
+        for shape, got in closed.items():
+            want = ref[shape]
             rel = abs(got - want) / max(abs(want), 1e-300)
             worst_cf = max(worst_cf, rel)
             assert rel <= 1e-6
@@ -142,14 +144,11 @@ def test_criterion_4_ring_integral_forms():
     fd_sin, fd_cos = high_precision_ring_fd(radius, (sin_groups, cos_groups), dps=80)
     table = sin_cos_taylor(radius)
     worst_taylor = 0.0
-    for order, row in table["sin"].items():
-        got = sum(c * v for c, v in zip(sin_groups, row))
-        rel = abs(got - fd_sin[order]) / abs(fd_sin[order])
-        worst_taylor = max(worst_taylor, rel)
-        assert rel <= 1e-4
-    for order, row in table["cos"].items():
-        got = sum(c * v for c, v in zip(cos_groups, row))
-        rel = abs(got - fd_cos[order]) / abs(fd_cos[order])
+    for order, row in table.items():
+        groups, shapes, fd = ((sin_groups, SIN_TAYLOR_SHAPES, fd_sin) if order % 2
+                              else (cos_groups, COS_TAYLOR_SHAPES, fd_cos))
+        got = sum(c * row[s] for c, s in zip(groups, shapes))
+        rel = abs(got - fd[order]) / abs(fd[order])
         worst_taylor = max(worst_taylor, rel)
         assert rel <= 1e-4
     report("4", f"closed forms vs quadrature {worst_cf:.1e} (tol 1e-6); "

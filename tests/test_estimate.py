@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from netmoment import (MU0, Dipole, DipoleScene, EstimatorSpec, FieldMap, GridPa
                        predicted_leading_error, recovered_coefficients,
                        sample_field, sweep, t_quantities, t_quantities_analytic)
 from netmoment.estimate import _ROWS, SweepResult, SweepRow, all_specs
+from netmoment.quad import MAX_POWER
 from netmoment.specfun import sin_cos_components, sin_cos_taylor
 from conftest import DEMO_DIPOLES, DEMO_HEIGHT
 from oracles import (ESTIMATOR_ROWS, from_paper_order, ft_im_direct, ft_series_coefficient,
@@ -70,6 +72,22 @@ def test_numpy_integer_spec_order_accepted():
     assert spec == EstimatorSpec("m1", 1)
     assert spec.label() == "m1:1"
     assert EstimatorSpec("m3", np.uint8(3), "x2").label() == "m3:3:x2"
+
+
+def test_specs_that_estimate_the_same_thing_compare_equal():
+    # the axis changes only a normal estimator of order >= 3
+    assert EstimatorSpec("m1", 1, "x2") == EstimatorSpec("m1", 1)
+    assert EstimatorSpec("m3", 2, "x2") == EstimatorSpec.parse("m3:2:x2") == EstimatorSpec("m3", 2)
+    assert EstimatorSpec("m2", 5, "x2").axis == "x1"
+    assert EstimatorSpec("m3", 3, "x2") != EstimatorSpec("m3", 3)
+    assert len(set(all_specs())) == len(all_specs()) == 15
+
+
+def test_convergence_slope_finds_rows_of_an_equal_spec(base_sweep):
+    for comp, order in (("m1", 1), ("m2", 3), ("m3", 2)):
+        spec = EstimatorSpec(comp, order)
+        assert (convergence_slope(base_sweep, EstimatorSpec(comp, order, "x2"))
+                == convergence_slope(base_sweep, spec)), spec.label()
 
 
 def test_spec_parsing_round_trip():
@@ -165,26 +183,27 @@ def test_m3_axis_redundancy(demo_scene, base_sweep):
 
 def test_d1_is_pi_m1(demo_scene, demo_scene_natural):
     d_nat = d_coefficients(demo_scene_natural)
-    assert d_nat.d1 == pytest.approx(math.pi * net_moment(demo_scene_natural).m1,
+    assert d_nat[1] == pytest.approx(math.pi * net_moment(demo_scene_natural).m1,
                                      rel=1e-15)
     d_si = d_coefficients(demo_scene)
-    assert d_si.d1 == pytest.approx(
+    assert d_si[1] == pytest.approx(
         demo_scene.mu0 * math.pi * net_moment(demo_scene).m1, rel=1e-15)
 
 
 def test_d3_vanishes_for_axial_vertical_dipole():
     scene = DipoleScene((Dipole((0.0, 0.0, 1e-5), (0.0, 0.0, 2e-12)),), 2.5e-4, "si")
-    assert d_coefficients(scene).d3 == 0.0
+    assert d_coefficients(scene)[3] == 0.0
 
 
 def test_all_d_coefficients_match_transform_series(demo_scene):
     d = d_coefficients(demo_scene)
-    for name, q in (("d1", 1), ("d3", 3), ("d5", 5), ("d7", 7), ("d9", 9), ("d11", 11)):
+    assert list(d) == list(range(1, MAX_POWER + 1))
+    for q in (1, 3, 5, 7, 9, 11):
         im, _ = ft_series_coefficient(demo_scene, q)
-        assert getattr(d, name) == pytest.approx(im, rel=1e-12), name
-    for name, q in (("d2", 2), ("d4", 4), ("d6", 6), ("d8", 8), ("d10", 10)):
+        assert d[q] == pytest.approx(im, rel=1e-12), q
+    for q in (2, 4, 6, 8, 10):
         _, re = ft_series_coefficient(demo_scene, q)
-        assert getattr(d, name) == pytest.approx(re, rel=1e-12), name
+        assert d[q] == pytest.approx(re, rel=1e-12), q
 
 
 def test_transform_quadrature_bridge(demo_scene):
@@ -198,8 +217,8 @@ def test_transform_quadrature_bridge(demo_scene):
                         * fmap.grid.weights, fmap.samples))
     c = named(asympt_coefficients(demo_scene))
     comp = sin_cos_components(k1, radius)
-    tail = (c.a1[0] * comp.i_sin[0] + c.a4[0] * comp.i_sin[1]
-            + c.a5[0] * comp.i_sin[2] + c.a5[3] * comp.i_sin[3])
+    tail = (c.a1[0] * comp[(1, 0, 5)] + c.a4[0] * comp[(1, 0, 7)]
+            + c.a5[0] * comp[(3, 0, 9)] + c.a5[3] * comp[(1, 2, 9)])
     assert disk + tail == pytest.approx(ft_im_direct(demo_scene, k1), rel=1e-6)
 
 
@@ -295,6 +314,20 @@ def test_leading_error_matches_hand_formula(units):
             want = leading_error_tabulated(coeffs, spec.component, radius, scene.mu0)
             size = leading_error_tabulated(magnitudes, spec.component, radius, scene.mu0)
             assert abs(got - want) <= 1e-15 * size, (seed, spec.label(), got, want)
+
+
+def test_t_quantities_name_the_first_missing_shape(demo_scene, demo_map_2mm):
+    # a missing shape used to raise a bare KeyError
+    with pytest.raises(ValueError, match=re.escape("shape (1, 0, 7)")):
+        t_quantities_analytic({}, 1.0)
+    coeffs = asympt_coefficients(demo_scene)
+    for axis, shape in (("x1", (1, 0, 5)), ("x2", (0, 1, 5)), ("x1", (0, 0, 3))):
+        partial = {s: c for s, c in coeffs.items() if s != shape}
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+            t_quantities(demo_map_2mm, partial, axis)
+    without_a2 = {s: c for s, c in coeffs.items() if s != (0, 0, 5)}
+    with pytest.raises(ValueError, match=re.escape("shape (0, 0, 5)")):
+        t_quantities_analytic(without_a2, 1.0)
 
 
 def test_t_quantities_rejects_unknown_axis(demo_scene, demo_map_2mm):

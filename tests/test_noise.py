@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +62,20 @@ def test_non_integer_seed_and_stream_rejected(field, bad):
     # a float seed used to be truncated into the key: seed=1.5 drew the noise of seed=1
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         NoiseSpec(20.0, **{"seed": 0, field: bad})
+
+
+@pytest.mark.parametrize("bad", ["20", None, True, False, 20 + 0j])
+def test_non_real_or_bool_snr_rejected(bad):
+    # a str or None used to raise a bare TypeError, and True was a 1 dB SNR
+    with pytest.raises(ValueError, match=re.escape(f"snr_db must be a real number, got {bad!r}")):
+        NoiseSpec(bad, seed=1)
+
+
+def test_numpy_float_snr_accepted(small_map):
+    for snr in (np.float64(20.0), 20):
+        assert np.array_equal(add_noise(small_map, NoiseSpec(snr, seed=3)).samples,
+                              add_noise(small_map, NoiseSpec(20.0, seed=3)).samples)
+    assert NoiseSpec(np.float32(20.0), seed=1).snr_db == 20.0
 
 
 def test_numpy_integer_seed_and_stream_accepted(small_map):
