@@ -51,6 +51,8 @@ class NoiseSpec:
             raise ValueError(f"snr_db must be a real number, got {self.snr_db!r}")
         if not (math.isfinite(self.snr_db) or self.snr_db == math.inf):
             raise ValueError("snr_db must be finite or +inf")
+        # a np.float32 SNR would compute sigma in float32 and draw other noise
+        object.__setattr__(self, "snr_db", float(self.snr_db))
         # each fills 64 bits of the 128-bit Philox key, so wider values would alias;
         # a bool is an Integral, but True would silently draw the noise of 1
         for name, value in (("seed", self.seed), ("stream", self.stream)):

@@ -12,16 +12,22 @@ The ring integrals are keyed like the far-field coefficients, by term shape
 (a, b, n): their shapes are the far-field shapes with even b, and odd a
 pairs with sin, even a with cos.
 
+The exact series sum their terms as one integer numerator over the running
+integer denominator of the last term, so a series is normalised once, when
+its Fraction is built, not once per term.
+
 The quadrature route shares no code with the closed forms: its integrands
 evaluate J_n by a vectorised midpoint rule on Bessel's integral
 (`_bessel_integral`), never through the rational series or the Hankel form,
 and its panels are plain Gauss-Legendre with a graded first panel and Euler
-acceleration.
+acceleration.  The ring integrals of one trig share their panels, so each
+panel evaluates that trig once for all of them.
 """
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from enum import Enum
 from fractions import Fraction
 from typing import Callable
@@ -67,21 +73,28 @@ def _bessel_series_frac(x: Fraction, n: int, tol_exp: int = 30) -> Fraction:
     """J_n by the ascending series in exact rational arithmetic.
 
     The terms grow to ~1e19 near x = 50 before cancelling; rationals keep the
-    cancellation exact.
+    cancellation exact.  The sum is kept as an integer numerator over the
+    running denominator D_k = D_(k-1) * zq * k * (n + k) of its last term,
+    with z = (x/2)^2 = zp/zq, so no term pays a gcd: the one normalisation is
+    the Fraction built at the end.  The loop stops after the first term below
+    10^-tol_exp, tested in integers.
     """
-    half = x / 2
-    z = half * half
-    term = half**n / math.factorial(n)
-    total = term
+    hp, hq = x.numerator, 2 * x.denominator  # x/2, not reduced
+    zp, zq = hp * hp, hq * hq
+    num = hp**n
+    den = hq**n * math.factorial(n)
+    tot = num
+    scale = 10**tol_exp
     k = 1
-    tol = Fraction(1, 10**tol_exp)
     while True:
-        term = -term * z / (k * (n + k))
-        total += term
-        if abs(term) < tol:
+        f = zq * k * (n + k)
+        num = -num * zp
+        den *= f
+        tot = tot * f + num
+        if abs(num) * scale < den:
             break
         k += 1
-    return total
+    return Fraction(tot, den)
 
 
 def _bessel_series(x: float, n: int) -> float:
@@ -118,9 +131,17 @@ def _bessel_asympt(x: float, n: int) -> float:
     return math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(chi) - q * math.sin(chi))
 
 
+def _finite(fn: str, x: float) -> float:
+    """x as a float; NaN and infinite values raise DomainError naming it."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"{fn} needs finite x, got {x}")
+    return x
+
+
 def bessel_j0(x: float) -> float:
     """Bessel J0, absolute accuracy ~1e-13 on |x| <= 50."""
-    x = abs(float(x))
+    x = abs(_finite("bessel_j0", x))
     if x <= _SERIES_CUTOFF:
         return _bessel_series(x, 0)
     return _bessel_asympt(x, 0)
@@ -128,7 +149,7 @@ def bessel_j0(x: float) -> float:
 
 def bessel_j1(x: float) -> float:
     """Bessel J1 (odd), absolute accuracy ~1e-13 on |x| <= 50."""
-    xf = float(x)
+    xf = _finite("bessel_j1", x)
     ax = abs(xf)
     val = _bessel_series(ax, 1) if ax <= _SERIES_CUTOFF else _bessel_asympt(ax, 1)
     return -val if xf < 0 else val
@@ -136,7 +157,7 @@ def bessel_j1(x: float) -> float:
 
 def bessel_j1_prime(x: float) -> float:
     """J1'(x) = J0(x) - J1(x)/x, with the x -> 0 limit 1/2."""
-    xf = float(x)
+    xf = _finite("bessel_j1_prime", x)
     if xf == 0.0:
         return 0.5
     return bessel_j0(xf) - bessel_j1(xf) / xf
@@ -144,26 +165,34 @@ def bessel_j1_prime(x: float) -> float:
 
 def bessel_j2(x: float) -> float:
     """J2 via the recurrence 2*J1/x - J0, series near zero."""
-    xf = float(x)
+    xf = _finite("bessel_j2", x)
     if abs(xf) <= 1e-2:
         return _bessel_series(abs(xf), 2)
     return 2.0 * bessel_j1(xf) / xf - bessel_j0(xf)
 
 
 def _struve_series_frac(z: Fraction, n: int, tol_exp: int = 30) -> Fraction:
-    """(pi/2) H_n(z) as an exact rational: sum (-1)^k z^(2k+n+1)/((2k+1)!!(2k+2n+1)!!)."""
-    z2 = z * z
-    term = z ** (n + 1) / math.prod(range(1, 2 * n + 2, 2))
-    total = term
+    """(pi/2) H_n(z) as an exact rational: sum (-1)^k z^(2k+n+1)/((2k+1)!!(2k+2n+1)!!).
+
+    Summed like `_bessel_series_frac`, over the running denominator
+    D_k = D_(k-1) * q^2 * (2k+1) * (2k+2n+1) with z = p/q.
+    """
+    p, q = z.numerator, z.denominator
+    p2, q2 = p * p, q * q
+    num = p ** (n + 1)
+    den = q ** (n + 1) * math.prod(range(1, 2 * n + 2, 2))
+    tot = num
+    scale = 10**tol_exp
     k = 1
-    tol = Fraction(1, 10**tol_exp)
     while True:
-        term = -term * z2 / ((2 * k + 1) * (2 * k + 2 * n + 1))
-        total += term
-        if abs(term) < tol:
+        f = q2 * (2 * k + 1) * (2 * k + 2 * n + 1)
+        num = -num * p2
+        den *= f
+        tot = tot * f + num
+        if abs(num) * scale < den:
             break
         k += 1
-    return total
+    return Fraction(tot, den)
 
 
 def _struve_series(x: float, n: int) -> float:
@@ -241,13 +270,18 @@ def _positive(fn: str, name: str, value: float) -> float:
     return value
 
 
+def _closed_form_rho(fn: str, rho: float) -> float:
+    """rho as a float; it must be finite, > 0 and within the Struve cap."""
+    rho = _positive(fn, "rho", rho)
+    if rho > STRUVE_MAX_ARG:
+        raise DomainError(f"{fn} closed forms use Struve functions, capped at "
+                          f"rho <= {STRUVE_MAX_ARG}, got {rho}")
+    return rho
+
+
 def tail_integral(kind: TailIntegralKind, rho: float) -> float:
     """Closed form of the selected tail integral at lower limit rho."""
-    rho = _positive("tail_integral", "rho", rho)
-    if rho > STRUVE_MAX_ARG:
-        raise DomainError(
-            f"tail_integral closed forms use Struve functions, capped at rho <= {STRUVE_MAX_ARG}"
-        )
+    rho = _closed_form_rho("tail_integral", rho)
     return float(_tail_integral_frac(kind, Fraction(rho)))
 
 
@@ -256,12 +290,14 @@ def tail_recursion_rhs(n: int, rho: float) -> float:
 
     (2n J1(rho)/rho^(2n) + J1'(rho)/rho^(2n-1) - int_rho^inf J1/x^(2n-1)) / (4n^2 - 1)
     """
-    if n not in (1, 2, 3):
-        raise DomainError("recursion exposed for n in {1, 2, 3}")
+    # a bool is an Integral, and a float n would leak float arithmetic into the exact form
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n not in (1, 2, 3):
+        raise DomainError(f"tail_recursion_rhs needs an integer n in {{1, 2, 3}}, got {n!r}")
+    n = int(n)
     lower = {1: TailIntegralKind.J1_OVER_X_P1,
              2: TailIntegralKind.J1_OVER_X_P3,
              3: TailIntegralKind.J1_OVER_X_P5}[n]
-    r = Fraction(_positive("tail_recursion_rhs", "rho", rho))
+    r = Fraction(_closed_form_rho("tail_recursion_rhs", rho))
     j1 = _bessel_series_frac(r, 1)
     j1p = _bessel_series_frac(r, 0) - j1 / r
     return float((2 * n * j1 / r ** (2 * n) + j1p / r ** (2 * n - 1)
@@ -294,14 +330,21 @@ def _euler_sum(panels: list[float]) -> float:
     return total + float(s[0])
 
 
-def _gauss_legendre(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
+def _gauss_legendre(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> np.ndarray:
+    """Each row of f integrated over [lo, hi] by the 20-point rule."""
     x = 0.5 * (hi - lo) * (_GL_NODES + 1.0) + lo
-    return float(np.sum(f(x) * _GL_WEIGHTS)) * 0.5 * (hi - lo)
+    return np.sum(f(x) * _GL_WEIGHTS, axis=-1) * 0.5 * (hi - lo)
 
 
 def _integrate_panels(f: Callable[[np.ndarray], np.ndarray], a: float,
-                      period: float, tol: float) -> float:
-    """Integrate f on (a, inf): half-period panels + Euler acceleration.
+                      period: float, tol: float) -> list[float]:
+    """Integrate each row of f on (a, inf): half-period panels + Euler acceleration.
+
+    f maps the nodes x of a panel to K rows of integrand values, shape
+    (K, len(x)), so integrals that share their panels share one evaluation
+    per panel.  Each row keeps its own panel series and stopping state and
+    is frozen at the panel where it would stop alone, so its value is the
+    same whatever rows it is integrated with.
 
     The first panel [a, a + period] is graded: cut at a, 2a, 4a, ... so a
     steep algebraic factor such as x^-7 near a small lower limit is resolved,
@@ -311,24 +354,32 @@ def _integrate_panels(f: Callable[[np.ndarray], np.ndarray], a: float,
     while a > 0.0 and 2.0 * cuts[-1] < a + period:
         cuts.append(2.0 * cuts[-1])
     cuts.append(a + period)
-    panels = [math.fsum(_gauss_legendre(f, lo, hi) for lo, hi in zip(cuts, cuts[1:]))]
+    pieces = [_gauss_legendre(f, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    panels = [[math.fsum(row)] for row in zip(*pieces)]
+    values: list[float | None] = [None] * len(panels)
+    prev = [math.inf] * len(panels)
+    stable = [0] * len(panels)
     lo = a + period
-    prev = math.inf
-    stable = 0
     for i in range(1, _MAX_PANELS):
         hi = lo + period
-        panels.append(_gauss_legendre(f, lo, hi))
+        for row, value in zip(panels, _gauss_legendre(f, lo, hi)):
+            row.append(float(value))
         lo = hi
         if i >= 16 and i % 2 == 0:
-            cur = _euler_sum(panels)
-            if abs(cur - prev) < tol * abs(cur) + 1e-300:
-                stable += 1
-                if stable >= 2:
-                    return cur
-            else:
-                stable = 0
-            prev = cur
-    return _euler_sum(panels)
+            for k, row in enumerate(panels):
+                if values[k] is not None:
+                    continue
+                cur = _euler_sum(row)
+                if abs(cur - prev[k]) < tol * abs(cur) + 1e-300:
+                    stable[k] += 1
+                    if stable[k] >= 2:
+                        values[k] = cur
+                else:
+                    stable[k] = 0
+                prev[k] = cur
+            if None not in values:
+                return values
+    return [_euler_sum(row) if value is None else value for value, row in zip(values, panels)]
 
 
 def _bessel_integral(n: int, x: np.ndarray) -> np.ndarray:
@@ -369,8 +420,9 @@ def tail_integral_quadrature(kind: TailIntegralKind, rho: float) -> float:
     """
     rho = _positive("tail_integral_quadrature", "rho", rho)
     n, p = _TAIL_INTEGRANDS[kind]
-    return _integrate_panels(lambda x: _bessel_integral(n, x) / x**p, rho, math.pi,
-                             _TAIL_TOL)
+    # one row: the integrand as a (1, len(x)) array
+    return _integrate_panels(lambda x: (_bessel_integral(n, x) / x**p)[None], rho, math.pi,
+                             _TAIL_TOL)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +468,28 @@ def sin_cos_components(k1: float, radius: float) -> dict[tuple[int, int, int], f
     }
 
 
+def _ring_trig_integrals(trig: str, powers: list[tuple[int, int, int]],
+                         k1: float, radius: float) -> list[float]:
+    """`ring_trig_integral` for each (a, b, p) in powers, all of one trig.
+
+    The integrals share their panels, so trig(2 pi k1 r cos t) is evaluated
+    once per panel for all of them; each takes its own product with its
+    angular factor, so its value is bitwise that of a call on its own.
+    """
+    theta = 2.0 * math.pi * np.arange(_N_THETA) / _N_THETA
+    angs = [np.cos(theta) ** a * np.sin(theta) ** b for a, b, _ in powers]
+    ct = np.cos(theta)
+    fun = np.sin if trig == "sin" else np.cos
+
+    def g(r: np.ndarray) -> np.ndarray:
+        vals = fun(2.0 * math.pi * k1 * np.outer(r, ct))
+        return np.stack([vals @ ang * (2.0 * math.pi / _N_THETA) / r**p
+                         for ang, (_, _, p) in zip(angs, powers)])
+
+    period = 0.5 / k1  # half period of the fastest angular ray
+    return _integrate_panels(g, radius, period, _RING_TOL)
+
+
 def ring_trig_integral(trig: str, cos_pow: int, sin_pow: int, inv_pow: int,
                        k1: float, radius: float) -> float:
     """Direct quadrature of
@@ -428,18 +502,7 @@ def ring_trig_integral(trig: str, cos_pow: int, sin_pow: int, inv_pow: int,
         raise DomainError(f"ring_trig_integral needs trig 'sin' or 'cos', got {trig!r}")
     k1 = _positive("ring_trig_integral", "k1", k1)
     radius = _positive("ring_trig_integral", "radius", radius)
-    theta = 2.0 * math.pi * np.arange(_N_THETA) / _N_THETA
-    ang = np.cos(theta) ** cos_pow * np.sin(theta) ** sin_pow
-    ct = np.cos(theta)
-    fun = np.sin if trig == "sin" else np.cos
-
-    def g(r: np.ndarray) -> np.ndarray:
-        phase = 2.0 * math.pi * k1 * np.outer(r, ct)
-        vals = fun(phase) @ ang * (2.0 * math.pi / _N_THETA)
-        return vals / r**inv_pow
-
-    period = 0.5 / k1  # half period of the fastest angular ray
-    return _integrate_panels(g, radius, period, _RING_TOL)
+    return _ring_trig_integrals(trig, [(cos_pow, sin_pow, inv_pow)], k1, radius)[0]
 
 
 def sin_cos_components_quadrature(k1: float, radius: float) -> dict[tuple[int, int, int], float]:
@@ -447,13 +510,16 @@ def sin_cos_components_quadrature(k1: float, radius: float) -> dict[tuple[int, i
 
     The component of shape (a, b, n) integrates trig(2 pi k1 x1) against the
     far-field term x1^a x2^b / |x|^n: cos^a sin^b in angle over
-    r^(n - a - b - 1) in radius.
+    r^(n - a - b - 1) in radius.  The components of one trig share panels.
     """
     k1 = _positive("sin_cos_components_quadrature", "k1", k1)
     radius = _positive("sin_cos_components_quadrature", "radius", radius)
-    return {(a, b, n): ring_trig_integral("sin" if a % 2 else "cos", a, b, n - a - b - 1,
-                                          k1, radius)
-            for a, b, n in _RING_SHAPES}
+    values = {}
+    for trig, parity in (("sin", 1), ("cos", 0)):
+        shapes = [shape for shape in _RING_SHAPES if shape[0] % 2 == parity]
+        powers = [(a, b, n - a - b - 1) for a, b, n in shapes]
+        values.update(zip(shapes, _ring_trig_integrals(trig, powers, k1, radius)))
+    return {shape: values[shape] for shape in _RING_SHAPES}
 
 
 def sin_cos_taylor(radius: float) -> dict[int, dict[tuple[int, int, int], float]]:

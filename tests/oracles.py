@@ -5,8 +5,9 @@ exact Taylor coefficients of the dipole Fourier transform, harmonic-resolved
 ring fits of the raw field, high-precision one-sided differences of the ring
 integrals, closed-form polynomial disk integrals, a dense-grid maximisation
 of the far-field condition expression, the tabulated Taylor rows of the ring
-integrals, the hand-expanded far-field coefficients, and the hand-tabulated
-estimator rows with the T-quantity and leading-error formulas.  The library
+integrals, the hand-expanded far-field coefficients, the hand-tabulated
+estimator rows with the T-quantity and leading-error formulas, and the Bessel
+and Struve series summed term by term in reduced `Fraction`s.  The library
 keys each far-field coefficient by its term's shape (a, b, n) alone; the
 paper's names and order for them are kept here, in PAPER_NAMES.
 """
@@ -476,3 +477,46 @@ def leading_error_tabulated(c: AsymptCoeffs, component: str, radius: float,
     j = ("m1", "m2").index(component)
     combo = 4 * c.a4[j] + 3 * c.a5[j] + c.a5[3 - j]
     return 2 * math.pi * (c.a1[j] / radius + combo / (12 * radius**3)) / scale
+
+
+# ---------------------------------------------------------------------------
+# the exact Bessel and Struve series, one reduced Fraction per term
+# ---------------------------------------------------------------------------
+
+def bessel_series_frac_per_term(x: Fraction, n: int, tol_exp: int = 30) -> Fraction:
+    """J_n(x) by its ascending series, each term a reduced Fraction.
+
+    Stops after the first term of size below 10^-tol_exp.
+    """
+    half = x / 2
+    z = half * half
+    term = half**n / math.factorial(n)
+    total = term
+    k = 1
+    tol = Fraction(1, 10**tol_exp)
+    while True:
+        term = -term * z / (k * (n + k))
+        total += term
+        if abs(term) < tol:
+            break
+        k += 1
+    return total
+
+
+def struve_series_frac_per_term(z: Fraction, n: int, tol_exp: int = 30) -> Fraction:
+    """(pi/2) H_n(z) by its series, each term a reduced Fraction.
+
+    Stops after the first term of size below 10^-tol_exp.
+    """
+    z2 = z * z
+    term = z ** (n + 1) / math.prod(range(1, 2 * n + 2, 2))
+    total = term
+    k = 1
+    tol = Fraction(1, 10**tol_exp)
+    while True:
+        term = -term * z2 / ((2 * k + 1) * (2 * k + 2 * n + 1))
+        total += term
+        if abs(term) < tol:
+            break
+        k += 1
+    return total

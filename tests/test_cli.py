@@ -196,6 +196,7 @@ def test_verify_specfun_filter_runs_only_selected_rows(tmp_path, monkeypatch):
 
     monkeypatch.setattr(specfun, "tail_integral_quadrature", broken)
     monkeypatch.setattr(specfun, "ring_trig_integral", broken)
+    monkeypatch.setattr(specfun, "_ring_trig_integrals", broken)
     assert main(["verify-specfun", "--filter", "recursion",
                  "--out", str(tmp_path / "c.csv")]) == 0
 

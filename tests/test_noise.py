@@ -72,10 +72,14 @@ def test_non_real_or_bool_snr_rejected(bad):
 
 
 def test_numpy_float_snr_accepted(small_map):
-    for snr in (np.float64(20.0), 20):
-        assert np.array_equal(add_noise(small_map, NoiseSpec(snr, seed=3)).samples,
-                              add_noise(small_map, NoiseSpec(20.0, seed=3)).samples)
-    assert NoiseSpec(np.float32(20.0), seed=1).snr_db == 20.0
+    # a float32 SNR used to compute sigma in float32 and so draw other noise
+    want = NoiseSpec(20.0, seed=3)
+    for snr in (np.float64(20.0), np.float32(20.0), 20):
+        spec = NoiseSpec(snr, seed=3)
+        assert type(spec.snr_db) is float
+        assert noise_sigma(small_map, spec).hex() == noise_sigma(small_map, want).hex()
+        assert np.array_equal(add_noise(small_map, spec).samples,
+                              add_noise(small_map, want).samples)
 
 
 def test_numpy_integer_seed_and_stream_accepted(small_map):

@@ -2,6 +2,7 @@ import importlib.util
 import math
 import pathlib
 import re
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -18,8 +19,9 @@ from netmoment.specfun import (DomainError, STRUVE_MAX_ARG, TailIntegralKind,
                                sin_cos_components_quadrature, sin_cos_taylor,
                                struve_h0, struve_h1, tail_integral,
                                tail_integral_quadrature, tail_recursion_rhs)
-from oracles import (COS_TAYLOR_SHAPES, SIN_TAYLOR_SHAPES, high_precision_ring_fd,
-                     sin_cos_taylor_tabulated)
+from oracles import (COS_TAYLOR_SHAPES, SIN_TAYLOR_SHAPES, bessel_series_frac_per_term,
+                     high_precision_ring_fd, sin_cos_taylor_tabulated,
+                     struve_series_frac_per_term)
 
 RHO_SET = (0.5, 1.0, 2.0, 5.0, 10.0, 25.0)
 
@@ -56,6 +58,34 @@ def test_j0_first_zero_by_bisection():
         else:
             hi = mid
     assert abs(bessel_j0(0.5 * (lo + hi))) < 1e-10
+
+
+@pytest.mark.parametrize("fn", [bessel_j0, bessel_j1, bessel_j1_prime, bessel_j2])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_bessel_rejects_nonfinite_x(fn, bad):
+    # inf used to raise a bare "math domain error" and NaN to return NaN
+    with pytest.raises(DomainError, match=re.escape(f"{fn.__name__} needs finite x, got {bad}")):
+        fn(bad)
+
+
+def _dyadic_arguments():
+    rng = np.random.default_rng(2024)
+    xs = [Fraction(float(x)) for x in rng.uniform(0.0, 50.0, 12)]
+    # p / 2^e in (0, 50]
+    xs += [Fraction(int(rng.integers(1, 50 * 2**e + 1)), 2**e) for e in (0, 3, 11, 24, 40)]
+    return xs + [Fraction(0), Fraction(1e-9), Fraction(50)]
+
+
+@pytest.mark.parametrize("tol_exp", [22, 30])
+def test_integer_series_equal_per_term_fraction_series(tol_exp):
+    # same rational as the per-term Fraction sum, so the same stop term and bits
+    for x in _dyadic_arguments():
+        for n in (0, 1, 2):
+            assert (specfun._bessel_series_frac(x, n, tol_exp)
+                    == bessel_series_frac_per_term(x, n, tol_exp)), (x, n)
+        for n in (0, 1):
+            assert (specfun._struve_series_frac(x, n, tol_exp)
+                    == struve_series_frac_per_term(x, n, tol_exp)), (x, n)
 
 
 def test_struve_values_at_zero():
@@ -125,6 +155,25 @@ def test_tail_quadrature_resolves_small_lower_limit():
         assert tail_integral_quadrature(kind, 0.5) == pytest.approx(closed, rel=1e-12), kind
 
 
+def test_panel_rows_match_one_row_calls():
+    # rows that stop at different panels, one never (it runs to the panel cap);
+    # the panels a one-row call evaluates show where that row stops
+    rows = (lambda x: np.sin(x) / x, lambda x: np.sin(x) / x**4,
+            lambda x: np.cos(x), lambda x: x)
+    alone, evaluations = [], []
+    for row in rows:
+        calls = []
+        alone.append(specfun._integrate_panels(lambda x: calls.append(x) or row(x)[None],
+                                               0.3, math.pi, 1e-13)[0])
+        evaluations.append(len(calls))
+    assert len(set(evaluations)) == len(rows)
+    calls = []
+    together = specfun._integrate_panels(
+        lambda x: calls.append(x) or np.stack([row(x) for row in rows]), 0.3, math.pi, 1e-13)
+    assert len(calls) == max(evaluations)
+    assert [v.hex() for v in together] == [v.hex() for v in alone]
+
+
 def test_tail_reduction_identity():
     for n in (1, 2, 3):
         kind = {1: TailIntegralKind.J1_OVER_X_P3,
@@ -134,6 +183,26 @@ def test_tail_reduction_identity():
             lhs = tail_integral(kind, rho)
             rhs = tail_recursion_rhs(n, rho)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+
+@pytest.mark.parametrize("n", [1.0, 2.5, True, np.float64(2.0), "1", 0, 4])
+def test_tail_recursion_rejects_non_integer_or_out_of_range_n(n):
+    # a float n leaked float arithmetic into the exact form, and True was n = 1
+    with pytest.raises(DomainError, match=re.escape(f"integer n in {{1, 2, 3}}, got {n!r}")):
+        tail_recursion_rhs(n, 3.0)
+
+
+def test_tail_recursion_accepts_numpy_integer_n():
+    assert tail_recursion_rhs(np.int64(2), 3.0).hex() == tail_recursion_rhs(2, 3.0).hex()
+
+
+def test_closed_forms_reject_rho_beyond_struve_cap():
+    # tail_recursion_rhs used to return a value at rho = 120 that tail_integral refuses
+    for fn in (lambda rho: tail_integral(TailIntegralKind.J1_OVER_X_P1, rho),
+               lambda rho: tail_recursion_rhs(1, rho)):
+        fn(STRUVE_MAX_ARG)
+        with pytest.raises(DomainError, match=re.escape("rho <= 50.0, got 120.0")):
+            fn(120.0)
 
 
 def test_deep_tail_is_tiny():
@@ -349,7 +418,20 @@ def test_ring_quadrature_term_shapes(monkeypatch):
     want = [("sin", 1, 0, 3), ("sin", 1, 0, 5), ("sin", 3, 0, 5), ("sin", 1, 2, 5),
             ("cos", 0, 0, 2), ("cos", 0, 0, 4), ("cos", 2, 0, 4), ("cos", 0, 2, 4)]
     calls = []
-    monkeypatch.setattr(specfun, "ring_trig_integral",
-                        lambda trig, a, b, p, k1, radius: calls.append((trig, a, b, p)) or 0.0)
+
+    def grouped(trig, powers, k1, radius):
+        calls.extend((trig, a, b, p) for a, b, p in powers)
+        return [0.0] * len(powers)
+
+    monkeypatch.setattr(specfun, "_ring_trig_integrals", grouped)
     sin_cos_components_quadrature(0.2, 2.0)
     assert sorted(calls) == sorted(want)
+
+
+def test_ring_quadrature_components_equal_lone_ring_integrals():
+    # sharing panels within a trig leaves each component's bits as a lone call's
+    k1, radius = 0.2, 2.0
+    grouped = sin_cos_components_quadrature(k1, radius)
+    for (a, b, n), value in grouped.items():
+        lone = ring_trig_integral("sin" if a % 2 else "cos", a, b, n - a - b - 1, k1, radius)
+        assert value.hex() == lone.hex(), (a, b, n)
