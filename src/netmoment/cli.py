@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -44,6 +45,11 @@ def _thread_cap() -> int:
 
 
 def _radii_from_args(args) -> list[float]:
+    # NaN and inf would pass the range test below and fail only inside the sweep
+    for flag in ("--radius", "--radius-min", "--radius-max"):
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
     if args.radius is not None:
         return [args.radius]
     if None in (args.radius_min, args.radius_max, args.radius_count):
@@ -59,7 +65,8 @@ def _parse_specs(raw: Optional[Sequence[str]]) -> list[EstimatorSpec]:
     if not raw:
         return all_specs()
     try:
-        return [EstimatorSpec.parse(s) for s in raw]
+        # a repeated spec would be estimated and written once per repeat
+        return list(dict.fromkeys(EstimatorSpec.parse(s) for s in raw))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -185,10 +192,15 @@ def cmd_sweep(args) -> int:
 def cmd_verify_specfun(args) -> int:
     if args.perturb is not None and args.perturb not in IDENTITIES:
         raise ConfigError(f"--perturb names no check: {args.perturb!r}")
+    names = [name for name in IDENTITIES if not args.filter or args.filter in name]
+    if not names:
+        raise ConfigError(f"--filter {args.filter!r} matches no check")
+    if args.perturb is not None and args.perturb not in names:
+        raise ConfigError(f"--perturb {args.perturb!r} names a check that "
+                          f"--filter {args.filter!r} leaves out")
     rows = []
-    for name, (tol, check) in IDENTITIES.items():
-        if args.filter and args.filter not in name:
-            continue
+    for name in names:
+        tol, check = IDENTITIES[name]
         err = float(check())  # a NumPy scalar would print as np.float64(...)
         if name == args.perturb:
             err += tol + 1e-6  # testing hook: fail this row whatever its tolerance

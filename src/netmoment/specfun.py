@@ -21,7 +21,8 @@ evaluate J_n by a vectorised midpoint rule on Bessel's integral
 (`_bessel_integral`), never through the rational series or the Hankel form,
 and its panels are plain Gauss-Legendre with a graded first panel and Euler
 acceleration.  The ring integrals of one trig share their panels, so each
-panel evaluates that trig once for all of them.
+panel evaluates that trig once for all of them; the tail integrals of one
+Bessel order share theirs in the same way, each panel evaluating J_n once.
 """
 from __future__ import annotations
 
@@ -318,16 +319,18 @@ _MAX_PANELS = 400
 _N_THETA = 256
 
 
-def _euler_sum(panels: list[float]) -> float:
-    """Euler transform of an (eventually) alternating panel series."""
-    size = min(len(panels), 40)
-    row = np.array(panels[-size:], dtype=float)
-    total = float(np.sum(panels[:-size])) if len(panels) > size else 0.0
-    # repeated averaging of partial sums
-    s = np.cumsum(row)
-    while len(s) > 1:
-        s = 0.5 * (s[:-1] + s[1:])
-    return total + float(s[0])
+def _euler_sums(panels: np.ndarray) -> np.ndarray:
+    """Euler transform of each row of a (K, L) array of (eventually) alternating panels.
+
+    The panels before the last 40 are summed as they are; the partial sums of
+    the last 40 are averaged pairwise until one is left.  Every operation runs
+    along the last axis, so each row's value is bitwise that of a one-row call.
+    """
+    size = min(panels.shape[-1], 40)
+    s = np.cumsum(panels[:, -size:], axis=-1)
+    while s.shape[-1] > 1:
+        s = 0.5 * (s[:, :-1] + s[:, 1:])
+    return np.sum(panels[:, :-size], axis=-1) + s[:, 0]
 
 
 def _gauss_legendre(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> np.ndarray:
@@ -342,9 +345,11 @@ def _integrate_panels(f: Callable[[np.ndarray], np.ndarray], a: float,
 
     f maps the nodes x of a panel to K rows of integrand values, shape
     (K, len(x)), so integrals that share their panels share one evaluation
-    per panel.  Each row keeps its own panel series and stopping state and
-    is frozen at the panel where it would stop alone, so its value is the
-    same whatever rows it is integrated with.
+    per panel.  The panel sums are kept as a (K, panels) array; at each
+    checkpoint `_euler_sums` transforms the rows not yet frozen in one call.
+    Each row keeps its own stopping state and is frozen at the panel where
+    it would stop alone, so its value is the same whatever rows it is
+    integrated with.
 
     The first panel [a, a + period] is graded: cut at a, 2a, 4a, ... so a
     steep algebraic factor such as x^-7 near a small lower limit is resolved,
@@ -355,21 +360,20 @@ def _integrate_panels(f: Callable[[np.ndarray], np.ndarray], a: float,
         cuts.append(2.0 * cuts[-1])
     cuts.append(a + period)
     pieces = [_gauss_legendre(f, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    panels = [[math.fsum(row)] for row in zip(*pieces)]
-    values: list[float | None] = [None] * len(panels)
-    prev = [math.inf] * len(panels)
-    stable = [0] * len(panels)
+    first = [math.fsum(row) for row in zip(*pieces)]
+    panels = np.empty((len(first), _MAX_PANELS))
+    panels[:, 0] = first
+    values: list[float | None] = [None] * len(first)
+    prev = [math.inf] * len(first)
+    stable = [0] * len(first)
     lo = a + period
     for i in range(1, _MAX_PANELS):
         hi = lo + period
-        for row, value in zip(panels, _gauss_legendre(f, lo, hi)):
-            row.append(float(value))
+        panels[:, i] = _gauss_legendre(f, lo, hi)
         lo = hi
         if i >= 16 and i % 2 == 0:
-            for k, row in enumerate(panels):
-                if values[k] is not None:
-                    continue
-                cur = _euler_sum(row)
+            rows = [k for k, value in enumerate(values) if value is None]
+            for k, cur in zip(rows, _euler_sums(panels[rows, :i + 1]).tolist()):
                 if abs(cur - prev[k]) < tol * abs(cur) + 1e-300:
                     stable[k] += 1
                     if stable[k] >= 2:
@@ -379,7 +383,10 @@ def _integrate_panels(f: Callable[[np.ndarray], np.ndarray], a: float,
                 prev[k] = cur
             if None not in values:
                 return values
-    return [_euler_sum(row) if value is None else value for value, row in zip(values, panels)]
+    rows = [k for k, value in enumerate(values) if value is None]
+    for k, cur in zip(rows, _euler_sums(panels[rows]).tolist()):
+        values[k] = cur
+    return values
 
 
 def _bessel_integral(n: int, x: np.ndarray) -> np.ndarray:
@@ -410,19 +417,37 @@ _TAIL_INTEGRANDS = {
 }
 
 
+@functools.lru_cache(maxsize=32)
+def _tail_quadratures(n: int, rho: float) -> dict[int, float]:
+    """int_rho^inf J_n(x) / x^p dx for every power p that `_TAIL_INTEGRANDS` pairs with n.
+
+    The powers share their panels, so each panel evaluates J_n once for all
+    of them and each row divides by its own x**p; each value is bitwise that
+    of a one-row call.  Cached because the tail checks of one run ask for
+    every power of the same (n, rho) one kind at a time.
+    """
+    powers = [p for m, p in _TAIL_INTEGRANDS.values() if m == n]
+
+    def f(x: np.ndarray) -> np.ndarray:
+        jn = _bessel_integral(n, x)
+        return np.stack([jn / x**p for p in powers])
+
+    return dict(zip(powers, _integrate_panels(f, rho, math.pi, _TAIL_TOL)))
+
+
 def tail_integral_quadrature(kind: TailIntegralKind, rho: float) -> float:
     """The defining integral evaluated numerically, closed forms untouched.
 
     J0, J1 and J2 come from `_bessel_integral` (Bessel's integral, not the
     series or asymptotic forms of the closed forms), integrated over
     half-period panels from rho, the first one graded, with Euler
-    acceleration of the alternating panel sums.
+    acceleration of the alternating panel sums.  The kinds of one Bessel
+    order are integrated together on shared panels by `_tail_quadratures`,
+    which keeps the values of recent (order, rho) pairs.
     """
     rho = _positive("tail_integral_quadrature", "rho", rho)
     n, p = _TAIL_INTEGRANDS[kind]
-    # one row: the integrand as a (1, len(x)) array
-    return _integrate_panels(lambda x: (_bessel_integral(n, x) / x**p)[None], rho, math.pi,
-                             _TAIL_TOL)[0]
+    return _tail_quadratures(n, rho)[p]
 
 
 # ---------------------------------------------------------------------------
@@ -590,14 +615,20 @@ def _tail_recursion(n: int) -> float:
 # ring integrals that vanish by odd angular symmetry
 def _odd_symmetry_vanishing() -> float:
     rng = np.random.default_rng(12345)
+    # the powers 0 .. 7 that the draws reach, built per call: a module-level
+    # table would cost every import its memory
+    cos_pow = [_COS_T**k for k in range(8)]
+    sin_pow = [_SIN_T**k for k in range(8)]
     worst = 0.0
     for _ in range(20):
         alpha = rng.uniform(-10, 10)
         m = rng.integers(0, 4)
         n = rng.integers(0, 4)
-        vals = [np.sum(trig(alpha * _COS_T) * _COS_T**a * _SIN_T**b) * (2.0 * math.pi / 4096)
-                for trig, a, b in ((np.cos, 2 * m + 1, n), (np.cos, m, 2 * n + 1),
-                                   (np.sin, m, 2 * n + 1), (np.sin, 2 * m, n))]
+        arg = alpha * _COS_T
+        cos_arg, sin_arg = np.cos(arg), np.sin(arg)
+        vals = [np.sum(trig * cos_pow[a] * sin_pow[b]) * (2.0 * math.pi / 4096)
+                for trig, a, b in ((cos_arg, 2 * m + 1, n), (cos_arg, m, 2 * n + 1),
+                                   (sin_arg, m, 2 * n + 1), (sin_arg, 2 * m, n))]
         worst = _max(worst, float(np.max(np.abs(vals))))
     return worst
 

@@ -6,8 +6,9 @@ ring fits of the raw field, high-precision one-sided differences of the ring
 integrals, closed-form polynomial disk integrals, a dense-grid maximisation
 of the far-field condition expression, the tabulated Taylor rows of the ring
 integrals, the hand-expanded far-field coefficients, the hand-tabulated
-estimator rows with the T-quantity and leading-error formulas, and the Bessel
-and Struve series summed term by term in reduced `Fraction`s.  The library
+estimator rows with the T-quantity and leading-error formulas, the Bessel
+and Struve series summed term by term in reduced `Fraction`s, and the Euler
+transform of one panel series held as a list.  The library
 keys each far-field coefficient by its term's shape (a, b, n) alone; the
 paper's names and order for them are kept here, in PAPER_NAMES.
 """
@@ -520,3 +521,17 @@ def struve_series_frac_per_term(z: Fraction, n: int, tol_exp: int = 30) -> Fract
             break
         k += 1
     return total
+
+
+# ---------------------------------------------------------------------------
+# the Euler transform of one panel series, held as a list
+# ---------------------------------------------------------------------------
+
+def euler_sum_list(panels: list[float]) -> float:
+    """The panels before the last 40 summed, plus the last 40's partial sums averaged down."""
+    size = min(len(panels), 40)
+    total = float(np.sum(panels[:-size])) if len(panels) > size else 0.0
+    s = np.cumsum(np.array(panels[-size:], dtype=float))
+    while len(s) > 1:
+        s = 0.5 * (s[:-1] + s[1:])
+    return total + float(s[0])

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -309,12 +310,69 @@ def test_sweep_rejects_nonpositive_thread_cap(tmp_path, scene_file, capsys, monk
     assert not out.exists()
 
 
-def test_verify_specfun_no_match_header_only(tmp_path):
+def test_verify_specfun_filter_matching_nothing_is_config_error(tmp_path, capsys):
+    # it used to exit 0 with a header-only CSV
     out = tmp_path / "empty.csv"
     rc = main(["verify-specfun", "--filter", "nonexistent-check", "--out", str(out)])
+    assert rc == 1
+    assert "--filter 'nonexistent-check' matches no check" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_specfun_perturb_outside_filter_is_config_error(tmp_path, capsys):
+    # the filter used to drop the perturbed row and exit 0
+    out = tmp_path / "c.csv"
+    rc = main(["verify-specfun", "--filter", "recursion", "--perturb", "tail:j0_total",
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "--perturb 'tail:j0_total'" in err and "--filter 'recursion'" in err
+    assert not out.exists()
+
+
+def test_verify_specfun_filtered_tail_row_equals_full_run_row(tmp_path):
+    # a tail row run alone computes its group on its own, with an empty cache
+    rows = {}
+    for label, argv in (("alone", ["--filter", "tail:j1_over_x_p5"]), ("full", [])):
+        specfun._tail_quadratures.cache_clear()
+        out = tmp_path / f"{label}.csv"
+        assert main(["verify-specfun", *argv, "--out", str(out)]) == 0
+        rows[label] = {line.split(",", 1)[0]: line
+                       for line in out.read_text().splitlines()[1:]}
+    assert list(rows["alone"]) == ["tail:j1_over_x_p5"]
+    assert rows["alone"]["tail:j1_over_x_p5"] == rows["full"]["tail:j1_over_x_p5"]
+
+
+def test_sweep_repeated_spec_is_run_once(tmp_path, scene_file, capsys):
+    # a repeated --spec wrote its rows once per repeat, and with a detrend
+    # window the repeated m3 series failed as not strictly ascending in radius
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--scene", scene_file, "--radius-min", "7.5e-4",
+               "--radius-max", "2e-3", "--radius-count", "4", "--spec", "m1:1",
+               "--spec", "m3:2", "--spec", "m1:1", "--spec", "m3:2", "--detrend-window", "3",
+               "--n-radial", "8", "--n-angular", "8", "--out", str(out)])
     assert rc == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines == ["check,max_error,tolerance,status"]
+    assert "wrote 8 rows" in capsys.readouterr().out
+    rows = list(csv.DictReader(open(out)))
+    assert [(r["component"], r["order"]) for r in rows] == [("m1", "1")] * 4 + [("m3", "2")] * 4
+    assert rows[-1]["detrend_fitted"] == "true"
+
+
+@pytest.mark.parametrize("flag, value", [("--radius", "nan"), ("--radius-min", "nan"),
+                                         ("--radius-max", "nan"), ("--radius-max", "inf")])
+def test_sweep_rejects_nonfinite_radius_flags(tmp_path, scene_file, capsys, flag, value):
+    # these failed only inside the sweep, not naming the flag, and inf leaked a
+    # RuntimeWarning from numpy; the last of a repeated flag is the one used
+    out = tmp_path / "sweep.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["sweep", "--scene", scene_file, "--radius-min", "7.5e-4",
+                   "--radius-max", "2e-3", "--radius-count", "3", flag, value,
+                   "--spec", "m1:1", "--n-radial", "8", "--n-angular", "8",
+                   "--out", str(out)])
+    assert rc == 1
+    assert f"{flag} must be finite, got {float(value)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_domain_error_exit_code(monkeypatch, tmp_path, scene_file):

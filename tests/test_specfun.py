@@ -20,7 +20,7 @@ from netmoment.specfun import (DomainError, STRUVE_MAX_ARG, TailIntegralKind,
                                struve_h0, struve_h1, tail_integral,
                                tail_integral_quadrature, tail_recursion_rhs)
 from oracles import (COS_TAYLOR_SHAPES, SIN_TAYLOR_SHAPES, bessel_series_frac_per_term,
-                     high_precision_ring_fd, sin_cos_taylor_tabulated,
+                     euler_sum_list, high_precision_ring_fd, sin_cos_taylor_tabulated,
                      struve_series_frac_per_term)
 
 RHO_SET = (0.5, 1.0, 2.0, 5.0, 10.0, 25.0)
@@ -127,6 +127,8 @@ def test_tail_quadrature_shares_no_code_with_closed_forms(monkeypatch):
     def broken(*args, **kwargs):
         raise AssertionError("closed-form Bessel code reached from the quadrature route")
 
+    # values cached by earlier calls would pass without running the quadrature
+    specfun._tail_quadratures.cache_clear()
     for name in ("_bessel_series_frac", "_bessel_series", "_bessel_asympt",
                  "bessel_j0", "bessel_j1", "bessel_j2"):
         monkeypatch.setattr(specfun, name, broken)
@@ -172,6 +174,35 @@ def test_panel_rows_match_one_row_calls():
         lambda x: calls.append(x) or np.stack([row(x) for row in rows]), 0.3, math.pi, 1e-13)
     assert len(calls) == max(evaluations)
     assert [v.hex() for v in together] == [v.hex() for v in alone]
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.7, 1.0, 2.0, 3.0, 5.0, 10.0, 12.0, 25.0])
+def test_tail_kinds_equal_one_row_integrals(rho):
+    # a kind integrated with the other powers of its Bessel order keeps the
+    # bits of its own one-row integral; the group is computed once per (n, rho)
+    for kind, (n, p) in specfun._TAIL_INTEGRANDS.items():
+        specfun._tail_quadratures.cache_clear()
+        grouped = tail_integral_quadrature(kind, rho)
+        lone = specfun._integrate_panels(
+            lambda x: (specfun._bessel_integral(n, x) / x**p)[None], rho, math.pi,
+            specfun._TAIL_TOL)[0]
+        assert grouped.hex() == lone.hex(), (kind, rho)
+    specfun._tail_quadratures.cache_clear()
+    for kind in TailIntegralKind:
+        tail_integral_quadrature(kind, rho)
+    assert specfun._tail_quadratures.cache_info().misses == 3
+
+
+@pytest.mark.parametrize("length", [1, 7, 39, 40, 41, 97, 400])
+def test_euler_sums_rows_match_one_row_calls(length):
+    # every row of one call has the bits of a call on that row alone and of
+    # the transform of the row held as a list
+    rng = np.random.default_rng(length)
+    panels = rng.normal(size=(4, length)) * np.exp(rng.normal(scale=5.0, size=(4, length)))
+    together = specfun._euler_sums(panels).tolist()
+    for row, value in zip(panels, together):
+        assert value.hex() == specfun._euler_sums(row[None]).tolist()[0].hex()
+        assert value.hex() == euler_sum_list(row.tolist()).hex()
 
 
 def test_tail_reduction_identity():
