@@ -496,7 +496,8 @@ def raster_m3_drift_series(scene: DipoleScene, radii: Sequence[float],
     if spec.component != "m3":
         raise ValueError("drift series is defined for the normal component")
     radii = _ascending_radii(radii)
-    if not isinstance(n_pixels, numbers.Integral) or n_pixels < 1:
+    # a bool is an Integral, and True would run as a 1-pixel raster
+    if isinstance(n_pixels, bool) or not isinstance(n_pixels, numbers.Integral) or n_pixels < 1:
         raise ValueError(f"n_pixels must be an integer of at least 1, got {n_pixels!r}")
     r_max = radii[-1]
     step = 2.0 * r_max / n_pixels

@@ -53,6 +53,11 @@ def _finite_part(p: int, a: int, b: int, n: int) -> Fraction:
 # 128 KB, small enough to stay in cache
 _PAIR_BUDGET = 1 << 14
 
+# numpy sums a contiguous row shorter than this left to right from 0, as an
+# axis-0 reduction does; from here on it sums pairwise, so b3 lays its blocks
+# out dipole-major only below it
+_SEQUENTIAL_ROW_SUM = 8
+
 
 def _positive_radius(radius) -> float:
     """radius as a float; NaN, infinite and nonpositive radii raise ValueError."""
@@ -72,12 +77,18 @@ def b3(scene: DipoleScene, x) -> np.ndarray | float:
     Every block is computed in the same four reused buffers, with the same
     operations in the same order as the one-pass formula
         mu0/(4 pi) * sum_d [3u (dx1 m1 + dx2 m2) + (2u^2 - r^2) m3] / (r^2 + u^2)^2.5,
-    and each point's dipole sum is one contiguous row reduction, so the values
-    do not depend on the block size.  The eight per-dipole operands are tiled
-    once per call to the block's shape (at most 8 x 128 KB): broadcast over a
-    block, a length-n_dipoles row makes numpy run one short inner loop per
-    node, which for a few dipoles costs more than the arithmetic.  Only the two
-    node subtractions and the row sum are left on the short dipole axis.
+    and each point's dipole sum adds in the order of a contiguous row sum, so
+    the values depend on neither the block size nor the layout.
+
+    The layout follows the dipole count.  From _SEQUENTIAL_ROW_SUM dipoles
+    on, a block is (nodes x dipoles) and the eight per-dipole operands are
+    tiled once per call to its shape (at most 8 x 128 KB).  Below that, a
+    short last axis would make numpy run one tiny inner loop per node, so a
+    block is (dipoles x nodes), the operands are (dipoles x 1) columns, the
+    block's nodes are copied into one (2 x nodes) buffer and the dipole sum
+    is a reduction over axis 0.  That adds left to right from 0, as numpy's
+    sum of a contiguous row shorter than _SEQUENTIAL_ROW_SUM does; longer
+    rows are summed pairwise, so the switch sits where the bits would change.
     """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 1
@@ -93,17 +104,34 @@ def b3(scene: DipoleScene, x) -> np.ndarray | float:
         u = scene.height - t3                         # h - t3 > 0 per scene invariant
         u2 = u**2
         step = max(1, _PAIR_BUDGET // n_dip)
-        rows = min(step, len(pts))
-        # the per-dipole operands tiled to the block's shape (see the docstring)
-        tiles = np.repeat(np.stack([p1, p2, m1, m2, m3, u2, 3.0 * u, 2.0 * u2])[:, None],
-                          rows, axis=1)
-        bufs = np.empty((4, rows, n_dip))
+        size = min(step, len(pts))
+        operands = np.stack([p1, p2, m1, m2, m3, u2, 3.0 * u, 2.0 * u2])
+        dipole_major = n_dip < _SEQUENTIAL_ROW_SUM
+        if dipole_major:
+            operands = operands[:, :, None]
+            # rows padded by one cache line: on a buffer contiguous across rows
+            # numpy's ufunc loop runs up to 8192 elements across rows at a time
+            # and copies each operand column into its own buffer to do so,
+            # which makes the column ops about 3x slower from 4 dipoles on
+            bufs = np.empty((4, n_dip, size + 8))
+            nodes = np.empty((2, size))
+        else:
+            operands = np.repeat(operands[:, None], size, axis=1)
+            bufs = np.empty((4, size, n_dip))
         for lo in range(0, len(pts), step):
             block = pts[lo:lo + step]
-            a, b, r2, den = bufs[:, :len(block)]
-            p1, p2, m1, m2, m3, u2, three_u, two_u2 = tiles[:, :len(block)]
-            np.subtract(block[:, 0, None], p1, out=a)         # dx1
-            np.subtract(block[:, 1, None], p2, out=b)         # dx2
+            n = len(block)
+            if dipole_major:
+                np.copyto(nodes[:, :n], block.T)
+                x1, x2 = nodes[:, :n]
+                a, b, r2, den = bufs[..., :n]
+                p1, p2, m1, m2, m3, u2, three_u, two_u2 = operands
+            else:
+                x1, x2 = block[:, 0, None], block[:, 1, None]
+                a, b, r2, den = bufs[:, :n]
+                p1, p2, m1, m2, m3, u2, three_u, two_u2 = operands[:, :n]
+            np.subtract(x1, p1, out=a)                        # dx1
+            np.subtract(x2, p2, out=b)                        # dx2
             np.square(a, out=r2)
             np.square(b, out=den)
             np.add(r2, den, out=r2)                           # r^2
@@ -117,7 +145,7 @@ def b3(scene: DipoleScene, x) -> np.ndarray | float:
             np.add(r2, u2, out=r2)
             np.power(r2, 2.5, out=den)
             np.divide(a, den, out=a)
-            np.sum(a, axis=-1, out=vals[lo:lo + step])
+            np.add.reduce(a, axis=0 if dipole_major else -1, out=vals[lo:lo + n])
         vals *= scene.mu0 / (4.0 * _PI)
     return float(vals[0]) if scalar else vals.reshape(x.shape[:-1])
 

@@ -228,6 +228,18 @@ class TailIntegralKind(Enum):
     J2_TOTAL = "j2_total"             # int_rho^inf J2(x) dx
 
 
+@functools.lru_cache(maxsize=32)
+def _exact_series(rho: Fraction) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """J0, J1, (pi/2)H0 and (pi/2)H1 at rho as exact rationals.
+
+    Cached because every closed form at one rho reads the same four series:
+    the kinds of `_tail_integral_frac`, `tail_recursion_rhs` and
+    `sin_cos_components` each ask for them in turn.
+    """
+    return (_bessel_series_frac(rho, 0), _bessel_series_frac(rho, 1),
+            _struve_series_frac(rho, 0), _struve_series_frac(rho, 1))
+
+
 def _tail_integral_frac(kind: TailIntegralKind, rho: Fraction) -> Fraction:
     """The closed forms assembled wholly in rational arithmetic.
 
@@ -235,11 +247,8 @@ def _tail_integral_frac(kind: TailIntegralKind, rho: Fraction) -> Fraction:
     pi*rho*(J0 H1 - J1 H0) = 2 rho (J0 * (pi/2)H1 - J1 * (pi/2)H0), so the
     heavy cancellation in e.g. the 1/x^7 tail at large rho costs nothing.
     """
-    j0 = _bessel_series_frac(rho, 0)
-    j1 = _bessel_series_frac(rho, 1)
+    j0, j1, h0s, h1s = _exact_series(rho)
     j1p = j0 - j1 / rho
-    h0s = _struve_series_frac(rho, 0)
-    h1s = _struve_series_frac(rho, 1)
     g = 2 * rho * (j0 * h1s - j1 * h0s)  # = pi*rho*(J0 H1 - J1 H0), exactly
     one = Fraction(1)
     if kind is TailIntegralKind.J1_OVER_X_P1:
@@ -299,8 +308,8 @@ def tail_recursion_rhs(n: int, rho: float) -> float:
              2: TailIntegralKind.J1_OVER_X_P3,
              3: TailIntegralKind.J1_OVER_X_P5}[n]
     r = Fraction(_closed_form_rho("tail_recursion_rhs", rho))
-    j1 = _bessel_series_frac(r, 1)
-    j1p = _bessel_series_frac(r, 0) - j1 / r
+    j0, j1, _, _ = _exact_series(r)
+    j1p = j0 - j1 / r
     return float((2 * n * j1 / r ** (2 * n) + j1p / r ** (2 * n - 1)
                   - _tail_integral_frac(lower, r)) / (4 * n * n - 1))
 

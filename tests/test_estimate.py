@@ -517,6 +517,15 @@ def test_drift_series_rejects_too_few_pixels(demo_scene):
         raster_m3_drift_series(demo_scene, [2e-4, 2e-3], spec, None, n_pixels=2)
 
 
+def test_drift_series_rejects_bool_pixel_count(demo_scene):
+    from netmoment import raster_m3_drift_series
+
+    # True is an Integral equal to 1 and used to run as a 1-pixel raster
+    with pytest.raises(ValueError, match="n_pixels"):
+        raster_m3_drift_series(demo_scene, [1e-3, 2e-3], EstimatorSpec("m3", 2), None,
+                               n_pixels=True)
+
+
 @pytest.mark.parametrize("radii", [[], [1e-3, math.nan, 2e-3]])
 def test_sweep_rejects_empty_or_nan_radii(demo_scene, radii):
     with pytest.raises(ValueError, match="radii"):

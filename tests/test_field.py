@@ -89,7 +89,8 @@ def test_b3_memory_does_not_grow_with_nodes():
     assert peak < 8 * 2**20, f"b3 peaked at {peak / 2**20:.1f} MB"
 
 
-@pytest.mark.parametrize("n_dipoles", [1, 2, 3, 5, 7])
+# below 8 dipoles b3 lays its blocks out dipole-major, from 8 on node-major
+@pytest.mark.parametrize("n_dipoles", [1, 2, 3, 4, 5, 7, 8, 9])
 def test_b3_tiles_match_unchunked_few_dipoles(n_dipoles):
     scene = random_scene(n_dipoles, seed=20 + n_dipoles)
     step = _PAIR_BUDGET // n_dipoles
@@ -97,20 +98,23 @@ def test_b3_tiles_match_unchunked_few_dipoles(n_dipoles):
     for n_nodes in (2 * step + 17, step // 3, 1):   # partial last block; less than one
         nodes = rng.uniform(-2e-3, 2e-3, (n_nodes, 2))
         assert_bitwise(b3(scene, nodes), b3_unchunked(scene, nodes))
+    point = tuple(rng.uniform(-2e-3, 2e-3, 2))
+    assert_bitwise(b3(scene, point), b3_unchunked(scene, point))
 
 
 def test_b3_tiles_do_not_grow_with_nodes():
-    scene = random_scene(1, seed=15)
     nodes = build_grid(1e-3, 512, 256).nodes               # 2**17 nodes
-    tracemalloc.start()
-    try:
-        b3(scene, nodes)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # the 1 MB output, four 128 KB buffers and eight 128 KB tiles; tiles sized
-    # to the node count would add 8 MB
-    assert peak < 3 * 2**20, f"b3 peaked at {peak / 2**20:.2f} MB"
+    for n_dipoles in (1, 7):                               # 7: the widest dipole-major block
+        scene = random_scene(n_dipoles, seed=15)
+        tracemalloc.start()
+        try:
+            b3(scene, nodes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 1 MB output, four 128 KB buffers and a node buffer of at most
+        # 256 KB; buffers sized to the node count would add 4 MB or more
+        assert peak < 3 * 2**20, f"{n_dipoles} dipoles: b3 peaked at {peak / 2**20:.2f} MB"
 
 
 def test_b3_empty_scene_zero():

@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import math
 import pathlib
@@ -129,8 +130,8 @@ def test_tail_quadrature_shares_no_code_with_closed_forms(monkeypatch):
 
     # values cached by earlier calls would pass without running the quadrature
     specfun._tail_quadratures.cache_clear()
-    for name in ("_bessel_series_frac", "_bessel_series", "_bessel_asympt",
-                 "bessel_j0", "bessel_j1", "bessel_j2"):
+    for name in ("_exact_series", "_bessel_series_frac", "_struve_series_frac",
+                 "_bessel_series", "_bessel_asympt", "bessel_j0", "bessel_j1", "bessel_j2"):
         monkeypatch.setattr(specfun, name, broken)
     for kind, want in closed.items():
         assert tail_integral_quadrature(kind, 1.0) == pytest.approx(want, rel=1e-8), kind
@@ -225,6 +226,25 @@ def test_tail_recursion_rejects_non_integer_or_out_of_range_n(n):
 
 def test_tail_recursion_accepts_numpy_integer_n():
     assert tail_recursion_rhs(np.int64(2), 3.0).hex() == tail_recursion_rhs(2, 3.0).hex()
+
+
+def test_closed_forms_build_the_exact_series_once_per_rho(monkeypatch):
+    # every closed form at one rho reads one cached set of J0, J1, (pi/2)H0 and
+    # (pi/2)H1, with the bits of the values built afresh for each call
+    rho = 2.7
+    closed_forms = ([functools.partial(tail_integral, kind) for kind in TailIntegralKind]
+                    + [functools.partial(tail_recursion_rhs, n) for n in (1, 2, 3)])
+    fresh = []
+    for fn in closed_forms:
+        specfun._exact_series.cache_clear()
+        fresh.append(fn(rho).hex())
+    calls = []
+    for name in ("_bessel_series_frac", "_struve_series_frac"):
+        monkeypatch.setattr(specfun, name, lambda *a, _f=getattr(specfun, name):
+                            calls.append(a) or _f(*a))
+    specfun._exact_series.cache_clear()
+    assert [fn(rho).hex() for fn in closed_forms] == fresh
+    assert len(calls) == 4
 
 
 def test_closed_forms_reject_rho_beyond_struve_cap():
