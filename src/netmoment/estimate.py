@@ -439,6 +439,10 @@ def sweep(scene: DipoleScene, radii: Sequence[float], specs: Sequence[EstimatorS
     cannot change the result.  A margin >= 1 at the smallest radius only
     warns: small radii outside the asymptotic regime are still useful data.
     """
+    # a bool is an Integral, but True is no worker count
+    if (isinstance(max_workers, bool) or not isinstance(max_workers, numbers.Integral)
+            or max_workers < 1):
+        raise ValueError(f"max_workers must be an integer >= 1, got {max_workers!r}")
     radii = _ascending_radii(radii)
     margin = asympt_condition_margin(scene, radii[0])
     if margin >= 1.0:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -141,16 +142,23 @@ def net_moment(scene: DipoleScene) -> MomentVector:
     return MomentVector(*map(float, total))
 
 
+def _exponents(**exponents) -> None:
+    """Raise SceneError naming the first exponent that is a bool, not an integer or negative."""
+    for name, value in exponents.items():
+        # a bool is an Integral, and a fractional power of a negative coordinate is NaN
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+            raise SceneError(f"exponent {name} must be a nonnegative integer, got {value!r}")
+
+
 def algebraic_moment(scene: DipoleScene, j1: int, j2: int, j3: int, n: int) -> float:
     """<x1^j1 x2^j2 x3^j3 M_n>, the monomial-weighted moment of component n.
 
     For dipole ensembles the distributional pairing is the weighted point sum
     sum_k t1^j1 t2^j2 t3^j3 m_n over dipoles.
     """
-    if n not in (1, 2, 3):
-        raise SceneError(f"component index n must be 1, 2 or 3, got {n}")
-    if min(j1, j2, j3) < 0:
-        raise SceneError("monomial exponents must be nonnegative")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n not in (1, 2, 3):
+        raise SceneError(f"component index n must be 1, 2 or 3, got {n!r}")
+    _exponents(j1=j1, j2=j2, j3=j3)
     if not len(scene.dipoles):
         return 0.0
     p = scene.positions
@@ -159,8 +167,7 @@ def algebraic_moment(scene: DipoleScene, j1: int, j2: int, j3: int, n: int) -> f
 
 def height_moment(scene: DipoleScene, p: int, q: int, r: int, n: int) -> float:
     """<(h - x3)^p x1^q x2^r M_n> via binomial expansion in the height h."""
-    if p < 0:
-        raise SceneError("height exponent must be nonnegative")
+    _exponents(p=p, q=q, r=r)
     h = scene.height
     return math.fsum(
         math.comb(p, i) * h ** (p - i) * (-1) ** i * algebraic_moment(scene, q, r, i, n)

@@ -2,11 +2,17 @@
 
 Everything here feeds the far-field moment estimators: J0/J1 (series for
 moderate arguments, Hankel big-argument form beyond), Struve H0/H1 by exact
-rational series, closed forms for the semi-infinite Bessel tail integrals,
-an oscillation-aware quadrature that independently confirms each closed
-form, the exterior ring integrals and their small-frequency Taylor tables
-from the finite-part rule field._finite_part, and `IDENTITIES`, the one
-table of identity checks that `netmoment verify-specfun` runs.
+rational series, closed forms for the semi-infinite Bessel tail integrals
+and the exterior ring integrals, an oscillation-aware quadrature that
+independently confirms each, the ring Taylor tables from the finite-part
+rule field._finite_part, and `IDENTITIES`, the one table of identity checks
+that `netmoment verify-specfun` runs.
+
+The closed forms are derived: a form {(f, k): c} sums c f(rho) rho^k over
+f in 1, J0, J1 and S = J0 (pi/2)H1 - J1 (pi/2)H0.  Only int_rho^inf J0 is
+typed; four exact rules give the other tails (`_tail_form`), and a ring form
+integrates the angular mean of its term onto them (`_ring_form`).  A form is
+evaluated exactly on the cached series at rho and rounded to a float once.
 
 The ring integrals are keyed like the far-field coefficients, by term shape
 (a, b, n): their shapes are the far-field shapes with even b, and odd a
@@ -228,48 +234,64 @@ class TailIntegralKind(Enum):
     J2_TOTAL = "j2_total"             # int_rho^inf J2(x) dx
 
 
+# kind -> (i, p) of the integrand J_i(x) / x^p, read by both routes
+_TAIL_INTEGRANDS = {
+    TailIntegralKind.J1_OVER_X_P1: (1, 1),
+    TailIntegralKind.J1_OVER_X_P3: (1, 3),
+    TailIntegralKind.J1_OVER_X_P5: (1, 5),
+    TailIntegralKind.J1_OVER_X_P7: (1, 7),
+    TailIntegralKind.J0_OVER_X_P2: (0, 2),
+    TailIntegralKind.J0_TOTAL: (0, 0),
+    TailIntegralKind.J2_TOTAL: (2, 0),
+}
+
+# A closed form {(f, k): c} stands for the sum of c f(rho) rho^k over its
+# entries, c a Fraction and f one of "1", "J0", "J1" and
+# "S" = J0 (pi/2)H1 - J1 (pi/2)H0.  Struve enters only through S, so a form
+# is rational at a rational rho and its heavy cancellations cost nothing.
+# The forms and the series values are cached and shared: never mutate one.
+Form = dict[tuple[str, int], Fraction]
+
+
 @functools.lru_cache(maxsize=32)
-def _exact_series(rho: Fraction) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """J0, J1, (pi/2)H0 and (pi/2)H1 at rho as exact rationals.
-
-    Cached because every closed form at one rho reads the same four series:
-    the kinds of `_tail_integral_frac`, `tail_recursion_rhs` and
-    `sin_cos_components` each ask for them in turn.
-    """
-    return (_bessel_series_frac(rho, 0), _bessel_series_frac(rho, 1),
-            _struve_series_frac(rho, 0), _struve_series_frac(rho, 1))
+def _exact_series(rho: Fraction) -> dict[str, Fraction]:
+    """1, J0, J1 and S at rho as exact rationals; cached, as every form at one rho reads them."""
+    j0, j1 = _bessel_series_frac(rho, 0), _bessel_series_frac(rho, 1)
+    return {"1": Fraction(1), "J0": j0, "J1": j1,
+            "S": j0 * _struve_series_frac(rho, 1) - j1 * _struve_series_frac(rho, 0)}
 
 
-def _tail_integral_frac(kind: TailIntegralKind, rho: Fraction) -> Fraction:
-    """The closed forms assembled wholly in rational arithmetic.
+def _value(form: Form, rho: Fraction) -> Fraction:
+    """A form at rho, exactly: one Laurent polynomial in rho per function, times its value."""
+    return sum(value * sum(c * rho**k for (g, k), c in form.items() if g == f)
+               for f, value in _exact_series(rho).items())
 
-    Everything is rational once Struve enters through the combination
-    pi*rho*(J0 H1 - J1 H0) = 2 rho (J0 * (pi/2)H1 - J1 * (pi/2)H0), so the
-    heavy cancellation in e.g. the 1/x^7 tail at large rho costs nothing.
-    """
-    j0, j1, h0s, h1s = _exact_series(rho)
-    j1p = j0 - j1 / rho
-    g = 2 * rho * (j0 * h1s - j1 * h0s)  # = pi*rho*(J0 H1 - J1 H0), exactly
-    one = Fraction(1)
-    if kind is TailIntegralKind.J1_OVER_X_P1:
-        return j1 / rho**2 + j1p / rho - j0 / rho + one + j1 - rho * j0 + g / 2
-    if kind is TailIntegralKind.J1_OVER_X_P3:
-        return (j0 / (3 * rho) + j1 / (3 * rho**2) - Fraction(1, 3) - j1 / 3
-                + rho * j0 / 3 - g / 6)
-    if kind is TailIntegralKind.J1_OVER_X_P5:
-        return (4 * j1 / (15 * rho**4) + j1p / (15 * rho**3) - j0 / (45 * rho)
-                - j1 / (45 * rho**2) + Fraction(1, 45) + j1 / 45 - rho * j0 / 45 + g / 90)
-    if kind is TailIntegralKind.J1_OVER_X_P7:
-        return (6 * j1 / (35 * rho**6) + j1p / (35 * rho**5) - 4 * j1 / (525 * rho**4)
-                - j1p / (525 * rho**3) + j0 / (1575 * rho) + j1 / (1575 * rho**2)
-                - Fraction(1, 1575) - j1 / 1575 + rho * j0 / 1575 - g / 3150)
-    if kind is TailIntegralKind.J0_OVER_X_P2:
-        return j0 / rho - j1 - one + rho * j0 - g / 2
-    if kind is TailIntegralKind.J0_TOTAL:
-        return one - rho * j0 + g / 2
-    if kind is TailIntegralKind.J2_TOTAL:
-        return one + 2 * j1 - rho * j0 + g / 2
-    raise DomainError(f"unknown tail integral kind {kind!r}")
+
+def _sum(*terms: tuple[Fraction | int, Form]) -> Form:
+    """The combination of the (weight, form) pairs, zero entries dropped."""
+    out: dict[tuple[str, int], Fraction] = {}
+    for w, form in terms:
+        for key, c in form.items():
+            out[key] = out.get(key, 0) + w * c
+    return {key: Fraction(c) for key, c in out.items() if c}
+
+
+@functools.cache
+def _tail_form(i: int, p: int) -> Form:
+    """int_rho^inf J_i(x) / x^p dx: J0 over even p, J1 over odd p or J2 over x^0."""
+    if (i, p) == (0, 0):  # the one typed form: int J0 = 1 - rho J0 + rho S
+        return {("1", 0): Fraction(1), ("J0", 1): Fraction(-1), ("S", 1): Fraction(1)}
+    if i == 0:  # integration by parts with J1 = -J0' takes J0/x^p onto J1/x^(p-1)
+        w = Fraction(1, p - 1)
+        return _sum((w, {("J0", 1 - p): 1}), (-w, _tail_form(1, p - 1)))
+    if i == 2 or p == 1:  # J1/x = J0 - J1' and J2 = J0 - 2 J1' add J1(rho), 2 J1(rho)
+        return _sum((1, _tail_form(0, 0)), (i, {("J1", 0): 1}))
+    # the reduction identity for J1/x^(q+2), q odd: Bessel's equation
+    # J1 = J1/x^2 - J1'' - J1'/x over x^q, integrated by parts, gives
+    # (J0(rho)/rho^q + q J1(rho)/rho^(q+1) - int J1/x^q) / (q (q+2))
+    q = p - 2
+    w = Fraction(1, q * (q + 2))
+    return _sum((w, {("J0", -q): 1, ("J1", -q - 1): q}), (-w, _tail_form(1, q)))
 
 
 def _positive(fn: str, name: str, value: float) -> float:
@@ -291,27 +313,23 @@ def _closed_form_rho(fn: str, rho: float) -> float:
 
 def tail_integral(kind: TailIntegralKind, rho: float) -> float:
     """Closed form of the selected tail integral at lower limit rho."""
+    if kind not in _TAIL_INTEGRANDS:
+        raise DomainError(f"unknown tail integral kind {kind!r}")
     rho = _closed_form_rho("tail_integral", rho)
-    return float(_tail_integral_frac(kind, Fraction(rho)))
+    return float(_value(_tail_form(*_TAIL_INTEGRANDS[kind]), Fraction(rho)))
 
 
 def tail_recursion_rhs(n: int, rho: float) -> float:
     """Right side of the reduction identity for int_rho^inf J1/x^(2n+1).
 
-    (2n J1(rho)/rho^(2n) + J1'(rho)/rho^(2n-1) - int_rho^inf J1/x^(2n-1)) / (4n^2 - 1)
+    (2n J1(rho)/rho^(2n) + J1'(rho)/rho^(2n-1) - int_rho^inf J1/x^(2n-1)) / (4n^2 - 1),
+    the one copy of it: the form by which `_tail_form` derives that tail.
     """
     # a bool is an Integral, and a float n would leak float arithmetic into the exact form
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n not in (1, 2, 3):
         raise DomainError(f"tail_recursion_rhs needs an integer n in {{1, 2, 3}}, got {n!r}")
-    n = int(n)
-    lower = {1: TailIntegralKind.J1_OVER_X_P1,
-             2: TailIntegralKind.J1_OVER_X_P3,
-             3: TailIntegralKind.J1_OVER_X_P5}[n]
     r = Fraction(_closed_form_rho("tail_recursion_rhs", rho))
-    j0, j1, _, _ = _exact_series(r)
-    j1p = j0 - j1 / r
-    return float((2 * n * j1 / r ** (2 * n) + j1p / r ** (2 * n - 1)
-                  - _tail_integral_frac(lower, r)) / (4 * n * n - 1))
+    return float(_value(_tail_form(1, 2 * int(n) + 1), r))
 
 
 # ---------------------------------------------------------------------------
@@ -414,18 +432,6 @@ def _bessel_integral(n: int, x: np.ndarray) -> np.ndarray:
     return np.cos(n * tau - np.multiply.outer(x, np.sin(tau))).mean(axis=-1)
 
 
-# kind -> (n, p) of the integrand J_n(x) / x^p
-_TAIL_INTEGRANDS = {
-    TailIntegralKind.J1_OVER_X_P1: (1, 1),
-    TailIntegralKind.J1_OVER_X_P3: (1, 3),
-    TailIntegralKind.J1_OVER_X_P5: (1, 5),
-    TailIntegralKind.J1_OVER_X_P7: (1, 7),
-    TailIntegralKind.J0_OVER_X_P2: (0, 2),
-    TailIntegralKind.J0_TOTAL: (0, 0),
-    TailIntegralKind.J2_TOTAL: (2, 0),
-}
-
-
 @functools.lru_cache(maxsize=32)
 def _tail_quadratures(n: int, rho: float) -> dict[int, float]:
     """int_rho^inf J_n(x) / x^p dx for every power p that `_TAIL_INTEGRANDS` pairs with n.
@@ -469,37 +475,44 @@ def tail_integral_quadrature(kind: TailIntegralKind, rho: float) -> float:
 _RING_SHAPES = tuple(shape for shape in _FAR_FIELD_ROWS if shape[1] % 2 == 0)
 
 
+# J0' = -J1 and J1' = J0 - J1/x, as (function, shift of the power, weight)
+_PRIMES = {"J0": (("J1", 0, -1),), "J1": (("J0", 0, 1), ("J1", -1, -1))}
+
+
+@functools.cache
+def _d_j0(m: int) -> Form:
+    """The m-th derivative of J0 as a form in J0 and J1."""
+    if m == 0:
+        return {("J0", 0): Fraction(1)}
+    # the product rule on each term c f x^k: c k f x^(k-1) + c f' x^k
+    return _sum(*((c * w, {(g, k + dk): 1}) for (f, k), c in _d_j0(m - 1).items()
+                  for g, dk, w in ((f, -1, k), *_PRIMES[f])))
+
+
+@functools.cache
+def _ring_form(a: int, b: int, n: int) -> Form:
+    """The ring integral of shape (a, b, n) over 2 pi (2 pi k1)^(s-1), s = n - a - b - 1."""
+    # With x = 2 pi k1 r the ring integral is 2 pi (2 pi k1)^(s-1) times the
+    # integral over (rho, inf) of x^-s <trig(x cos t) cos^a t sin^b t>, <.> the
+    # mean over t.  sin^b = (1 - cos^2)^(b/2) expands into cos^(a+2j), the mean
+    # of trig(x cos t) cos^m t is (-1)^((m+1)//2) d^m J0/dx^m, and the two signs
+    # leave (-1)^((a+1)//2) for every j.  Each term c J_i x^k of the mean then
+    # integrates onto c int J_i/x^(s-k).
+    s = n - a - b - 1
+    mean = _sum(*(((-1) ** ((a + 1) // 2) * math.comb(b // 2, j), _d_j0(a + 2 * j))
+                  for j in range(b // 2 + 1)))
+    # f is "J0" or "J1", so f[1] is the Bessel order i
+    return _sum(*((c, _tail_form(int(f[1]), s - k)) for (f, k), c in mean.items()))
+
+
 def sin_cos_components(k1: float, radius: float) -> dict[tuple[int, int, int], float]:
     """Closed-form ring integrals by term shape at rho = 2*pi*k1*radius (requires rho <= 50)."""
     k1 = _positive("sin_cos_components", "k1", k1)
     radius = _positive("sin_cos_components", "radius", radius)
-    rho = 2.0 * math.pi * k1 * radius
-    if rho > STRUVE_MAX_ARG:
-        raise DomainError(
-            f"2*pi*k1*radius = {rho:.3g} beyond the special-function domain {STRUVE_MAX_ARG}"
-        )
-    j0 = bessel_j0(rho)
-    j1 = bessel_j1(rho)
-    j1p = bessel_j1_prime(rho)
-    t1 = tail_integral(TailIntegralKind.J1_OVER_X_P1, rho)
-    t3 = tail_integral(TailIntegralKind.J1_OVER_X_P3, rho)
-    t5 = tail_integral(TailIntegralKind.J1_OVER_X_P5, rho)
-    t7 = tail_integral(TailIntegralKind.J1_OVER_X_P7, rho)
+    rho = _closed_form_rho("sin_cos_components", 2.0 * math.pi * k1 * radius)
     two_pi = 2.0 * math.pi
-    pre_s1 = two_pi**2 * k1 / radius
-    pre_s3 = two_pi**2 * k1 / radius**3
-    pre_c1 = two_pi / radius
-    pre_c3 = two_pi / radius**3
-    return {
-        (1, 0, 5): pre_s1 * rho * t3,
-        (1, 0, 7): pre_s3 * rho**3 * t5,
-        (3, 0, 9): pre_s3 * (5 * j1 / rho**3 + j1p / rho**2 - 30 * rho**3 * t7),
-        (1, 2, 9): -pre_s3 * (5 * j1 / rho**3 + j1p / rho**2 - rho**3 * t5 - 30 * rho**3 * t7),
-        (0, 0, 3): pre_c1 * (j0 - rho * t1),
-        (0, 0, 5): pre_c3 * (j0 - rho**3 * t3) / 3.0,
-        (2, 0, 7): pre_c3 * (-j1 / rho + 4 * rho**3 * t5),
-        (0, 2, 7): pre_c3 * (j0 / 3.0 + j1 / rho - rho**3 * t3 / 3.0 - 4 * rho**3 * t5),
-    }
+    return {(a, b, n): two_pi * (two_pi * k1) ** (n - a - b - 2)
+            * float(_value(_ring_form(a, b, n), Fraction(rho))) for a, b, n in _RING_SHAPES}
 
 
 def _ring_trig_integrals(trig: str, powers: list[tuple[int, int, int]],
@@ -534,6 +547,13 @@ def ring_trig_integral(trig: str, cos_pow: int, sin_pow: int, inv_pow: int,
     """
     if trig not in ("sin", "cos"):
         raise DomainError(f"ring_trig_integral needs trig 'sin' or 'cos', got {trig!r}")
+    # a bool is an Integral; a fractional power of a negative cos t or sin t
+    # has no real value, and the radial integral diverges for inv_pow < 1
+    for name, power, least in (("cos_pow", cos_pow, 0), ("sin_pow", sin_pow, 0),
+                               ("inv_pow", inv_pow, 1)):
+        if isinstance(power, bool) or not isinstance(power, numbers.Integral) or power < least:
+            raise DomainError(f"ring_trig_integral needs an integer {name} >= {least}, "
+                              f"got {power!r}")
     k1 = _positive("ring_trig_integral", "k1", k1)
     radius = _positive("ring_trig_integral", "radius", radius)
     return _ring_trig_integrals(trig, [(cos_pow, sin_pow, inv_pow)], k1, radius)[0]

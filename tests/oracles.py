@@ -7,8 +7,10 @@ integrals, closed-form polynomial disk integrals, a dense-grid maximisation
 of the far-field condition expression, the tabulated Taylor rows of the ring
 integrals, the hand-expanded far-field coefficients, the hand-tabulated
 estimator rows with the T-quantity and leading-error formulas, the Bessel
-and Struve series summed term by term in reduced `Fraction`s, and the Euler
-transform of one panel series held as a list.  The library
+and Struve series summed term by term in reduced `Fraction`s, the hand-typed
+tail and ring closed forms with the Taylor coefficients of the functions
+they are written in, and the Euler transform of one panel series held as a
+list.  The library
 keys each far-field coefficient by its term's shape (a, b, n) alone; the
 paper's names and order for them are kept here, in PAPER_NAMES.
 """
@@ -521,6 +523,99 @@ def struve_series_frac_per_term(z: Fraction, n: int, tol_exp: int = 30) -> Fract
             break
         k += 1
     return total
+
+
+# ---------------------------------------------------------------------------
+# the Fourier-side closed forms as typed by hand, and the series they expand in
+# ---------------------------------------------------------------------------
+
+def _hand_inputs(rho: Fraction):
+    """J0, J1, J1' and g = pi rho (J0 H1 - J1 H0) at rho, exactly, by the per-term series."""
+    j0 = bessel_series_frac_per_term(rho, 0)
+    j1 = bessel_series_frac_per_term(rho, 1)
+    g = 2 * rho * (j0 * struve_series_frac_per_term(rho, 1)
+                   - j1 * struve_series_frac_per_term(rho, 0))
+    return j0, j1, j0 - j1 / rho, g
+
+
+def tail_integrals_tabulated(rho: Fraction) -> dict[str, Fraction]:
+    """The seven tail integrals at rho by their hand-typed closed forms, keyed by kind value.
+
+    These are the forms the library typed one by one before it derived them
+    from the integral of J0 alone.
+    """
+    j0, j1, j1p, g = _hand_inputs(rho)
+    one = Fraction(1)
+    return {
+        "j1_over_x_p1": j1 / rho**2 + j1p / rho - j0 / rho + one + j1 - rho * j0 + g / 2,
+        "j1_over_x_p3": (j0 / (3 * rho) + j1 / (3 * rho**2) - Fraction(1, 3) - j1 / 3
+                         + rho * j0 / 3 - g / 6),
+        "j1_over_x_p5": (4 * j1 / (15 * rho**4) + j1p / (15 * rho**3) - j0 / (45 * rho)
+                         - j1 / (45 * rho**2) + Fraction(1, 45) + j1 / 45 - rho * j0 / 45
+                         + g / 90),
+        "j1_over_x_p7": (6 * j1 / (35 * rho**6) + j1p / (35 * rho**5) - 4 * j1 / (525 * rho**4)
+                         - j1p / (525 * rho**3) + j0 / (1575 * rho) + j1 / (1575 * rho**2)
+                         - Fraction(1, 1575) - j1 / 1575 + rho * j0 / 1575 - g / 3150),
+        "j0_over_x_p2": j0 / rho - j1 - one + rho * j0 - g / 2,
+        "j0_total": one - rho * j0 + g / 2,
+        "j2_total": one + 2 * j1 - rho * j0 + g / 2,
+    }
+
+
+def tail_recursion_rhs_tabulated(n: int, rho: Fraction) -> Fraction:
+    """The reduction identity's right side with the hand-typed tail one step down."""
+    j0, j1, j1p, _ = _hand_inputs(rho)
+    lower = tail_integrals_tabulated(rho)[f"j1_over_x_p{2 * n - 1}"]
+    return (2 * n * j1 / rho ** (2 * n) + j1p / rho ** (2 * n - 1) - lower) / (4 * n * n - 1)
+
+
+def ring_forms_tabulated(rho: Fraction) -> dict[tuple[int, int, int], Fraction]:
+    """The eight hand-typed ring closed forms at rho, each over 2 pi (2 pi k1)^(s-1).
+
+    The hand float formulas were prefactors (2 pi)^2 k1 / A, (2 pi)^2 k1 / A^3,
+    2 pi / A and 2 pi / A^3 times these brackets; with rho = 2 pi k1 A each
+    prefactor is 2 pi (2 pi k1)^(s-1) / rho^c, s = n - a - b - 1, so the
+    brackets below carry the 1/rho^c.
+    """
+    j0, j1, j1p, _ = _hand_inputs(rho)
+    tails = tail_integrals_tabulated(rho)
+    t1, t3, t5, t7 = (tails[f"j1_over_x_p{p}"] for p in (1, 3, 5, 7))
+    return {
+        (1, 0, 5): rho * t3 / rho,
+        (1, 0, 7): rho**3 * t5 / rho**3,
+        (3, 0, 9): (5 * j1 / rho**3 + j1p / rho**2 - 30 * rho**3 * t7) / rho**3,
+        (1, 2, 9): -(5 * j1 / rho**3 + j1p / rho**2 - rho**3 * t5 - 30 * rho**3 * t7) / rho**3,
+        (0, 0, 3): (j0 - rho * t1) / rho,
+        (0, 0, 5): (j0 - rho**3 * t3) / 3 / rho**3,
+        (2, 0, 7): (-j1 / rho + 4 * rho**3 * t5) / rho**3,
+        (0, 2, 7): (j0 / 3 + j1 / rho - rho**3 * t3 / 3 - 4 * rho**3 * t5) / rho**3,
+    }
+
+
+def exact_series_coefficients(order: int) -> dict[str, dict[int, Fraction]]:
+    """Taylor coefficients {power: c} through x^order of 1, J0, J1 and S.
+
+    S = J0 (pi/2)H1 - J1 (pi/2)H0, with J_n = sum (-1)^k (x/2)^(2k+n) / (k! (k+n)!)
+    and (pi/2) H_n = sum (-1)^k x^(2k+n+1) / ((2k+1)!! (2k+2n+1)!!), written
+    out here rather than read from the library's series.
+    """
+    def double_factorial(m: int) -> int:
+        return math.prod(range(m, 0, -2))
+
+    ks = range(order // 2 + 1)
+    bessel = {n: {2 * k + n: Fraction((-1) ** k, 2 ** (2 * k + n) * math.factorial(k)
+                                      * math.factorial(k + n))
+                  for k in ks if 2 * k + n <= order} for n in (0, 1)}
+    struve = {n: {2 * k + n + 1: Fraction((-1) ** k, double_factorial(2 * k + 1)
+                                          * double_factorial(2 * k + 2 * n + 1))
+                  for k in ks if 2 * k + n + 1 <= order} for n in (0, 1)}
+    s: dict[int, Fraction] = {}
+    for j, h, sign in ((bessel[0], struve[1], 1), (bessel[1], struve[0], -1)):
+        for pj, cj in j.items():
+            for ph, ch in h.items():
+                if pj + ph <= order:
+                    s[pj + ph] = s.get(pj + ph, Fraction(0)) + sign * cj * ch
+    return {"1": {0: Fraction(1)}, "J0": bessel[0], "J1": bessel[1], "S": s}
 
 
 # ---------------------------------------------------------------------------

@@ -438,6 +438,15 @@ def test_sweep_parallel_matches_serial(demo_scene):
             == [r.estimate for r in threaded.rows])
 
 
+@pytest.mark.parametrize("workers", [0, -1, math.nan, True, 1.5, math.inf, 2.0, "2"])
+def test_sweep_rejects_bad_max_workers(demo_scene, workers):
+    # 0, -1, NaN and True used to run serially, 1.5 and inf to start a thread pool
+    with pytest.raises(ValueError, match=re.escape(f"max_workers must be an integer >= 1, "
+                                                   f"got {workers!r}")):
+        sweep(demo_scene, [1e-3], [EstimatorSpec("m1", 1)], GridParams(16, 16),
+              max_workers=workers)
+
+
 def test_sweep_warns_when_condition_fails(demo_scene):
     with pytest.warns(UserWarning, match="asymptotic condition"):
         sweep(demo_scene, [3e-4, 6e-4], [EstimatorSpec("m1", 1)], GridParams(16, 16))

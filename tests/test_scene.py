@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,33 @@ def test_algebraic_moment_zeroth_equals_net(demo_scene):
     m = net_moment(demo_scene)
     for n in (1, 2, 3):
         assert algebraic_moment(demo_scene, 0, 0, 0, n) == m[n - 1]
+
+
+@pytest.mark.parametrize("args, name", [
+    ((math.nan, 0, 0, 1), "exponent j1"), ((1.5, 0, 0, 1), "exponent j1"),
+    ((0, True, 0, 1), "exponent j2"), ((0, 0, -1, 1), "exponent j3"),
+    ((0, 0, 0, True), "component index n"), ((0, 0, 0, 2.0), "component index n"),
+])
+def test_algebraic_moment_rejects_bad_exponents_and_component(demo_scene, args, name):
+    # NaN gave NaN, 1.5 a fractional-power sum, and n = True was component 1
+    with pytest.raises(SceneError, match=re.escape(f"{name} must be")):
+        algebraic_moment(demo_scene, *args)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((1.5, 0, 0, 1), "exponent p"), ((True, 0, 0, 1), "exponent p"),
+    ((1, 0.5, 0, 1), "exponent q"), ((1, 0, -2, 1), "exponent r"),
+])
+def test_height_moment_rejects_bad_exponents(demo_scene, args, name):
+    # p = 1.5 raised a bare TypeError from range
+    with pytest.raises(SceneError, match=re.escape(f"{name} must be a nonnegative integer")):
+        height_moment(demo_scene, *args)
+
+
+def test_moments_accept_numpy_integer_exponents(demo_scene):
+    assert (algebraic_moment(demo_scene, np.int64(1), 0, np.int64(2), np.int64(3))
+            == algebraic_moment(demo_scene, 1, 0, 2, 3))
+    assert height_moment(demo_scene, np.int64(2), 0, 0, 1) == height_moment(demo_scene, 2, 0, 0, 1)
 
 
 def test_algebraic_moment_point_sum():

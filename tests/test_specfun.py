@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netmoment import specfun
-from netmoment.field import _FAR_FIELD_ROWS
+from netmoment.field import _FAR_FIELD_ROWS, _finite_part
 from netmoment.quad import MAX_POWER
 from netmoment.specfun import (DomainError, STRUVE_MAX_ARG, TailIntegralKind,
                                bessel_j0, bessel_j1, bessel_j1_prime, bessel_j2,
@@ -21,8 +21,10 @@ from netmoment.specfun import (DomainError, STRUVE_MAX_ARG, TailIntegralKind,
                                struve_h0, struve_h1, tail_integral,
                                tail_integral_quadrature, tail_recursion_rhs)
 from oracles import (COS_TAYLOR_SHAPES, SIN_TAYLOR_SHAPES, bessel_series_frac_per_term,
-                     euler_sum_list, high_precision_ring_fd, sin_cos_taylor_tabulated,
-                     struve_series_frac_per_term)
+                     euler_sum_list, exact_series_coefficients, high_precision_ring_fd,
+                     ring_forms_tabulated, sin_cos_taylor_tabulated,
+                     struve_series_frac_per_term, tail_integrals_tabulated,
+                     tail_recursion_rhs_tabulated)
 
 RHO_SET = (0.5, 1.0, 2.0, 5.0, 10.0, 25.0)
 
@@ -247,6 +249,72 @@ def test_closed_forms_build_the_exact_series_once_per_rho(monkeypatch):
     assert len(calls) == 4
 
 
+# lower limits in [1e-3, 50]: from where the hand forms cancel heavily up to
+# the Struve cap, dyadic and not
+EXACT_RHOS = (1e-3, 4e-3, 0.1, 0.5, 0.7, 1.0, 2.7, 3.0, 7.25, 12.0, 18.3, 25.0,
+              33.3, 49.0, 50.0)
+
+
+@pytest.mark.parametrize("rho", EXACT_RHOS)
+def test_tail_forms_equal_the_hand_forms(rho):
+    # the forms derived from int J0 alone are the hand-typed rationals, so the
+    # public floats keep the bits the hand forms gave
+    r = Fraction(rho)
+    hand = tail_integrals_tabulated(r)
+    for kind, (i, p) in specfun._TAIL_INTEGRANDS.items():
+        assert specfun._value(specfun._tail_form(i, p), r) == hand[kind.value], kind
+        assert tail_integral(kind, rho).hex() == float(hand[kind.value]).hex(), kind
+    for n in (1, 2, 3):
+        assert (tail_recursion_rhs(n, rho).hex()
+                == float(tail_recursion_rhs_tabulated(n, r)).hex()), n
+
+
+@pytest.mark.parametrize("rho", EXACT_RHOS)
+def test_ring_forms_equal_the_hand_forms(rho):
+    r = Fraction(rho)
+    hand = ring_forms_tabulated(r)
+    assert set(hand) == set(specfun._RING_SHAPES)
+    for shape, want in hand.items():
+        assert specfun._value(specfun._ring_form(*shape), r) == want, shape
+
+
+def _laurent(form, order: int) -> dict[int, Fraction]:
+    """{power: coefficient} of a form expanded in rho, through rho^order."""
+    series = exact_series_coefficients(order - min(k for _, k in form))
+    out: dict[int, Fraction] = {}
+    for (f, k), c in form.items():
+        for power, s in series[f].items():
+            if power + k <= order:
+                out[power + k] = out.get(power + k, 0) + c * s
+    return out
+
+
+# every even-b shape (a, b, n) with odd n <= 15 and e = n - 2 - a - b >= 1:
+# today's eight ring shapes and the terms of the orders past today's ladder
+BRIDGE_SHAPES = [(a, b, n) for n in range(3, 16, 2) for b in range(0, n, 2) for a in range(n)
+                 if n - 2 - a - b >= 1]
+
+
+@pytest.mark.parametrize("n", range(3, 16, 2))
+def test_ring_forms_expand_onto_the_finite_part_rule(n):
+    # the Laurent expansion in rho of each generated ring form carries the
+    # ring Taylor data: the coefficient of rho^(q-e) is
+    # -(-1)^(q//2) _finite_part(q, a, b, n) / (2 q!) for q = a (mod 2), the
+    # other parity vanishes except at q = e, and nothing lies below rho^-e
+    assert len(BRIDGE_SHAPES) == 140 and set(specfun._RING_SHAPES) <= set(BRIDGE_SHAPES)
+    for a, b, _ in [shape for shape in BRIDGE_SHAPES if shape[2] == n]:
+        e = n - 2 - a - b
+        series = _laurent(specfun._ring_form(a, b, n), MAX_POWER + 2 - e)
+        assert min(power for power, c in series.items() if c) >= -e, (a, b, n)
+        for q in range(MAX_POWER + 3):
+            got = series.get(q - e, 0)
+            if (q - a) % 2 == 0:
+                want = -(-1) ** (q // 2) * _finite_part(q, a, b, n) / (2 * math.factorial(q))
+                assert got == want, (a, b, n, q)
+            elif q != e:
+                assert got == 0, (a, b, n, q)
+
+
 def test_closed_forms_reject_rho_beyond_struve_cap():
     # tail_recursion_rhs used to return a value at rho = 120 that tail_integral refuses
     for fn in (lambda rho: tail_integral(TailIntegralKind.J1_OVER_X_P1, rho),
@@ -265,6 +333,12 @@ def test_tail_integral_domain():
         tail_integral(TailIntegralKind.J0_TOTAL, 0.0)
     with pytest.raises(DomainError):
         tail_integral(TailIntegralKind.J0_TOTAL, -2.0)
+
+
+def test_tail_integral_rejects_unknown_kind():
+    for kind in ("j0_total", None, 3):
+        with pytest.raises(DomainError, match=re.escape(f"unknown tail integral kind {kind!r}")):
+            tail_integral(kind, 1.0)
 
 
 def test_tail_functions_reject_nonfinite_rho():
@@ -454,6 +528,21 @@ def test_ring_trig_integral_smoke():
     # the first sin component by its defining double integral
     val = ring_trig_integral("sin", 1, 0, 3, 0.2, 2.0)
     assert val == pytest.approx(sin_cos_components(0.2, 2.0)[(1, 0, 5)], rel=1e-9)
+
+
+@pytest.mark.parametrize("powers, name", [
+    ((1.5, 0, 3), "cos_pow"), ((-2, 0, 3), "cos_pow"), ((True, 0, 3), "cos_pow"),
+    ((1, 0.5, 3), "sin_pow"), ((1, -1, 3), "sin_pow"), ((1, False, 3), "sin_pow"),
+    ((1, 0, math.nan), "inv_pow"), ((1, 0, -1), "inv_pow"), ((1, 0, 0), "inv_pow"),
+    ((1, 0, 2.0), "inv_pow"), ((1, 0, True), "inv_pow"),
+])
+def test_ring_trig_integral_rejects_bad_powers(powers, name):
+    # cos_pow = 1.5 or inv_pow = NaN gave NaN, cos_pow = -2 gave 3.6e30 and the
+    # divergent inv_pow = -1 gave 2.81
+    least = 1 if name == "inv_pow" else 0
+    bad = powers[("cos_pow", "sin_pow", "inv_pow").index(name)]
+    with pytest.raises(DomainError, match=re.escape(f"integer {name} >= {least}, got {bad!r}")):
+        ring_trig_integral("sin", *powers, 0.2, 1.0)
 
 
 def test_ring_trig_integral_rejects_unknown_trig():
