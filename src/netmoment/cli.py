@@ -10,7 +10,6 @@ import argparse
 import contextlib
 import csv
 import json
-import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -18,12 +17,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
+from ._checks import _finite
 from .estimate import (EstimatorSpec, GridParams, _shown_axis, all_specs,
                        estimate_moment, sweep)
 from .field import asympt_condition_margin
 from .noise import NoiseSpec, add_noise, detrend_backward
 from .quad import build_grid, read_field_csv, sample_field, write_field_csv
-from .scene import SceneError, load_scene, net_moment
+from .scene import load_scene, net_moment
 from .specfun import IDENTITIES, DomainError
 
 __all__ = ["main"]
@@ -48,8 +48,8 @@ def _radii_from_args(args) -> list[float]:
     # NaN and inf would pass the range test below and fail only inside the sweep
     for flag in ("--radius", "--radius-min", "--radius-max"):
         value = getattr(args, flag[2:].replace("-", "_"))
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"{flag} must be finite, got {value}")
+        if value is not None:
+            _finite(value, f"{flag} must be finite", ConfigError)
     if args.radius is not None:
         return [args.radius]
     if None in (args.radius_min, args.radius_max, args.radius_count):
@@ -293,7 +293,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigError, SceneError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         if isinstance(exc, DomainError):
             print(f"numerical domain error: {exc}", file=sys.stderr)
             return 2

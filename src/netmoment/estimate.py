@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -25,8 +24,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .field import (_FAR_FIELD_ROWS, AsymptCoeffs, _finite_part, _positive_radius,
-                    asympt_coefficients, asympt_condition_margin, b3)
+from ._checks import _integer, _one_of, _positive
+from .field import (_FAR_FIELD_ROWS, AsymptCoeffs, _finite_part, asympt_coefficients,
+                    asympt_condition_margin, b3)
 from .noise import NoiseSpec, _noisy, _sigma, add_noise
 from .quad import _DEFAULT_GRID, MAX_POWER, FieldMap, build_grid, sample_field
 from .scene import MU0, DipoleScene, net_moment
@@ -150,19 +150,12 @@ class EstimatorSpec:
     axis: str = "x1"
 
     def __post_init__(self):
-        if self.component not in _COMPONENTS:
-            raise ValueError(f"component must be one of {_COMPONENTS}, got {self.component!r}")
-        if self.axis not in _AXES:
-            raise ValueError(f"axis must be one of {_AXES}, got {self.axis!r}")
+        _one_of(self.component, _COMPONENTS, f"component must be one of {_COMPONENTS}")
+        _one_of(self.axis, _AXES, f"axis must be one of {_AXES}")
         # a float or bool order would label itself m1:1.0 or m1:True
-        if isinstance(self.order, bool) or not isinstance(self.order, numbers.Integral):
-            raise ValueError(f"order must be an integer, got {self.order!r}")
+        _integer(self.order, "order must be an integer")
         valid = _orders(self.component)
-        if self.order not in valid:
-            raise ValueError(
-                f"order {self.order} not available for {self.component}; "
-                f"supported: {valid}"
-            )
+        _one_of(self.order, valid, f"order of {self.component} must be one of {valid}")
         if _shown_axis(self) is None:
             object.__setattr__(self, "axis", _AXES[0])
 
@@ -212,7 +205,7 @@ def estimator_weight(spec: EstimatorSpec, radius: float) -> Callable[[np.ndarray
 
     The moment estimate is (1/mu0) iint w * B3 over the disk of the given radius.
     """
-    radius = _positive_radius(radius)
+    radius = _positive(radius, "radius must be positive and finite")
     row, j = _estimator_row(spec)
 
     def weight(x: np.ndarray) -> np.ndarray:
@@ -290,10 +283,8 @@ def t_quantities(field_map: FieldMap, coeffs: AsymptCoeffs,
     values are in the map's field units and approach
     t_quantities_analytic(coeffs, A) as A grows.
     """
-    if axis not in _AXES:
-        raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
+    j = _AXES.index(_one_of(axis, _AXES, f"axis must be one of {_AXES}"))
     a = field_map.radius
-    j = _AXES.index(axis)
     mu = list(field_map.moments[j])
     # closure columns: pi a1 / A^2 for the odd (tangential) rows, which are
     # scaled by A / pi, and m3 * mu0 / A = -4 pi a0 / A for the even (normal)
@@ -306,7 +297,7 @@ def t_quantities(field_map: FieldMap, coeffs: AsymptCoeffs,
 
 def t_quantities_analytic(coeffs: AsymptCoeffs, radius: float) -> TQuantities:
     """The algebraic left sides of the T quantities from exact coefficients."""
-    a3 = _positive_radius(radius) ** 3
+    a3 = _positive(radius, "radius must be positive and finite") ** 3
     return TQuantities(**{f"t{q}": sum(target * (_coeff(coeffs, t) / a3)
                                        for t, target in targets.items())
                           for q, targets in _T_TARGETS.items()})
@@ -327,8 +318,8 @@ def predicted_leading_error(scene: DipoleScene, spec: EstimatorSpec,
             f"no closed-form leading error for {spec.label()}; "
             "supported: m1:1, m2:1, m3:2"
         )
-    return _leading_error(asympt_coefficients(scene), spec, _positive_radius(radius),
-                          scene.mu0)
+    return _leading_error(asympt_coefficients(scene), spec,
+                          _positive(radius, "radius must be positive and finite"), scene.mu0)
 
 
 # The true moment minus the estimate is -pi * sum (F - target) * coefficient * A^(1-e)
@@ -420,11 +411,10 @@ def _sweep_cell(scene: DipoleScene, specs: Sequence[EstimatorSpec], grid_params:
 
 
 def _ascending_radii(radii: Sequence[float]) -> list[float]:
-    radii = [float(a) for a in radii]
-    # 0 < r_0 < r_1 < ... < inf; every comparison with NaN is false
-    bounds = [0.0, *radii, math.inf]
-    if not radii or not all(a < b for a, b in zip(bounds, bounds[1:])):
-        raise ValueError("radii must be positive, finite and strictly ascending")
+    text = "radii must be positive, finite and strictly ascending"
+    radii = [_positive(a, text) for a in radii]
+    if not radii or any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ValueError(text)
     return radii
 
 
@@ -439,10 +429,7 @@ def sweep(scene: DipoleScene, radii: Sequence[float], specs: Sequence[EstimatorS
     cannot change the result.  A margin >= 1 at the smallest radius only
     warns: small radii outside the asymptotic regime are still useful data.
     """
-    # a bool is an Integral, but True is no worker count
-    if (isinstance(max_workers, bool) or not isinstance(max_workers, numbers.Integral)
-            or max_workers < 1):
-        raise ValueError(f"max_workers must be an integer >= 1, got {max_workers!r}")
+    _integer(max_workers, "max_workers must be an integer >= 1", lo=1)
     radii = _ascending_radii(radii)
     margin = asympt_condition_margin(scene, radii[0])
     if margin >= 1.0:
@@ -471,8 +458,8 @@ def convergence_slope(result: SweepResult, spec: EstimatorSpec,
     top_fraction selects the upper part of the log-radius range: with 0.5 on
     a one-decade sweep this is the classic top half-decade.
     """
-    if not 0.0 < top_fraction <= 1.0:
-        raise ValueError("top_fraction must lie in (0, 1]")
+    if _positive(top_fraction, "top_fraction must lie in (0, 1]") > 1.0:
+        raise ValueError(f"top_fraction must lie in (0, 1], got {top_fraction!r}")
     rows = result.for_spec(spec)
     if not rows:
         raise ValueError(f"no rows for spec {spec.label()}")
@@ -500,9 +487,8 @@ def raster_m3_drift_series(scene: DipoleScene, radii: Sequence[float],
     if spec.component != "m3":
         raise ValueError("drift series is defined for the normal component")
     radii = _ascending_radii(radii)
-    # a bool is an Integral, and True would run as a 1-pixel raster
-    if isinstance(n_pixels, bool) or not isinstance(n_pixels, numbers.Integral) or n_pixels < 1:
-        raise ValueError(f"n_pixels must be an integer of at least 1, got {n_pixels!r}")
+    # True would run as a 1-pixel raster
+    _integer(n_pixels, "n_pixels must be an integer of at least 1", lo=1)
     r_max = radii[-1]
     step = 2.0 * r_max / n_pixels
     centers = -r_max + step * (np.arange(n_pixels) + 0.5)

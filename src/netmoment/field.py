@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._checks import _positive
 from .scene import DipoleScene, height_moment
 
 __all__ = [
@@ -57,14 +58,6 @@ _PAIR_BUDGET = 1 << 14
 # axis-0 reduction does; from here on it sums pairwise, so b3 lays its blocks
 # out dipole-major only below it
 _SEQUENTIAL_ROW_SUM = 8
-
-
-def _positive_radius(radius) -> float:
-    """radius as a float; NaN, infinite and nonpositive radii raise ValueError."""
-    radius = float(radius)
-    if not 0.0 < radius < math.inf:
-        raise ValueError(f"radius must be positive and finite, got {radius}")
-    return radius
 
 
 def b3(scene: DipoleScene, x) -> np.ndarray | float:
@@ -223,7 +216,7 @@ def asympt_condition_margin(scene: DipoleScene, radius: float) -> float:
     horizontal offset, giving (t1^2 + t2^2 + (h-t3)^2 + 2 A sqrt(t1^2+t2^2))/A^2.
     The expansion machinery applies iff the returned margin is < 1.
     """
-    radius = _positive_radius(radius)
+    radius = _positive(radius, "radius must be positive and finite")
     if not len(scene.dipoles):
         return 0.0
     p = scene.positions

@@ -14,12 +14,12 @@ where the estimates converge; the default power = 1 extrapolates to A = 0.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ._checks import _finite, _integer, _real
 from .quad import FieldMap, Provenance
 
 __all__ = [
@@ -46,20 +46,16 @@ class NoiseSpec:
     weighted_variance: bool = True
 
     def __post_init__(self):
-        # a bool is a Real too, but True would silently be a 1 dB SNR
-        if isinstance(self.snr_db, bool) or not isinstance(self.snr_db, numbers.Real):
-            raise ValueError(f"snr_db must be a real number, got {self.snr_db!r}")
-        if not (math.isfinite(self.snr_db) or self.snr_db == math.inf):
+        # True would silently be a 1 dB SNR, and a np.float32 SNR would compute
+        # sigma in float32 and draw other noise, so the value is stored as a float
+        object.__setattr__(self, "snr_db", _real(self.snr_db, "snr_db must be a real number"))
+        if not self.snr_db > -math.inf:  # NaN fails too
             raise ValueError("snr_db must be finite or +inf")
-        # a np.float32 SNR would compute sigma in float32 and draw other noise
-        object.__setattr__(self, "snr_db", float(self.snr_db))
         # each fills 64 bits of the 128-bit Philox key, so wider values would alias;
-        # a bool is an Integral, but True would silently draw the noise of 1
-        for name, value in (("seed", self.seed), ("stream", self.stream)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if not 0 <= value < 2**64:
-                raise ValueError(f"{name} must be in [0, 2**64), got {value}")
+        # True would silently draw the noise of 1
+        for name in ("seed", "stream"):
+            _integer(getattr(self, name), f"{name} must be an integer in [0, 2**64)",
+                     lo=0, hi=2**64 - 1)
 
 
 def _generator(spec: NoiseSpec) -> np.random.Generator:
@@ -124,16 +120,13 @@ def detrend_backward(series: Sequence[tuple[float, float]],
     reports about v - A*dv/dA, which turns a -C/A**2 bias into -3C/A**2.
     Earlier points keep their raw value, flagged fitted=False.
     """
-    if not isinstance(window, numbers.Integral) or window < 3:
-        raise ValueError(f"window must be an integer of at least 3, got {window!r}")
-    power = float(power)
-    if power == 0.0 or not math.isfinite(power):
+    _integer(window, "window must be an integer of at least 3", lo=3)
+    power = _finite(power, "power must be finite and nonzero")
+    if power == 0.0:
         raise ValueError(f"power must be finite and nonzero, got {power}")
-    pts = [(float(a), float(v)) for a, v in series]
+    pts = [(_finite(a, f"radius at index {i} must be finite"), float(v))
+           for i, (a, v) in enumerate(series)]
     radii = [a for a, _ in pts]
-    for i, a in enumerate(radii):
-        if not math.isfinite(a):
-            raise ValueError(f"radius at index {i} must be finite, got {a}")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("series must be sorted by strictly ascending radius")
     if power != 1.0 and radii and radii[0] <= 0.0:

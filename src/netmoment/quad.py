@@ -8,14 +8,14 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .field import _positive_radius, b3
+from ._checks import _integer, _one_of, _positive, _real
+from .field import b3
 from .scene import _UNIT_SYSTEMS, DipoleScene
 
 __all__ = [
@@ -54,20 +54,26 @@ class DiskGrid:
     weights: np.ndarray    # (M,)
 
     def __post_init__(self):
+        for name in ("n_radial", "n_angular"):
+            _integer(getattr(self, name), f"{name} must be a positive integer", lo=1)
         nodes = _read_only(self.nodes)
         weights = _read_only(self.weights)
         if nodes.ndim != 2 or nodes.shape[1] != 2 or len(weights) != len(nodes):
             raise ValueError("grid nodes must be (M, 2) with matching weights")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-        area = math.pi * self.radius**2
+        area = math.pi * _real(self.radius, "radius must be positive and finite") ** 2
         if not abs(weights.sum() - area) <= 1e-12 * area:  # NaN fails too
-            raise ValueError("grid weights do not sum to the disk area")
+            raise ValueError(f"grid weights do not sum to the disk area of radius {self.radius!r}")
+        # a negative radius has the area of its opposite, but would flip the
+        # sign of every odd power of the radius downstream; inf passes the area test
+        radius = _positive(self.radius, "radius must be positive and finite")
+        object.__setattr__(self, "radius", radius)
         # the two columns squared and added: the bits of a row sum, without
         # numpy looping over rows of length 2; NaN fails the test
         x1, x2 = nodes.T
         r2 = x1**2 + x2**2
-        inside = r2 <= self.radius**2 * (1 + 1e-12)
+        inside = r2 <= radius**2 * (1 + 1e-12)
         if not np.all(inside):
             bad = np.flatnonzero(~inside)
             raise ValueError(f"{len(bad)} grid node(s) outside the disk or not finite, "
@@ -81,8 +87,7 @@ class Provenance:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in ("clean", "noisy"):
-            raise ValueError(f"provenance kind must be clean or noisy, got {self.kind!r}")
+        _one_of(self.kind, ("clean", "noisy"), "provenance kind must be clean or noisy")
 
 
 @dataclass(frozen=True)
@@ -95,8 +100,7 @@ class FieldMap:
     provenance: Provenance = Provenance("clean")
 
     def __post_init__(self):
-        if self.unit_system not in _UNIT_SYSTEMS:
-            raise ValueError(f"unit_system must be one of {_UNIT_SYSTEMS}, got {self.unit_system!r}")
+        _one_of(self.unit_system, _UNIT_SYSTEMS, f"unit_system must be one of {_UNIT_SYSTEMS}")
         samples = _read_only(self.samples)
         if samples.shape != (len(self.grid.nodes),):
             raise ValueError("sample count must match the grid node count")
@@ -134,10 +138,9 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 def build_grid(radius: float, n_radial: int = _DEFAULT_GRID[0],
                n_angular: int = _DEFAULT_GRID[1]) -> DiskGrid:
     """Gauss-Legendre x uniform-angle tensor rule on the disk of given radius."""
-    radius = _positive_radius(radius)
+    radius = _positive(radius, "radius must be positive and finite")
     for name, n in (("n_radial", n_radial), ("n_angular", n_angular)):
-        if not isinstance(n, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {n!r}")
+        _integer(n, f"{name} must be an integer")
     if n_radial < 4:
         raise ValueError(f"n_radial must be at least 4, got {n_radial}")
     if n_angular < 8 or n_angular % 2:

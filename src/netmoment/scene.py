@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+
+from ._checks import _finite, _integer, _one_of
 
 __all__ = [
     "MU0",
@@ -38,15 +39,13 @@ class SceneError(ValueError):
 
 
 def _vec3(value: Sequence[float], what: str) -> tuple[float, float, float]:
+    text = f"{what} must be a 3-vector of finite numbers"
     try:
-        v = tuple(float(c) for c in value)
-    except (TypeError, ValueError) as exc:
-        raise SceneError(f"{what} must be a 3-vector of numbers, got {value!r}") from exc
-    if len(v) != 3:
-        raise SceneError(f"{what} must have exactly 3 components, got {len(v)}")
-    if not all(math.isfinite(c) for c in v):
-        raise SceneError(f"{what} has non-finite components: {v}")
-    return v
+        x1, x2, x3 = value
+    except (TypeError, ValueError):  # not iterable, or not of length 3
+        raise SceneError(f"{text}, got {value!r}") from None
+    # float() would take "0" and True, as a scene document may spell them
+    return tuple(_finite(c, text, SceneError) for c in (x1, x2, x3))
 
 
 @dataclass(frozen=True)
@@ -69,8 +68,7 @@ class MomentVector:
 
     def __post_init__(self):
         for name in ("m1", "m2", "m3"):
-            if not math.isfinite(getattr(self, name)):
-                raise SceneError(f"moment component {name} is not finite")
+            _finite(getattr(self, name), f"moment component {name} must be finite", SceneError)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.m1, self.m2, self.m3])
@@ -96,12 +94,10 @@ class DipoleScene:
     def __post_init__(self):
         dipoles = tuple(d if isinstance(d, Dipole) else Dipole(*d) for d in self.dipoles)
         object.__setattr__(self, "dipoles", dipoles)
-        h = float(self.height)
-        if not math.isfinite(h):
-            raise SceneError("height must be finite")
+        h = _finite(self.height, "height must be a finite number", SceneError)
         object.__setattr__(self, "height", h)
-        if self.unit_system not in _UNIT_SYSTEMS:
-            raise SceneError(f"unit_system must be one of {_UNIT_SYSTEMS}, got {self.unit_system!r}")
+        _one_of(self.unit_system, _UNIT_SYSTEMS, f"unit_system must be one of {_UNIT_SYSTEMS}",
+                SceneError)
         if dipoles:
             top = max(d.position[2] for d in dipoles)
             if h <= top:
@@ -142,23 +138,16 @@ def net_moment(scene: DipoleScene) -> MomentVector:
     return MomentVector(*map(float, total))
 
 
-def _exponents(**exponents) -> None:
-    """Raise SceneError naming the first exponent that is a bool, not an integer or negative."""
-    for name, value in exponents.items():
-        # a bool is an Integral, and a fractional power of a negative coordinate is NaN
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-            raise SceneError(f"exponent {name} must be a nonnegative integer, got {value!r}")
-
-
 def algebraic_moment(scene: DipoleScene, j1: int, j2: int, j3: int, n: int) -> float:
     """<x1^j1 x2^j2 x3^j3 M_n>, the monomial-weighted moment of component n.
 
     For dipole ensembles the distributional pairing is the weighted point sum
     sum_k t1^j1 t2^j2 t3^j3 m_n over dipoles.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n not in (1, 2, 3):
-        raise SceneError(f"component index n must be 1, 2 or 3, got {n!r}")
-    _exponents(j1=j1, j2=j2, j3=j3)
+    _integer(n, "component index n must be 1, 2 or 3", SceneError, 1, 3)
+    # a fractional power of a negative coordinate is NaN
+    for name, value in (("j1", j1), ("j2", j2), ("j3", j3)):
+        _integer(value, f"exponent {name} must be a nonnegative integer", SceneError, 0)
     if not len(scene.dipoles):
         return 0.0
     p = scene.positions
@@ -167,7 +156,8 @@ def algebraic_moment(scene: DipoleScene, j1: int, j2: int, j3: int, n: int) -> f
 
 def height_moment(scene: DipoleScene, p: int, q: int, r: int, n: int) -> float:
     """<(h - x3)^p x1^q x2^r M_n> via binomial expansion in the height h."""
-    _exponents(p=p, q=q, r=r)
+    for name, value in (("p", p), ("q", q), ("r", r)):
+        _integer(value, f"exponent {name} must be a nonnegative integer", SceneError, 0)
     h = scene.height
     return math.fsum(
         math.comb(p, i) * h ** (p - i) * (-1) ** i * algebraic_moment(scene, q, r, i, n)
@@ -190,11 +180,7 @@ def scene_from_dict(data: dict) -> DipoleScene:
         if not isinstance(entry, dict) or "position" not in entry or "moment" not in entry:
             raise SceneError(f"dipoles[{i}] must be an object with 'position' and 'moment'")
         dipoles.append(Dipole(entry["position"], entry["moment"]))
-    try:
-        height = float(data["height"])
-    except (TypeError, ValueError) as exc:
-        raise SceneError(f"field 'height' must be a number, got {data['height']!r}") from exc
-    return DipoleScene(tuple(dipoles), height, data["unit_system"])
+    return DipoleScene(tuple(dipoles), data["height"], data["unit_system"])
 
 
 def load_scene(path: str) -> DipoleScene:

@@ -34,13 +34,14 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
+import sys
 from enum import Enum
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
+from ._checks import _finite, _integer, _one_of, _positive, _real
 from .field import _FAR_FIELD_ROWS, _finite_part
 from .quad import MAX_POWER
 
@@ -138,17 +139,9 @@ def _bessel_asympt(x: float, n: int) -> float:
     return math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(chi) - q * math.sin(chi))
 
 
-def _finite(fn: str, x: float) -> float:
-    """x as a float; NaN and infinite values raise DomainError naming it."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"{fn} needs finite x, got {x}")
-    return x
-
-
 def bessel_j0(x: float) -> float:
     """Bessel J0, absolute accuracy ~1e-13 on |x| <= 50."""
-    x = abs(_finite("bessel_j0", x))
+    x = abs(_finite(x, "bessel_j0 needs finite x", DomainError))
     if x <= _SERIES_CUTOFF:
         return _bessel_series(x, 0)
     return _bessel_asympt(x, 0)
@@ -156,7 +149,7 @@ def bessel_j0(x: float) -> float:
 
 def bessel_j1(x: float) -> float:
     """Bessel J1 (odd), absolute accuracy ~1e-13 on |x| <= 50."""
-    xf = _finite("bessel_j1", x)
+    xf = _finite(x, "bessel_j1 needs finite x", DomainError)
     ax = abs(xf)
     val = _bessel_series(ax, 1) if ax <= _SERIES_CUTOFF else _bessel_asympt(ax, 1)
     return -val if xf < 0 else val
@@ -164,7 +157,7 @@ def bessel_j1(x: float) -> float:
 
 def bessel_j1_prime(x: float) -> float:
     """J1'(x) = J0(x) - J1(x)/x, with the x -> 0 limit 1/2."""
-    xf = _finite("bessel_j1_prime", x)
+    xf = _finite(x, "bessel_j1_prime needs finite x", DomainError)
     if xf == 0.0:
         return 0.5
     return bessel_j0(xf) - bessel_j1(xf) / xf
@@ -172,7 +165,7 @@ def bessel_j1_prime(x: float) -> float:
 
 def bessel_j2(x: float) -> float:
     """J2 via the recurrence 2*J1/x - J0, series near zero."""
-    xf = _finite("bessel_j2", x)
+    xf = _finite(x, "bessel_j2 needs finite x", DomainError)
     if abs(xf) <= 1e-2:
         return _bessel_series(abs(xf), 2)
     return 2.0 * bessel_j1(xf) / xf - bessel_j0(xf)
@@ -203,23 +196,21 @@ def _struve_series_frac(z: Fraction, n: int, tol_exp: int = 30) -> Fraction:
 
 
 def _struve_series(x: float, n: int) -> float:
-    return 2.0 * float(_struve_series_frac(Fraction(x), n, tol_exp=22)) / math.pi
+    text = f"struve_h{n} defined on [0, {STRUVE_MAX_ARG}]"
+    xf = _real(x, text, DomainError)
+    if not 0.0 <= xf <= STRUVE_MAX_ARG:  # NaN fails too
+        raise DomainError(f"{text}, got {x!r}")
+    return 2.0 * float(_struve_series_frac(Fraction(xf), n, tol_exp=22)) / math.pi
 
 
 def struve_h0(x: float) -> float:
     """Struve H0 on [0, 50], absolute accuracy ~1e-14."""
-    xf = float(x)
-    if not 0.0 <= xf <= STRUVE_MAX_ARG:
-        raise DomainError(f"struve_h0 defined on [0, {STRUVE_MAX_ARG}], got {x}")
-    return _struve_series(xf, 0)
+    return _struve_series(x, 0)
 
 
 def struve_h1(x: float) -> float:
     """Struve H1 on [0, 50], absolute accuracy ~1e-14."""
-    xf = float(x)
-    if not 0.0 <= xf <= STRUVE_MAX_ARG:
-        raise DomainError(f"struve_h1 defined on [0, {STRUVE_MAX_ARG}], got {x}")
-    return _struve_series(xf, 1)
+    return _struve_series(x, 1)
 
 
 class TailIntegralKind(Enum):
@@ -294,29 +285,28 @@ def _tail_form(i: int, p: int) -> Form:
     return _sum((w, {("J0", -q): 1, ("J1", -q - 1): q}), (-w, _tail_form(1, q)))
 
 
-def _positive(fn: str, name: str, value: float) -> float:
-    """value as a float; NaN, infinite and nonpositive values raise DomainError naming it."""
-    value = float(value)
-    if not 0.0 < value < math.inf:
-        raise DomainError(f"{fn} needs finite {name} > 0, got {value}")
-    return value
-
-
 def _closed_form_rho(fn: str, rho: float) -> float:
     """rho as a float; it must be finite, > 0 and within the Struve cap."""
-    rho = _positive(fn, "rho", rho)
+    rho = _positive(rho, f"{fn} needs finite rho > 0", DomainError)
     if rho > STRUVE_MAX_ARG:
         raise DomainError(f"{fn} closed forms use Struve functions, capped at "
                           f"rho <= {STRUVE_MAX_ARG}, got {rho}")
     return rho
 
 
+# (i, p) of the kind's integrand J_i(x) / x^p; any other value raises DomainError
+def _integrand(kind: TailIntegralKind) -> tuple[int, int]:
+    try:
+        return _TAIL_INTEGRANDS[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
+        raise DomainError(f"unknown tail integral kind {kind!r}") from None
+
+
 def tail_integral(kind: TailIntegralKind, rho: float) -> float:
     """Closed form of the selected tail integral at lower limit rho."""
-    if kind not in _TAIL_INTEGRANDS:
-        raise DomainError(f"unknown tail integral kind {kind!r}")
+    i, p = _integrand(kind)
     rho = _closed_form_rho("tail_integral", rho)
-    return float(_value(_tail_form(*_TAIL_INTEGRANDS[kind]), Fraction(rho)))
+    return float(_value(_tail_form(i, p), Fraction(rho)))
 
 
 def tail_recursion_rhs(n: int, rho: float) -> float:
@@ -325,11 +315,10 @@ def tail_recursion_rhs(n: int, rho: float) -> float:
     (2n J1(rho)/rho^(2n) + J1'(rho)/rho^(2n-1) - int_rho^inf J1/x^(2n-1)) / (4n^2 - 1),
     the one copy of it: the form by which `_tail_form` derives that tail.
     """
-    # a bool is an Integral, and a float n would leak float arithmetic into the exact form
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n not in (1, 2, 3):
-        raise DomainError(f"tail_recursion_rhs needs an integer n in {{1, 2, 3}}, got {n!r}")
+    # a float n would leak float arithmetic into the exact form
+    n = _integer(n, "tail_recursion_rhs needs an integer n in {1, 2, 3}", DomainError, 1, 3)
     r = Fraction(_closed_form_rho("tail_recursion_rhs", rho))
-    return float(_value(_tail_form(1, 2 * int(n) + 1), r))
+    return float(_value(_tail_form(1, 2 * n + 1), r))
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +449,8 @@ def tail_integral_quadrature(kind: TailIntegralKind, rho: float) -> float:
     order are integrated together on shared panels by `_tail_quadratures`,
     which keeps the values of recent (order, rho) pairs.
     """
-    rho = _positive("tail_integral_quadrature", "rho", rho)
-    n, p = _TAIL_INTEGRANDS[kind]
+    n, p = _integrand(kind)
+    rho = _positive(rho, "tail_integral_quadrature needs finite rho > 0", DomainError)
     return _tail_quadratures(n, rho)[p]
 
 
@@ -507,12 +496,23 @@ def _ring_form(a: int, b: int, n: int) -> Form:
 
 def sin_cos_components(k1: float, radius: float) -> dict[tuple[int, int, int], float]:
     """Closed-form ring integrals by term shape at rho = 2*pi*k1*radius (requires rho <= 50)."""
-    k1 = _positive("sin_cos_components", "k1", k1)
-    radius = _positive("sin_cos_components", "radius", radius)
-    rho = _closed_form_rho("sin_cos_components", 2.0 * math.pi * k1 * radius)
+    k1 = _positive(k1, "sin_cos_components needs finite k1 > 0", DomainError)
+    radius = _positive(radius, "sin_cos_components needs finite radius > 0", DomainError)
+    rho = Fraction(_closed_form_rho("sin_cos_components", 2.0 * math.pi * k1 * radius))
     two_pi = 2.0 * math.pi
-    return {(a, b, n): two_pi * (two_pi * k1) ** (n - a - b - 2)
-            * float(_value(_ring_form(a, b, n), Fraction(rho))) for a, b, n in _RING_SHAPES}
+    values = {}
+    for a, b, n in _RING_SHAPES:
+        # the prefactor times the form rounded on its own; at a tiny k1 the
+        # prefactor underflows, or the form (of order rho^-e) overflows
+        try:
+            prefactor = two_pi * (two_pi * k1) ** (n - a - b - 2)
+            values[(a, b, n)] = prefactor * float(_value(_ring_form(a, b, n), rho))
+        except OverflowError:
+            prefactor = 0.0
+        if not sys.float_info.min <= prefactor < math.inf:
+            raise DomainError(f"sin_cos_components: a ring term leaves the float range at "
+                              f"k1 = {k1!r}, radius = {radius!r}")
+    return values
 
 
 def _ring_trig_integrals(trig: str, powers: list[tuple[int, int, int]],
@@ -545,17 +545,15 @@ def ring_trig_integral(trig: str, cos_pow: int, sin_pow: int, inv_pow: int,
 
     with a periodic trapezoid in angle and accelerated half-period panels in r.
     """
-    if trig not in ("sin", "cos"):
-        raise DomainError(f"ring_trig_integral needs trig 'sin' or 'cos', got {trig!r}")
-    # a bool is an Integral; a fractional power of a negative cos t or sin t
-    # has no real value, and the radial integral diverges for inv_pow < 1
+    _one_of(trig, ("sin", "cos"), "ring_trig_integral needs trig 'sin' or 'cos'", DomainError)
+    # a fractional power of a negative cos t or sin t has no real value, and
+    # the radial integral diverges for inv_pow < 1
     for name, power, least in (("cos_pow", cos_pow, 0), ("sin_pow", sin_pow, 0),
                                ("inv_pow", inv_pow, 1)):
-        if isinstance(power, bool) or not isinstance(power, numbers.Integral) or power < least:
-            raise DomainError(f"ring_trig_integral needs an integer {name} >= {least}, "
-                              f"got {power!r}")
-    k1 = _positive("ring_trig_integral", "k1", k1)
-    radius = _positive("ring_trig_integral", "radius", radius)
+        _integer(power, f"ring_trig_integral needs an integer {name} >= {least}",
+                 DomainError, least)
+    k1 = _positive(k1, "ring_trig_integral needs finite k1 > 0", DomainError)
+    radius = _positive(radius, "ring_trig_integral needs finite radius > 0", DomainError)
     return _ring_trig_integrals(trig, [(cos_pow, sin_pow, inv_pow)], k1, radius)[0]
 
 
@@ -566,8 +564,8 @@ def sin_cos_components_quadrature(k1: float, radius: float) -> dict[tuple[int, i
     far-field term x1^a x2^b / |x|^n: cos^a sin^b in angle over
     r^(n - a - b - 1) in radius.  The components of one trig share panels.
     """
-    k1 = _positive("sin_cos_components_quadrature", "k1", k1)
-    radius = _positive("sin_cos_components_quadrature", "radius", radius)
+    k1 = _positive(k1, "sin_cos_components_quadrature needs finite k1 > 0", DomainError)
+    radius = _positive(radius, "sin_cos_components_quadrature needs finite radius > 0", DomainError)
     values = {}
     for trig, parity in (("sin", 1), ("cos", 0)):
         shapes = [shape for shape in _RING_SHAPES if shape[0] % 2 == parity]
@@ -584,7 +582,7 @@ def sin_cos_taylor(radius: float) -> dict[int, dict[tuple[int, int, int], float]
     a = q (mod 2): the odd derivatives of the sin integrals, the even ones of
     the cos integrals.
     """
-    radius = _positive("sin_cos_taylor", "radius", radius)
+    radius = _positive(radius, "sin_cos_taylor needs finite radius > 0", DomainError)
     # Expanding trig(2 pi k1 x1) in powers of k1, the q-th derivative of the term
     # of shape (a, b, n) is q! (2 pi)^(q+1) c A^(q-e), where
     # c = -(-1)^(q//2) _finite_part(q, a, b, n) / (2 q!): the exterior integral

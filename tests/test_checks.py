@@ -1,0 +1,140 @@
+"""Every integer and positive argument of the public API obeys one rule set.
+
+The rules live in netmoment._checks; each layer raises its own ValueError
+subclass (DomainError in specfun, SceneError in scene, ValueError
+elsewhere), with a message that names the argument.
+"""
+import math
+import pathlib
+import re
+
+import pytest
+
+from netmoment import (Dipole, DipoleScene, DiskGrid, EstimatorSpec, GridParams, NoiseSpec,
+                       SceneError, algebraic_moment, asympt_coefficients,
+                       asympt_condition_margin, build_grid, detrend_backward,
+                       estimator_weight, height_moment, predicted_leading_error,
+                       raster_m3_drift_series, sweep, t_quantities_analytic)
+from netmoment.specfun import (DomainError, TailIntegralKind, bessel_j0, bessel_j1,
+                               bessel_j1_prime, bessel_j2, ring_trig_integral,
+                               sin_cos_components, sin_cos_components_quadrature,
+                               sin_cos_taylor, struve_h0, struve_h1, tail_integral,
+                               tail_integral_quadrature, tail_recursion_rhs)
+
+_GRID = build_grid(1.0, 8, 16)
+_SERIES = [(float(a), 0.0) for a in range(1, 15)]
+_J0 = TailIntegralKind.J0_TOTAL
+
+# (argument, layer error, call with the argument set to v); the demo scene is s
+_INTEGER_ARGUMENTS = [
+    ("order", ValueError, lambda s, v: EstimatorSpec("m1", v)),
+    ("seed", ValueError, lambda s, v: NoiseSpec(20.0, seed=v)),
+    ("stream", ValueError, lambda s, v: NoiseSpec(20.0, seed=0, stream=v)),
+    ("n_radial", ValueError, lambda s, v: build_grid(1e-3, v, 16)),
+    ("n_angular", ValueError, lambda s, v: build_grid(1e-3, 8, v)),
+    ("n_radial", ValueError, lambda s, v: DiskGrid(1.0, v, 16, _GRID.nodes, _GRID.weights)),
+    ("n_angular", ValueError, lambda s, v: DiskGrid(1.0, 8, v, _GRID.nodes, _GRID.weights)),
+    ("max_workers", ValueError, lambda s, v: sweep(s, [1e-3], [EstimatorSpec("m1", 1)],
+                                                   GridParams(8, 8), max_workers=v)),
+    ("n_pixels", ValueError, lambda s, v: raster_m3_drift_series(
+        s, [1e-3, 2e-3], EstimatorSpec("m3", 2), None, n_pixels=v)),
+    ("window", ValueError, lambda s, v: detrend_backward(_SERIES, window=v)),
+    ("exponent j1", SceneError, lambda s, v: algebraic_moment(s, v, 0, 0, 1)),
+    ("exponent j2", SceneError, lambda s, v: algebraic_moment(s, 0, v, 0, 1)),
+    ("exponent j3", SceneError, lambda s, v: algebraic_moment(s, 0, 0, v, 1)),
+    ("component index n", SceneError, lambda s, v: algebraic_moment(s, 0, 0, 0, v)),
+    ("exponent p", SceneError, lambda s, v: height_moment(s, v, 0, 0, 1)),
+    ("exponent q", SceneError, lambda s, v: height_moment(s, 0, v, 0, 1)),
+    ("exponent r", SceneError, lambda s, v: height_moment(s, 0, 0, v, 1)),
+    ("component index n", SceneError, lambda s, v: height_moment(s, 0, 0, 0, v)),
+    ("integer n", DomainError, lambda s, v: tail_recursion_rhs(v, 1.0)),
+    ("cos_pow", DomainError, lambda s, v: ring_trig_integral("sin", v, 0, 3, 0.2, 1.0)),
+    ("sin_pow", DomainError, lambda s, v: ring_trig_integral("sin", 1, v, 3, 0.2, 1.0)),
+    ("inv_pow", DomainError, lambda s, v: ring_trig_integral("sin", 1, 0, v, 0.2, 1.0)),
+]
+
+_POSITIVE_ARGUMENTS = [
+    ("radius", ValueError, lambda s, v: build_grid(v, 8, 16)),
+    # with the nodes and weights of the unit disk, whose area a radius of -1 shares
+    ("radius", ValueError, lambda s, v: DiskGrid(v, 8, 16, _GRID.nodes, _GRID.weights)),
+    ("radius", ValueError, lambda s, v: asympt_condition_margin(s, v)),
+    ("radius", ValueError, lambda s, v: estimator_weight(EstimatorSpec("m1", 1), v)),
+    ("radius", ValueError, lambda s, v: predicted_leading_error(s, EstimatorSpec("m1", 1), v)),
+    ("radius", ValueError, lambda s, v: t_quantities_analytic(asympt_coefficients(s), v)),
+    ("radii", ValueError, lambda s, v: sweep(s, [v], [EstimatorSpec("m1", 1)], GridParams(8, 8))),
+    ("radii", ValueError, lambda s, v: raster_m3_drift_series(
+        s, [v, 2e-3], EstimatorSpec("m3", 2), None, n_pixels=32)),
+    ("rho", DomainError, lambda s, v: tail_integral(_J0, v)),
+    ("rho", DomainError, lambda s, v: tail_integral_quadrature(_J0, v)),
+    ("rho", DomainError, lambda s, v: tail_recursion_rhs(1, v)),
+    ("k1", DomainError, lambda s, v: sin_cos_components(v, 1.0)),
+    ("radius", DomainError, lambda s, v: sin_cos_components(0.1, v)),
+    ("k1", DomainError, lambda s, v: sin_cos_components_quadrature(v, 1.0)),
+    ("radius", DomainError, lambda s, v: sin_cos_components_quadrature(0.1, v)),
+    ("k1", DomainError, lambda s, v: ring_trig_integral("sin", 1, 0, 3, v, 1.0)),
+    ("radius", DomainError, lambda s, v: ring_trig_integral("sin", 1, 0, 3, 0.2, v)),
+    ("radius", DomainError, lambda s, v: sin_cos_taylor(v)),
+]
+
+# 1.5 is a valid positive value, so only the integer arguments get it; an
+# integer beyond the float range (whose float() raised OverflowError) is read
+# as inf, so only the positive arguments get it
+_NOT_INTEGERS = [True, 1.5, "2", math.nan, math.inf, -1]
+_NOT_POSITIVE = [True, "2", math.nan, math.inf, -1, 10**400]
+
+
+def _cases(arguments, values):
+    return [pytest.param(name, error, call, value, id=f"{name}-{i}-{value!r:.8}")
+            for i, (name, error, call) in enumerate(arguments) for value in values]
+
+
+@pytest.mark.parametrize("name, error, call, value",
+                         _cases(_INTEGER_ARGUMENTS, _NOT_INTEGERS)
+                         + _cases(_POSITIVE_ARGUMENTS, _NOT_POSITIVE))
+def test_argument_rules_reject_with_the_layer_error_naming_the_argument(
+        demo_scene, name, error, call, value):
+    with pytest.raises(ValueError) as info:
+        call(demo_scene, value)
+    assert type(info.value) is error
+    assert name in str(info.value)
+
+
+# arguments that may be zero or negative, but are numbers all the same: a bool,
+# a str, None and a complex are not
+_REAL_ARGUMENTS = [
+    ("needs finite x", DomainError, lambda s, v: bessel_j0(v)),
+    ("needs finite x", DomainError, lambda s, v: bessel_j1(v)),
+    ("needs finite x", DomainError, lambda s, v: bessel_j1_prime(v)),
+    ("needs finite x", DomainError, lambda s, v: bessel_j2(v)),
+    ("struve_h0", DomainError, lambda s, v: struve_h0(v)),
+    ("struve_h1", DomainError, lambda s, v: struve_h1(v)),
+    ("snr_db", ValueError, lambda s, v: NoiseSpec(v, seed=0)),
+    ("power", ValueError, lambda s, v: detrend_backward(_SERIES, power=v)),
+    ("radius at index 0", ValueError, lambda s, v: detrend_backward([(v, 0.0)] + _SERIES)),
+    ("height", SceneError, lambda s, v: DipoleScene((), v)),
+    ("dipole position", SceneError, lambda s, v: Dipole((0.0, v, 0.0), (1.0, 0.0, 0.0))),
+    ("dipole moment", SceneError, lambda s, v: Dipole((0.0, 0.0, 0.0), (v, 0.0, 0.0))),
+]
+
+
+@pytest.mark.parametrize("name, error, call, value",
+                         _cases(_REAL_ARGUMENTS, [True, False, "2", None, 1j]))
+def test_real_arguments_reject_what_is_not_a_number(demo_scene, name, error, call, value):
+    with pytest.raises(ValueError) as info:
+        call(demo_scene, value)
+    assert type(info.value) is error
+    assert name in str(info.value)
+
+
+_SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "netmoment"
+
+
+def test_only_the_rule_module_tests_integral_or_bool_types():
+    pattern = re.compile(r"numbers\.Integral|isinstance\([^)]*,\s*bool\)"
+                         r"|^\s*(import numbers|from numbers import)", re.MULTILINE)
+    modules = sorted(_SOURCE.glob("*.py"))
+    assert _SOURCE / "_checks.py" in modules
+    offenders = [f"{path.name}: {match.group(0).strip()}" for path in modules
+                 if path.name != "_checks.py"
+                 for match in pattern.finditer(path.read_text(encoding="utf-8"))]
+    assert offenders == []

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -189,6 +190,24 @@ def test_nonfinite_radius_rejected():
     grid = build_grid(1.0, 8, 16)
     with pytest.raises(ValueError, match="disk area"):
         DiskGrid(math.nan, 8, 16, grid.nodes, grid.weights)
+
+
+def test_disk_grid_rejects_negative_radius_and_bad_sizes(demo_scene):
+    from netmoment import DiskGrid, EstimatorSpec, estimate_moment
+    grid = build_grid(2e-3, 16, 32)
+    # the nodes and weights of a valid 2 mm grid: a negative radius has the
+    # same disk area and used to be accepted, flipping the sign of m3 estimates
+    with pytest.raises(ValueError, match=re.escape("radius must be positive and finite, "
+                                                   "got -0.002")):
+        DiskGrid(-2e-3, 16, 32, grid.nodes, grid.weights)
+    for sizes, name in (((True, 32), "n_radial"), ((16, 1.5), "n_angular"),
+                        ((0, 32), "n_radial"), ((16, "32"), "n_angular")):
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            DiskGrid(2e-3, *sizes, grid.nodes, grid.weights)
+    same = DiskGrid(np.float64(2e-3), np.int64(16), 32, grid.nodes, grid.weights)
+    assert type(same.radius) is float
+    fmap = sample_field(demo_scene, same)
+    assert estimate_moment(fmap, EstimatorSpec("m3", 2)) > 0
 
 
 def test_grid_rejects_nan_node():

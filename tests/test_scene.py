@@ -144,6 +144,25 @@ def test_scene_from_dict_names_offending_field():
         scene_from_dict({"unit_system": "si", "height": 1.0, "dipoles": [{"position": [0, 0, 0]}]})
 
 
+@pytest.mark.parametrize("field, value, name", [
+    ("height", "1e-3", "height"), ("height", True, "height"), ("height", None, "height"),
+    ("position", ["0", "0", "0"], "dipole position"),
+    ("position", [0.0, True, 0.0], "dipole position"),
+    ("moment", [1e-12, 0.0, "1e-12"], "dipole moment"),
+    ("moment", [1e-12, 0.0], "dipole moment"), ("moment", 1e-12, "dipole moment"),
+])
+def test_scene_document_rejects_strings_and_booleans_as_numbers(field, value, name):
+    # float() took "1e-3" as 0.001, true as 1.0 and "0" as 0.0
+    doc = {"unit_system": "si", "height": 1e-3,
+           "dipoles": [{"position": [0.0, 0.0, 0.0], "moment": [1e-12, 0.0, 0.0]}]}
+    if field == "height":
+        doc["height"] = value
+    else:
+        doc["dipoles"][0][field] = value
+    with pytest.raises(SceneError, match=re.escape(f"{name} must be")):
+        scene_from_dict(doc)
+
+
 def test_mu0_by_unit_system(demo_scene, demo_scene_natural):
     assert demo_scene.mu0 == pytest.approx(4e-7 * np.pi)
     assert demo_scene_natural.mu0 == 1.0

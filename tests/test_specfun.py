@@ -341,6 +341,15 @@ def test_tail_integral_rejects_unknown_kind():
             tail_integral(kind, 1.0)
 
 
+def test_tail_integral_quadrature_rejects_unknown_kind():
+    # the string used to raise a bare KeyError from the integrand table
+    for kind in ("j0_total", None, 3, [TailIntegralKind.J0_TOTAL]):
+        for fn in (tail_integral, tail_integral_quadrature):
+            with pytest.raises(DomainError,
+                               match=re.escape(f"unknown tail integral kind {kind!r}")):
+                fn(kind, 1.0)
+
+
 def test_tail_functions_reject_nonfinite_rho():
     for bad in (math.nan, math.inf, -math.inf):
         for fn in (lambda rho: tail_integral(TailIntegralKind.J0_TOTAL, rho),
@@ -463,6 +472,19 @@ def test_sin_cos_components_domain():
         sin_cos_components(0.0, 1.0)
     with pytest.raises(DomainError):
         sin_cos_components(10.0, 1.0)  # rho beyond the Struve cap
+
+
+def test_sin_cos_components_reject_k1_out_of_float_range():
+    # at 1e-200 the form overflowed into a bare OverflowError, and at 1e-100 the
+    # prefactor underflowed, so (3, 0, 9), about 1e-99, read 0.0
+    for k1 in (1e-300, 1e-200, 1e-100):
+        with pytest.raises(DomainError, match=re.escape(f"k1 = {k1!r}")):
+            sin_cos_components(k1, 1.0)
+    # a tiny radius at a moderate k1 takes the form itself past the float range
+    with pytest.raises(DomainError, match="float range"):
+        sin_cos_components(1.0, 1e-200)
+    assert sin_cos_components(1e-30, 1.0)[(3, 0, 9)] == pytest.approx(4.934802200544679e-30,
+                                                                     rel=1e-12)
 
 
 def test_taylor_table_header_values():
