@@ -18,11 +18,11 @@ import numpy as np
 
 from . import __version__
 from ._checks import _finite
-from .estimate import (EstimatorSpec, GridParams, _shown_axis, all_specs,
-                       estimate_moment, sweep)
+from .estimate import (EstimatorSpec, GridParams, _shown_axis, _synthesised_map,
+                       all_specs, estimate_moment, sweep)
 from .field import asympt_condition_margin
-from .noise import NoiseSpec, add_noise, detrend_backward
-from .quad import build_grid, read_field_csv, sample_field, write_field_csv
+from .noise import NoiseSpec, detrend_backward
+from .quad import read_field_csv, write_field_csv
 from .scene import load_scene, net_moment
 from .specfun import IDENTITIES, DomainError
 
@@ -86,17 +86,8 @@ def _synthesis_from_args(args) -> tuple[GridParams, Optional[NoiseSpec]]:
                            weighted_variance=not args.plain_variance)
 
 
-def _synthesised_map(scene, args):
-    grid, noise = _synthesis_from_args(args)
-    fmap = sample_field(scene, build_grid(args.radius, grid.n_radial, grid.n_angular))
-    return fmap if noise is None else add_noise(fmap, noise)
-
-
 def cmd_synth(args) -> int:
-    scene = load_scene(args.scene)
-    if args.radius is None:
-        raise ConfigError("synth needs --radius")
-    fmap = _synthesised_map(scene, args)
+    fmap = _synthesised_map(load_scene(args.scene), args.radius, *_synthesis_from_args(args))
     write_field_csv(fmap, args.out)
     print(f"wrote {len(fmap.samples)} samples to {args.out}")
     return 0
@@ -117,7 +108,7 @@ def cmd_estimate(args) -> int:
     elif scene is not None:
         if args.radius is None:
             raise ConfigError("estimate from a scene needs --radius")
-        fmap = _synthesised_map(scene, args)
+        fmap = _synthesised_map(scene, args.radius, *_synthesis_from_args(args))
     else:
         raise ConfigError("estimate needs --scene or --field-csv")
     report = {"radius": fmap.radius, "estimates": []}

@@ -14,6 +14,7 @@ the algebraic T quantities and the closed-form leading errors also read.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import warnings
@@ -27,7 +28,7 @@ import numpy as np
 from ._checks import _integer, _one_of, _positive
 from .field import (_FAR_FIELD_ROWS, AsymptCoeffs, _finite_part, asympt_coefficients,
                     asympt_condition_margin, b3)
-from .noise import NoiseSpec, _noisy, _sigma, add_noise
+from .noise import NoiseSpec, _noisy, add_noise
 from .quad import _DEFAULT_GRID, MAX_POWER, FieldMap, build_grid, sample_field
 from .scene import MU0, DipoleScene, net_moment
 
@@ -189,6 +190,8 @@ def _shown_axis(spec: EstimatorSpec) -> Optional[str]:
 
 def _estimator_row(spec: EstimatorSpec) -> tuple[dict[int, int | Fraction], int]:
     """The spec's coefficient row and the index j of its data axis x_j."""
+    if not isinstance(spec, EstimatorSpec):
+        raise ValueError(f"spec must be an EstimatorSpec, got {spec!r}")
     j = _AXES.index(spec.axis) if spec.component == "m3" else _COMPONENTS.index(spec.component)
     return _ROWS[(_LADDER[spec.component], spec.order)], j
 
@@ -313,6 +316,7 @@ def predicted_leading_error(scene: DipoleScene, spec: EstimatorSpec,
     Available only where a closed leading term exists: first-order tangential
     estimates and the second-order normal estimate.
     """
+    _estimator_row(spec)
     if (spec.component, spec.order) not in _PREDICTED_SPECS:
         raise ValueError(
             f"no closed-form leading error for {spec.label()}; "
@@ -391,15 +395,18 @@ class SweepResult:
         return sorted(rows, key=lambda r: r.radius)
 
 
+def _synthesised_map(scene: DipoleScene, radius: float, grid_params: GridParams,
+                     noise: Optional[NoiseSpec]) -> FieldMap:
+    """The scene's field sampled on the grid of that radius, plus the noise when given."""
+    fmap = sample_field(scene, build_grid(radius, grid_params.n_radial, grid_params.n_angular))
+    return fmap if noise is None else add_noise(fmap, noise)
+
+
 def _sweep_cell(scene: DipoleScene, specs: Sequence[EstimatorSpec], grid_params: GridParams,
                 noise: Optional[NoiseSpec], truth, coeffs: AsymptCoeffs,
                 stream: int, radius: float) -> list[SweepRow]:
-    grid = build_grid(radius, grid_params.n_radial, grid_params.n_angular)
-    fmap = sample_field(scene, grid)
-    if noise is not None and noise.snr_db != math.inf:
-        cell_spec = NoiseSpec(noise.snr_db, noise.seed, stream=stream,
-                              weighted_variance=noise.weighted_variance)
-        fmap = add_noise(fmap, cell_spec)
+    fmap = _synthesised_map(scene, radius, grid_params,
+                            None if noise is None else dataclasses.replace(noise, stream=stream))
     rows = []
     for spec in specs:
         est = estimate_moment(fmap, spec)
@@ -431,6 +438,8 @@ def sweep(scene: DipoleScene, radii: Sequence[float], specs: Sequence[EstimatorS
     """
     _integer(max_workers, "max_workers must be an integer >= 1", lo=1)
     radii = _ascending_radii(radii)
+    for spec in specs:  # checked before any grid is built
+        _estimator_row(spec)
     margin = asympt_condition_margin(scene, radii[0])
     if margin >= 1.0:
         warnings.warn(
@@ -458,6 +467,7 @@ def convergence_slope(result: SweepResult, spec: EstimatorSpec,
     top_fraction selects the upper part of the log-radius range: with 0.5 on
     a one-decade sweep this is the classic top half-decade.
     """
+    _estimator_row(spec)
     if _positive(top_fraction, "top_fraction must lie in (0, 1]") > 1.0:
         raise ValueError(f"top_fraction must lie in (0, 1], got {top_fraction!r}")
     rows = result.for_spec(spec)
@@ -484,6 +494,7 @@ def raster_m3_drift_series(scene: DipoleScene, radii: Sequence[float],
     integrates the same pixels inside that subdisk.  Cumulative moment sums
     over radius-sorted pixels make the whole sweep one pass.
     """
+    row, j = _estimator_row(spec)
     if spec.component != "m3":
         raise ValueError("drift series is defined for the normal component")
     radii = _ascending_radii(radii)
@@ -497,12 +508,11 @@ def raster_m3_drift_series(scene: DipoleScene, radii: Sequence[float],
     inside = r2 <= r_max**2
     pts = np.stack([gx.ravel()[inside], gy.ravel()[inside]], axis=-1)
     samples = b3(scene, pts)
-    if noise is not None and noise.snr_db != math.inf:
+    if noise is not None:
         # the plain variance over the raster's pixels, whatever noise.weighted_variance says
-        samples = _noisy(samples, _sigma(noise.snr_db, samples), noise)
+        samples = _noisy(samples, noise)
     order = np.argsort(r2[inside])
     r_sorted = np.sqrt(r2[inside][order])
-    row, j = _estimator_row(spec)
     u = pts[order, j] / r_max
     sv = samples[order] * step * step
     # cumulative moments over the largest disk, rescaled to each subdisk

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -60,6 +61,17 @@ _PAIR_BUDGET = 1 << 14
 _SEQUENTIAL_ROW_SUM = 8
 
 
+def _points(x) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray | float]]:
+    """Planar points x, a 2-vector or an (..., 2) array, as an (M, 2) array,
+    and the map of M values back to x's shape (a float for a 2-vector)."""
+    x = np.asarray(x, dtype=float)
+    pts = np.atleast_2d(x)
+    if pts.shape[-1] != 2:
+        raise ValueError("evaluation points must have 2 components")
+    return pts.reshape(-1, 2), lambda vals: (float(vals[0]) if x.ndim == 1
+                                             else vals.reshape(x.shape[:-1]))
+
+
 def b3(scene: DipoleScene, x) -> np.ndarray | float:
     """Exact normal field on the plane x3 = height at planar points x.
 
@@ -83,12 +95,7 @@ def b3(scene: DipoleScene, x) -> np.ndarray | float:
     sum of a contiguous row shorter than _SEQUENTIAL_ROW_SUM does; longer
     rows are summed pairwise, so the switch sits where the bits would change.
     """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 1
-    pts = np.atleast_2d(x)
-    if pts.shape[-1] != 2:
-        raise ValueError("evaluation points must have 2 components")
-    pts = pts.reshape(-1, 2)
+    pts, shaped = _points(x)
     vals = np.zeros(len(pts))
     n_dip = len(scene.dipoles)
     if n_dip:
@@ -140,7 +147,7 @@ def b3(scene: DipoleScene, x) -> np.ndarray | float:
             np.divide(a, den, out=a)
             np.add.reduce(a, axis=0 if dipole_major else -1, out=vals[lo:lo + n])
         vals *= scene.mu0 / (4.0 * _PI)
-    return float(vals[0]) if scalar else vals.reshape(x.shape[:-1])
+    return shaped(vals)
 
 
 # The far-field coefficients follow from b3's own formula.  Per dipole,
@@ -195,18 +202,15 @@ def asympt_coefficients(scene: DipoleScene) -> AsymptCoeffs:
 
 def b3_asympt(coeffs: AsymptCoeffs, x) -> np.ndarray | float:
     """Far-field expansion at planar points x (|x| > 0 required), over any set of shapes."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 1
-    pts = np.atleast_2d(x)
-    x1 = pts[..., 0]
-    x2 = pts[..., 1]
+    pts, shaped = _points(x)
+    x1, x2 = pts.T
     r2 = x1**2 + x2**2
     if np.any(r2 == 0.0):
         raise ValueError("b3_asympt is singular at x = (0, 0)")
     r = np.sqrt(r2)
     # the zero start keeps the points' shape when coeffs is empty
     vals = sum((c * x1**a * x2**b / r**n for (a, b, n), c in coeffs.items()), np.zeros_like(r))
-    return float(vals[0]) if scalar else vals.reshape(x.shape[:-1])
+    return shaped(vals)
 
 
 def asympt_condition_margin(scene: DipoleScene, radius: float) -> float:

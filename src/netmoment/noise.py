@@ -73,15 +73,16 @@ def _sigma(snr_db: float, s: np.ndarray, w: np.ndarray | None = None) -> float:
     return math.sqrt(10.0 ** (-snr_db / 10.0) * var)
 
 
-def _noisy(samples: np.ndarray, sigma: float, spec: NoiseSpec) -> np.ndarray:
-    """samples plus sigma times the spec's standard normal draws, in index order."""
+def _noisy(samples: np.ndarray, spec: NoiseSpec, weights: np.ndarray | None = None) -> np.ndarray:
+    """samples plus _sigma times the spec's normal draws in index order; at SNR = inf, samples."""
+    if spec.snr_db == math.inf:
+        return samples
+    sigma = _sigma(spec.snr_db, samples, weights)
     return samples + sigma * _generator(spec).standard_normal(len(samples))
 
 
 def noise_sigma(field_map: FieldMap, spec: NoiseSpec) -> float:
-    """Per-node noise standard deviation implied by the SNR."""
-    if spec.snr_db == math.inf:
-        return 0.0
+    """Per-node noise standard deviation implied by the SNR (0.0 at SNR = inf)."""
     return _sigma(spec.snr_db, field_map.samples,
                   field_map.grid.weights if spec.weighted_variance else None)
 
@@ -90,13 +91,9 @@ def add_noise(field_map: FieldMap, spec: NoiseSpec) -> FieldMap:
     """Independent Gaussian draws per node, in node-index order."""
     if field_map.provenance.kind != "clean":
         raise ValueError("map already carries noise")
-    if spec.snr_db == math.inf:
-        return FieldMap(grid=field_map.grid, samples=field_map.samples,
-                        unit_system=field_map.unit_system,
-                        provenance=Provenance("noisy", snr_db=math.inf, seed=spec.seed))
-    return FieldMap(grid=field_map.grid,
-                    samples=_noisy(field_map.samples, noise_sigma(field_map, spec), spec),
-                    unit_system=field_map.unit_system,
+    samples = _noisy(field_map.samples, spec,
+                     field_map.grid.weights if spec.weighted_variance else None)
+    return FieldMap(grid=field_map.grid, samples=samples, unit_system=field_map.unit_system,
                     provenance=Provenance("noisy", snr_db=spec.snr_db, seed=spec.seed))
 
 
@@ -124,7 +121,8 @@ def detrend_backward(series: Sequence[tuple[float, float]],
     power = _finite(power, "power must be finite and nonzero")
     if power == 0.0:
         raise ValueError(f"power must be finite and nonzero, got {power}")
-    pts = [(_finite(a, f"radius at index {i} must be finite"), float(v))
+    pts = [(_finite(a, f"radius at index {i} must be finite"),
+            _finite(v, f"value at index {i} must be finite"))
            for i, (a, v) in enumerate(series)]
     radii = [a for a, _ in pts]
     if any(b <= a for a, b in zip(radii, radii[1:])):

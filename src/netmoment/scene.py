@@ -60,6 +60,15 @@ class Dipole:
         object.__setattr__(self, "moment", _vec3(self.moment, "dipole moment"))
 
 
+def _dipole(i: int, entry) -> Dipole:
+    """dipoles[i] as a Dipole: one already, or a (position, moment) pair."""
+    try:
+        return entry if isinstance(entry, Dipole) else Dipole(*entry)
+    except TypeError:  # not iterable, or not of length 2
+        raise SceneError(f"dipoles[{i}] must be a Dipole or a (position, moment) pair, "
+                         f"got {entry!r}") from None
+
+
 @dataclass(frozen=True)
 class MomentVector:
     m1: float
@@ -92,7 +101,7 @@ class DipoleScene:
     _moments: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        dipoles = tuple(d if isinstance(d, Dipole) else Dipole(*d) for d in self.dipoles)
+        dipoles = tuple(_dipole(i, d) for i, d in enumerate(self.dipoles))
         object.__setattr__(self, "dipoles", dipoles)
         h = _finite(self.height, "height must be a finite number", SceneError)
         object.__setattr__(self, "height", h)

@@ -18,9 +18,9 @@ The ring integrals are keyed like the far-field coefficients, by term shape
 (a, b, n): their shapes are the far-field shapes with even b, and odd a
 pairs with sin, even a with cos.
 
-The exact series sum their terms as one integer numerator over the running
-integer denominator of the last term, so a series is normalised once, when
-its Fraction is built, not once per term.
+The exact series of J_n and (pi/2)H_n share one loop, which sums the terms
+as one integer numerator over the running integer denominator of the last
+term, so a series is normalised once, when its Fraction is built.
 
 The quadrature route shares no code with the closed forms: its integrands
 evaluate J_n by a vectorised midpoint rule on Bessel's integral
@@ -77,25 +77,21 @@ STRUVE_MAX_ARG = 50.0
 _SERIES_CUTOFF = 18.0
 
 
-def _bessel_series_frac(x: Fraction, n: int, tol_exp: int = 30) -> Fraction:
-    """J_n by the ascending series in exact rational arithmetic.
+def _alternating_series(num: int, den: int, zp: int, zq: int,
+                        factor: Callable[[int], int], tol_exp: int) -> Fraction:
+    """sum_k (-1)^k t_k exactly, t_0 = num/den, t_k = t_(k-1) zp / (zq factor(k)).
 
     The terms grow to ~1e19 near x = 50 before cancelling; rationals keep the
-    cancellation exact.  The sum is kept as an integer numerator over the
-    running denominator D_k = D_(k-1) * zq * k * (n + k) of its last term,
-    with z = (x/2)^2 = zp/zq, so no term pays a gcd: the one normalisation is
-    the Fraction built at the end.  The loop stops after the first term below
-    10^-tol_exp, tested in integers.
+    cancellation exact.  The sum is an integer numerator over the running
+    denominator D_k = D_(k-1) zq factor(k) of its last term, so no term pays
+    a gcd.  The loop stops after the first term below 10^-tol_exp, tested in
+    integers.
     """
-    hp, hq = x.numerator, 2 * x.denominator  # x/2, not reduced
-    zp, zq = hp * hp, hq * hq
-    num = hp**n
-    den = hq**n * math.factorial(n)
     tot = num
     scale = 10**tol_exp
     k = 1
     while True:
-        f = zq * k * (n + k)
+        f = zq * factor(k)
         num = -num * zp
         den *= f
         tot = tot * f + num
@@ -103,6 +99,13 @@ def _bessel_series_frac(x: Fraction, n: int, tol_exp: int = 30) -> Fraction:
             break
         k += 1
     return Fraction(tot, den)
+
+
+def _bessel_series_frac(x: Fraction, n: int, tol_exp: int = 30) -> Fraction:
+    """J_n by the ascending series, exactly: sum (-1)^k z^k (x/2)^n / (k! (n+k)!), z = (x/2)^2."""
+    hp, hq = x.numerator, 2 * x.denominator  # x/2, not reduced
+    return _alternating_series(hp**n, hq**n * math.factorial(n), hp * hp, hq * hq,
+                               lambda k: k * (n + k), tol_exp)
 
 
 def _bessel_series(x: float, n: int) -> float:
@@ -139,20 +142,22 @@ def _bessel_asympt(x: float, n: int) -> float:
     return math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(chi) - q * math.sin(chi))
 
 
+def _bessel_j(n: int, x: float) -> float:
+    """J0 or J1 (n = 0, 1): the series up to _SERIES_CUTOFF, the Hankel form beyond, J1 odd."""
+    xf = _finite(x, f"bessel_j{n} needs finite x", DomainError)
+    ax = abs(xf)
+    val = _bessel_series(ax, n) if ax <= _SERIES_CUTOFF else _bessel_asympt(ax, n)
+    return -val if n and xf < 0 else val
+
+
 def bessel_j0(x: float) -> float:
     """Bessel J0, absolute accuracy ~1e-13 on |x| <= 50."""
-    x = abs(_finite(x, "bessel_j0 needs finite x", DomainError))
-    if x <= _SERIES_CUTOFF:
-        return _bessel_series(x, 0)
-    return _bessel_asympt(x, 0)
+    return _bessel_j(0, x)
 
 
 def bessel_j1(x: float) -> float:
     """Bessel J1 (odd), absolute accuracy ~1e-13 on |x| <= 50."""
-    xf = _finite(x, "bessel_j1 needs finite x", DomainError)
-    ax = abs(xf)
-    val = _bessel_series(ax, 1) if ax <= _SERIES_CUTOFF else _bessel_asympt(ax, 1)
-    return -val if xf < 0 else val
+    return _bessel_j(1, x)
 
 
 def bessel_j1_prime(x: float) -> float:
@@ -172,27 +177,10 @@ def bessel_j2(x: float) -> float:
 
 
 def _struve_series_frac(z: Fraction, n: int, tol_exp: int = 30) -> Fraction:
-    """(pi/2) H_n(z) as an exact rational: sum (-1)^k z^(2k+n+1)/((2k+1)!!(2k+2n+1)!!).
-
-    Summed like `_bessel_series_frac`, over the running denominator
-    D_k = D_(k-1) * q^2 * (2k+1) * (2k+2n+1) with z = p/q.
-    """
+    """(pi/2) H_n(z) as an exact rational: sum (-1)^k z^(2k+n+1)/((2k+1)!!(2k+2n+1)!!)."""
     p, q = z.numerator, z.denominator
-    p2, q2 = p * p, q * q
-    num = p ** (n + 1)
-    den = q ** (n + 1) * math.prod(range(1, 2 * n + 2, 2))
-    tot = num
-    scale = 10**tol_exp
-    k = 1
-    while True:
-        f = q2 * (2 * k + 1) * (2 * k + 2 * n + 1)
-        num = -num * p2
-        den *= f
-        tot = tot * f + num
-        if abs(num) * scale < den:
-            break
-        k += 1
-    return Fraction(tot, den)
+    return _alternating_series(p ** (n + 1), q ** (n + 1) * math.prod(range(1, 2 * n + 2, 2)),
+                               p * p, q * q, lambda k: (2 * k + 1) * (2 * k + 2 * n + 1), tol_exp)
 
 
 def _struve_series(x: float, n: int) -> float:

@@ -138,3 +138,20 @@ def test_only_the_rule_module_tests_integral_or_bool_types():
                  if path.name != "_checks.py"
                  for match in pattern.finditer(path.read_text(encoding="utf-8"))]
     assert offenders == []
+
+
+@pytest.mark.parametrize("pattern, home", [
+    (r"abs\(num\) \* scale < den", "specfun.py"),      # the exact series' stop test
+    (r"snr_db\s*[!=]=\s*math\.inf", "noise.py"),       # the SNR = inf pass-through
+    (r"evaluation points must have 2 components", "field.py"),
+    (r"<= _SERIES_CUTOFF", "specfun.py"),                # the J0/J1 dispatch
+])
+def test_each_numerical_rule_is_written_once(pattern, home):
+    found = [path.name for path in sorted(_SOURCE.glob("*.py"))
+             for _ in re.finditer(pattern, path.read_text(encoding="utf-8"))]
+    assert found == [home]
+
+
+def test_the_cli_synthesises_maps_only_through_the_estimate_layer():
+    text = (_SOURCE / "cli.py").read_text(encoding="utf-8")
+    assert re.findall(r"\b(?:build_grid|sample_field|add_noise)\b", text) == []

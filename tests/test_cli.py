@@ -391,3 +391,58 @@ def test_validate_scene_reports_moment(scene_file, capsys):
     out = capsys.readouterr().out
     assert "4 dipole(s)" in out
     assert "net moment" in out
+
+
+def test_estimate_out_writes_the_report_to_a_file(tmp_path, scene_file, capsys):
+    args = ["estimate", "--scene", scene_file, "--radius", "2e-3", "--spec", "m1:2",
+            "--n-radial", "16", "--n-angular", "16"]
+    assert main(args) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "report.json"
+    assert main(args + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == printed
+
+
+def test_one_radius_sweep_and_estimate_draw_the_same_noisy_map(tmp_path, scene_file, capsys):
+    # both synthesise through one path, and one radius is noise stream 0
+    flags = ["--scene", scene_file, "--radius", "2e-3", "--snr-db", "20", "--seed", "5"]
+    assert main(["estimate", *flags]) == 0
+    report = json.loads(capsys.readouterr().out)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *flags, "--out", str(out)]) == 0
+    rows = {(r["component"], int(r["order"]), r["axis"] or None): float(r["estimate"])
+            for r in csv.DictReader(open(out))}
+    estimates = {(e["component"], e["order"], e["axis"]): e["estimate"]
+                 for e in report["estimates"]}
+    assert len(estimates) == 15
+    assert rows == estimates
+
+
+def test_sweep_rejects_an_incomplete_radius_range(tmp_path, scene_file, capsys):
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--scene", scene_file, "--radius-min", "1e-3", "--radius-max", "2e-3",
+               "--out", str(out)])
+    assert rc == 1
+    assert "provide --radius or all of" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_estimate_from_a_scene_needs_a_radius(scene_file, capsys):
+    assert main(["estimate", "--scene", scene_file, "--spec", "m1:1"]) == 1
+    assert "estimate from a scene needs --radius" in capsys.readouterr().err
+
+
+def test_bad_spec_is_a_configuration_error(scene_file, capsys):
+    assert main(["estimate", "--scene", scene_file, "--radius", "2e-3", "--spec", "m1:x"]) == 1
+    assert "error: order in 'm1:x' must be an integer" in capsys.readouterr().err
+
+
+def test_sweep_rejects_a_non_integer_thread_cap(tmp_path, scene_file, capsys, monkeypatch):
+    monkeypatch.setenv("NETMOMENT_THREADS", "abc")
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--scene", scene_file, "--radius", "1e-3", "--spec", "m1:1",
+               "--n-radial", "8", "--n-angular", "8", "--out", str(out)])
+    assert rc == 1
+    assert "NETMOMENT_THREADS must be a positive integer, got 'abc'" in capsys.readouterr().err
+    assert not out.exists()

@@ -14,6 +14,7 @@ from netmoment import (MU0, Dipole, DipoleScene, EstimatorSpec, FieldMap, GridPa
                        estimator_weight, integrate_weighted, net_moment,
                        predicted_leading_error, recovered_coefficients,
                        sample_field, sweep, t_quantities, t_quantities_analytic)
+from netmoment import raster_m3_drift_series
 from netmoment.estimate import _ROWS, SweepResult, SweepRow, all_specs
 from netmoment.quad import MAX_POWER
 from netmoment.specfun import sin_cos_components, sin_cos_taylor
@@ -539,3 +540,56 @@ def test_drift_series_rejects_bool_pixel_count(demo_scene):
 def test_sweep_rejects_empty_or_nan_radii(demo_scene, radii):
     with pytest.raises(ValueError, match="radii"):
         sweep(demo_scene, radii, [EstimatorSpec("m1", 1)], GridParams(8, 8))
+
+
+_NOT_A_SPEC = "spec must be an EstimatorSpec, got 'm1:1'"
+
+
+@pytest.mark.parametrize("call", [
+    lambda scene: estimate_moment(sample_field(scene, build_grid(1e-3, 8, 8)), "m1:1"),
+    lambda scene: estimator_weight("m1:1", 1e-3),
+    lambda scene: predicted_leading_error(scene, "m1:1", 1e-3),
+    lambda scene: convergence_slope(SweepResult(()), "m1:1"),
+    lambda scene: raster_m3_drift_series(scene, [1e-3, 2e-3], "m1:1", None, n_pixels=32),
+], ids=["estimate_moment", "estimator_weight", "predicted_leading_error",
+        "convergence_slope", "raster_m3_drift_series"])
+def test_entry_points_reject_a_spec_that_is_not_an_estimator_spec(demo_scene, call):
+    # each raised a bare AttributeError from spec.component or spec.label()
+    with pytest.raises(ValueError, match=re.escape(_NOT_A_SPEC)):
+        call(demo_scene)
+
+
+def test_sweep_rejects_a_spec_that_is_not_an_estimator_spec_before_any_grid(
+        demo_scene, monkeypatch):
+    # the sweep used to build and sample the grid of its first radius first
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid built before the specs were checked")
+
+    monkeypatch.setattr("netmoment.estimate.build_grid", no_grid)
+    with pytest.raises(ValueError, match=re.escape(_NOT_A_SPEC)):
+        sweep(demo_scene, [1e-3, 2e-3], [EstimatorSpec("m1", 2), "m1:1"], GridParams(8, 8))
+
+
+def test_spec_parse_rejects_a_non_integer_order():
+    with pytest.raises(ValueError, match=re.escape("order in 'm1:x' must be an integer")):
+        EstimatorSpec.parse("m1:x")
+
+
+def test_convergence_slope_rejects_top_fraction_above_one_and_too_few_rows():
+    spec = EstimatorSpec("m1", 1)
+    rows = tuple(SweepRow(a, spec, 1.0 - 3.0 / a**2, 1.0) for a in np.geomspace(1.0, 10.0, 12))
+    with pytest.raises(ValueError, match=re.escape("top_fraction must lie in (0, 1], got 1.5")):
+        convergence_slope(SweepResult(rows), spec, top_fraction=1.5)
+    with pytest.raises(ValueError, match="at least 4 rows"):
+        convergence_slope(SweepResult(rows[:3]), spec, top_fraction=1.0)
+
+
+def test_infinite_snr_sweep_and_drift_series_equal_the_clean_ones(demo_scene):
+    # SNR = inf passes the samples through unchanged, drawing nothing
+    radii = [1e-3, 1.5e-3, 2e-3]
+    specs = [EstimatorSpec("m1", 2), EstimatorSpec("m3", 3, "x2")]
+    inf = NoiseSpec(math.inf, seed=4)
+    assert (sweep(demo_scene, radii, specs, GridParams(16, 16), noise=inf)
+            == sweep(demo_scene, radii, specs, GridParams(16, 16)))
+    assert (raster_m3_drift_series(demo_scene, radii, specs[1], inf, n_pixels=64)
+            == raster_m3_drift_series(demo_scene, radii, specs[1], None, n_pixels=64))

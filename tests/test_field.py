@@ -296,3 +296,12 @@ def test_asympt_coefficients_match_hand_formulas(units):
         assert got.keys() == want.keys()
         gap = max(abs(got[s] - want[s]) for s in want)
         assert gap <= 1e-15 * max(abs(v) for v in want.values()), seed
+
+
+@pytest.mark.parametrize("points", [[[1e-3, 2e-3, 5.0]], [1e-3], (1e-3, 2e-3, 5.0)])
+def test_b3_and_b3_asympt_reject_points_without_2_components(demo_scene, points):
+    # b3_asympt used to drop a third coordinate and to index past a single one
+    coeffs = asympt_coefficients(demo_scene)
+    for call in (lambda x: b3(demo_scene, x), lambda x: b3_asympt(coeffs, x)):
+        with pytest.raises(ValueError, match="evaluation points must have 2 components"):
+            call(points)

@@ -189,3 +189,20 @@ def test_detrend_rejects_nonfinite_radius():
         series[index] = (bad, 0.0)
         with pytest.raises(ValueError, match=rf"index {index} must be finite, got {bad}"):
             detrend_backward(series)
+
+
+def test_snr_of_minus_infinity_rejected():
+    with pytest.raises(ValueError, match=re.escape("snr_db must be finite or +inf")):
+        NoiseSpec(-math.inf, 0)
+
+
+def test_detrend_rejects_nonfinite_or_non_numeric_value():
+    # a NaN or infinite value came back as NaN fitted points, and float()
+    # took "2.5" and True
+    good = [(float(i), 0.0) for i in range(1, 15)]
+    for index, bad in ((4, math.nan), (13, math.inf), (0, -math.inf), (7, "2.5"), (9, True)):
+        series = list(good)
+        series[index] = (series[index][0], bad)
+        with pytest.raises(ValueError, match=re.escape(f"value at index {index} must be finite, "
+                                                       f"got {bad!r}")):
+            detrend_backward(series)

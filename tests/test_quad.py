@@ -292,3 +292,23 @@ def test_read_field_csv_rejects_unknown_unit_system(tmp_path, demo_scene):
     write_field_csv(sample_field(demo_scene, build_grid(7.5e-4, 8, 8)), str(path))
     with pytest.raises(ValueError, match="unit_system must be one of .*, got 'SI'"):
         read_field_csv(str(path), "SI")
+
+
+def test_disk_grid_rejects_nodes_that_are_not_planar_points():
+    from netmoment import DiskGrid
+    grid = build_grid(1.0, 8, 16)
+    nodes = np.column_stack([grid.nodes, np.zeros(len(grid.nodes))])
+    with pytest.raises(ValueError, match=re.escape("grid nodes must be (M, 2) with matching "
+                                                   "weights")):
+        DiskGrid(1.0, 8, 16, nodes, grid.weights)
+
+
+def test_field_map_rejects_wrong_sample_count_and_nonfinite_samples():
+    grid = build_grid(1.0, 8, 16)
+    with pytest.raises(ValueError, match="sample count must match the grid node count"):
+        FieldMap(grid, np.zeros(len(grid.nodes) - 1))
+    for bad in (math.nan, math.inf):
+        samples = np.zeros(len(grid.nodes))
+        samples[3] = bad
+        with pytest.raises(ValueError, match="field samples must be finite"):
+            FieldMap(grid, samples)

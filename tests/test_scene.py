@@ -166,3 +166,22 @@ def test_scene_document_rejects_strings_and_booleans_as_numbers(field, value, na
 def test_mu0_by_unit_system(demo_scene, demo_scene_natural):
     assert demo_scene.mu0 == pytest.approx(4e-7 * np.pi)
     assert demo_scene_natural.mu0 == 1.0
+
+
+@pytest.mark.parametrize("entry", [(0.0, 0.0, 0.0), 5, ((0.0, 0.0, 0.0),)])
+def test_scene_rejects_a_dipole_entry_that_is_not_a_pair(entry):
+    # Dipole(*entry) raised a bare TypeError
+    good = Dipole((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+    with pytest.raises(SceneError, match=re.escape(
+            "dipoles[1] must be a Dipole or a (position, moment) pair")):
+        DipoleScene((good, entry), 1.0)
+
+
+@pytest.mark.parametrize("doc, text", [
+    ([], "scene document must be a JSON object"),
+    ({"unit_system": "si", "dipoles": []}, "scene document missing field 'height'"),
+    ({"unit_system": "si", "height": 1.0, "dipoles": {}}, "field 'dipoles' must be a list"),
+])
+def test_scene_document_must_be_an_object_with_a_dipole_list(doc, text):
+    with pytest.raises(SceneError, match=re.escape(text)):
+        scene_from_dict(doc)

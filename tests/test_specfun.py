@@ -132,8 +132,9 @@ def test_tail_quadrature_shares_no_code_with_closed_forms(monkeypatch):
 
     # values cached by earlier calls would pass without running the quadrature
     specfun._tail_quadratures.cache_clear()
-    for name in ("_exact_series", "_bessel_series_frac", "_struve_series_frac",
-                 "_bessel_series", "_bessel_asympt", "bessel_j0", "bessel_j1", "bessel_j2"):
+    for name in ("_exact_series", "_alternating_series", "_bessel_series_frac",
+                 "_struve_series_frac", "_bessel_series", "_bessel_asympt", "_bessel_j",
+                 "bessel_j0", "bessel_j1", "bessel_j2"):
         monkeypatch.setattr(specfun, name, broken)
     for kind, want in closed.items():
         assert tail_integral_quadrature(kind, 1.0) == pytest.approx(want, rel=1e-8), kind
@@ -597,3 +598,9 @@ def test_ring_quadrature_components_equal_lone_ring_integrals():
     for (a, b, n), value in grouped.items():
         lone = ring_trig_integral("sin" if a % 2 else "cos", a, b, n - a - b - 1, k1, radius)
         assert value.hex() == lone.hex(), (a, b, n)
+
+
+def test_bessel_j1_prime_against_mpmath():
+    with mp.workdps(40):
+        for x in (-37.5, -3.0, 1e-3, 0.7, 4.2, 17.9, 18.1, 49.0):
+            assert abs(bessel_j1_prime(x) - float(mp.besselj(1, x, derivative=1))) < 1e-12, x
