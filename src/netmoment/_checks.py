@@ -19,6 +19,13 @@ def _integer(value, text: str, error=ValueError, lo=-math.inf, hi=math.inf) -> i
     return int(value)
 
 
+def _bool(value, text: str, error=ValueError) -> bool:
+    """value, if it is True or False: 1, 0, None and 'no' are no flags."""
+    if not isinstance(value, bool):
+        raise error(f"{text}, got {value!r}")
+    return value
+
+
 def _one_of(value, choices, text: str, error=ValueError):
     """value, if it is one of choices."""
     if value not in choices:

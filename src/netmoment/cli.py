@@ -10,7 +10,6 @@ import argparse
 import contextlib
 import csv
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -31,17 +30,6 @@ __all__ = ["main"]
 
 class ConfigError(ValueError):
     """Bad command-line configuration."""
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("NETMOMENT_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0                    # not an integer: reported below with the text
-    if cap < 1:
-        raise ConfigError(f"NETMOMENT_THREADS must be a positive integer, got {raw!r}")
-    return cap
 
 
 def _radii_from_args(args) -> list[float]:
@@ -147,7 +135,7 @@ def cmd_sweep(args) -> int:
     if args.detrend_window is not None and not 3 <= args.detrend_window <= len(radii):
         raise ConfigError(f"--detrend-window must lie between 3 and the number of radii, "
                           f"{len(radii)}; got {args.detrend_window}")
-    result = sweep(scene, radii, specs, grid, noise=noise, max_workers=_thread_cap())
+    result = sweep(scene, radii, specs, grid, noise=noise)
     detrended = {}
     if args.detrend_window is not None:
         for spec in specs:

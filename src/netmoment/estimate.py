@@ -18,7 +18,6 @@ import dataclasses
 import functools
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -29,7 +28,7 @@ from ._checks import _integer, _one_of, _positive
 from .field import (_FAR_FIELD_ROWS, AsymptCoeffs, _finite_part, asympt_coefficients,
                     asympt_condition_margin, b3)
 from .noise import NoiseSpec, _noisy, add_noise
-from .quad import _DEFAULT_GRID, MAX_POWER, FieldMap, build_grid, sample_field
+from .quad import _DEFAULT_GRID, MAX_POWER, FieldMap, _grid_sizes, build_grid, sample_field
 from .scene import MU0, DipoleScene, net_moment
 
 __all__ = [
@@ -372,6 +371,9 @@ class GridParams:
     n_radial: int = _DEFAULT_GRID[0]
     n_angular: int = _DEFAULT_GRID[1]
 
+    def __post_init__(self):
+        _grid_sizes(self.n_radial, self.n_angular)
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -426,17 +428,15 @@ def _ascending_radii(radii: Sequence[float]) -> list[float]:
 
 
 def sweep(scene: DipoleScene, radii: Sequence[float], specs: Sequence[EstimatorSpec],
-          grid_params: GridParams = GridParams(), noise: Optional[NoiseSpec] = None,
-          max_workers: int = 1) -> SweepResult:
+          grid_params: GridParams = GridParams(), noise: Optional[NoiseSpec] = None) -> SweepResult:
     """Estimate every spec on every radius.
 
     The rows come grouped by ascending radius, each group in the order of
     specs; SweepResult.for_spec returns one spec's rows sorted by radius.
-    Noise draws are keyed by (seed, radius index), so parallel execution
-    cannot change the result.  A margin >= 1 at the smallest radius only
-    warns: small radii outside the asymptotic regime are still useful data.
+    The radius of index i draws its noise from stream i of noise.seed.  A
+    margin >= 1 at the smallest radius only warns: small radii outside the
+    asymptotic regime are still useful data.
     """
-    _integer(max_workers, "max_workers must be an integer >= 1", lo=1)
     radii = _ascending_radii(radii)
     for spec in specs:  # checked before any grid is built
         _estimator_row(spec)
@@ -449,15 +449,10 @@ def sweep(scene: DipoleScene, radii: Sequence[float], specs: Sequence[EstimatorS
         )
     truth = net_moment(scene)
     coeffs = asympt_coefficients(scene)
-    cell = functools.partial(_sweep_cell, scene, specs, grid_params, noise, truth, coeffs)
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            chunks = list(pool.map(cell, range(len(radii)), radii))
-    else:
-        # one worker stays in this thread: a pool thread takes its own malloc
-        # arena, which costs the README sweep about 7 MB of peak RSS (+13 %)
-        chunks = list(map(cell, range(len(radii)), radii))
-    return SweepResult(rows=tuple(row for chunk in chunks for row in chunk))
+    # one call per radius, so each radius's map is freed before the next is built
+    return SweepResult(rows=tuple(
+        row for stream, radius in enumerate(radii)
+        for row in _sweep_cell(scene, specs, grid_params, noise, truth, coeffs, stream, radius)))
 
 
 def convergence_slope(result: SweepResult, spec: EstimatorSpec,

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import _finite, _integer, _real
+from ._checks import _bool, _finite, _integer, _real
 from .quad import FieldMap, Provenance
 
 __all__ = [
@@ -56,6 +56,8 @@ class NoiseSpec:
         for name in ("seed", "stream"):
             _integer(getattr(self, name), f"{name} must be an integer in [0, 2**64)",
                      lo=0, hi=2**64 - 1)
+        # 'no' would be truthy and select the weighted variance
+        _bool(self.weighted_variance, "weighted_variance must be True or False")
 
 
 def _generator(spec: NoiseSpec) -> np.random.Generator:

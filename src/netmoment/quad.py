@@ -16,7 +16,7 @@ import numpy as np
 
 from ._checks import _integer, _one_of, _positive, _real
 from .field import b3
-from .scene import _UNIT_SYSTEMS, DipoleScene
+from .scene import _UNIT_SYSTEMS, DipoleScene, _read_only
 
 __all__ = [
     "DiskGrid",
@@ -34,13 +34,6 @@ MAX_POWER = 11
 
 # (n_radial, n_angular) of the default disk rule
 _DEFAULT_GRID = (200, 256)
-
-
-def _read_only(values) -> np.ndarray:
-    """A private float copy that cannot be written in place."""
-    arr = np.array(values, dtype=float)
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True)
@@ -135,16 +128,21 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(xg), _read_only(wg)
 
 
-def build_grid(radius: float, n_radial: int = _DEFAULT_GRID[0],
-               n_angular: int = _DEFAULT_GRID[1]) -> DiskGrid:
-    """Gauss-Legendre x uniform-angle tensor rule on the disk of given radius."""
-    radius = _positive(radius, "radius must be positive and finite")
+def _grid_sizes(n_radial: int, n_angular: int) -> None:
+    """The sizes build_grid takes: integers, n_radial >= 4, n_angular even and >= 8."""
     for name, n in (("n_radial", n_radial), ("n_angular", n_angular)):
         _integer(n, f"{name} must be an integer")
     if n_radial < 4:
         raise ValueError(f"n_radial must be at least 4, got {n_radial}")
     if n_angular < 8 or n_angular % 2:
         raise ValueError(f"n_angular must be even and at least 8, got {n_angular}")
+
+
+def build_grid(radius: float, n_radial: int = _DEFAULT_GRID[0],
+               n_angular: int = _DEFAULT_GRID[1]) -> DiskGrid:
+    """Gauss-Legendre x uniform-angle tensor rule on the disk of given radius."""
+    radius = _positive(radius, "radius must be positive and finite")
+    _grid_sizes(n_radial, n_angular)
     xg, wg = _gauss_legendre(n_radial)
     r = 0.5 * radius * (xg + 1.0)
     wr = 0.5 * radius * wg * r                       # radial weight with Jacobian r

@@ -38,6 +38,13 @@ class SceneError(ValueError):
     """Invalid scene data."""
 
 
+def _read_only(values) -> np.ndarray:
+    """A private float copy that cannot be written in place."""
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
 def _vec3(value: Sequence[float], what: str) -> tuple[float, float, float]:
     text = f"{what} must be a 3-vector of finite numbers"
     try:
@@ -101,7 +108,12 @@ class DipoleScene:
     _moments: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        dipoles = tuple(_dipole(i, d) for i, d in enumerate(self.dipoles))
+        try:
+            entries = enumerate(self.dipoles)
+        except TypeError:  # not iterable
+            raise SceneError(f"dipoles must be an iterable of dipoles, "
+                             f"got {self.dipoles!r}") from None
+        dipoles = tuple(_dipole(i, d) for i, d in entries)
         object.__setattr__(self, "dipoles", dipoles)
         h = _finite(self.height, "height must be a finite number", SceneError)
         object.__setattr__(self, "height", h)
@@ -113,8 +125,9 @@ class DipoleScene:
                 raise SceneError(
                     f"height {h} must be strictly above the highest dipole x3 = {top}"
                 )
-        pos = np.array([d.position for d in dipoles], dtype=float).reshape(-1, 3)
-        mom = np.array([d.moment for d in dipoles], dtype=float).reshape(-1, 3)
+        # read-only, so that a write cannot make them disagree with the dipoles
+        pos = _read_only([d.position for d in dipoles]).reshape(-1, 3)
+        mom = _read_only([d.moment for d in dipoles]).reshape(-1, 3)
         object.__setattr__(self, "_positions", pos)
         object.__setattr__(self, "_moments", mom)
 

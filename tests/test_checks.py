@@ -34,8 +34,7 @@ _INTEGER_ARGUMENTS = [
     ("n_angular", ValueError, lambda s, v: build_grid(1e-3, 8, v)),
     ("n_radial", ValueError, lambda s, v: DiskGrid(1.0, v, 16, _GRID.nodes, _GRID.weights)),
     ("n_angular", ValueError, lambda s, v: DiskGrid(1.0, 8, v, _GRID.nodes, _GRID.weights)),
-    ("max_workers", ValueError, lambda s, v: sweep(s, [1e-3], [EstimatorSpec("m1", 1)],
-                                                   GridParams(8, 8), max_workers=v)),
+    ("n_radial", ValueError, lambda s, v: GridParams(v, 16)),
     ("n_pixels", ValueError, lambda s, v: raster_m3_drift_series(
         s, [1e-3, 2e-3], EstimatorSpec("m3", 2), None, n_pixels=v)),
     ("window", ValueError, lambda s, v: detrend_backward(_SERIES, window=v)),
@@ -51,6 +50,8 @@ _INTEGER_ARGUMENTS = [
     ("cos_pow", DomainError, lambda s, v: ring_trig_integral("sin", v, 0, 3, 0.2, 1.0)),
     ("sin_pow", DomainError, lambda s, v: ring_trig_integral("sin", 1, v, 3, 0.2, 1.0)),
     ("inv_pow", DomainError, lambda s, v: ring_trig_integral("sin", 1, 0, v, 0.2, 1.0)),
+    # last, so that each row above keeps the index in its case ids
+    ("n_angular", ValueError, lambda s, v: GridParams(8, v)),
 ]
 
 _POSITIVE_ARGUMENTS = [
@@ -145,6 +146,7 @@ def test_only_the_rule_module_tests_integral_or_bool_types():
     (r"snr_db\s*[!=]=\s*math\.inf", "noise.py"),       # the SNR = inf pass-through
     (r"evaluation points must have 2 components", "field.py"),
     (r"<= _SERIES_CUTOFF", "specfun.py"),                # the J0/J1 dispatch
+    (r"must be even and at least 8", "quad.py"),         # the grid-size rule
 ])
 def test_each_numerical_rule_is_written_once(pattern, home):
     found = [path.name for path in sorted(_SOURCE.glob("*.py"))
@@ -155,3 +157,11 @@ def test_each_numerical_rule_is_written_once(pattern, home):
 def test_the_cli_synthesises_maps_only_through_the_estimate_layer():
     text = (_SOURCE / "cli.py").read_text(encoding="utf-8")
     assert re.findall(r"\b(?:build_grid|sample_field|add_noise)\b", text) == []
+
+
+def test_the_sweep_runs_without_a_thread_pool():
+    # parallel sweeps come back only with a benchmark workload that gains from them
+    pattern = re.compile(r"concurrent\.futures|ThreadPoolExecutor|NETMOMENT_THREADS")
+    found = [f"{path.name}: {match.group(0)}" for path in sorted(_SOURCE.glob("*.py"))
+             for match in pattern.finditer(path.read_text(encoding="utf-8"))]
+    assert found == []

@@ -297,19 +297,6 @@ def test_estimate_rejects_nan_node_in_field_csv(tmp_path, scene_file, capsys):
     assert "first node 0 at (nan, " in captured.err
 
 
-@pytest.mark.parametrize("threads", ["0", "-2"])
-def test_sweep_rejects_nonpositive_thread_cap(tmp_path, scene_file, capsys, monkeypatch,
-                                              threads):
-    monkeypatch.setenv("NETMOMENT_THREADS", threads)
-    out = tmp_path / "sweep.csv"
-    rc = main(["sweep", "--scene", scene_file, "--radius-min", "7.5e-4",
-               "--radius-max", "2e-3", "--radius-count", "3", "--spec", "m1:1",
-               "--n-radial", "8", "--n-angular", "8", "--out", str(out)])
-    assert rc == 1
-    assert "NETMOMENT_THREADS" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_verify_specfun_filter_matching_nothing_is_config_error(tmp_path, capsys):
     # it used to exit 0 with a header-only CSV
     out = tmp_path / "empty.csv"
@@ -436,13 +423,3 @@ def test_estimate_from_a_scene_needs_a_radius(scene_file, capsys):
 def test_bad_spec_is_a_configuration_error(scene_file, capsys):
     assert main(["estimate", "--scene", scene_file, "--radius", "2e-3", "--spec", "m1:x"]) == 1
     assert "error: order in 'm1:x' must be an integer" in capsys.readouterr().err
-
-
-def test_sweep_rejects_a_non_integer_thread_cap(tmp_path, scene_file, capsys, monkeypatch):
-    monkeypatch.setenv("NETMOMENT_THREADS", "abc")
-    out = tmp_path / "sweep.csv"
-    rc = main(["sweep", "--scene", scene_file, "--radius", "1e-3", "--spec", "m1:1",
-               "--n-radial", "8", "--n-angular", "8", "--out", str(out)])
-    assert rc == 1
-    assert "NETMOMENT_THREADS must be a positive integer, got 'abc'" in capsys.readouterr().err
-    assert not out.exists()

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netmoment import (MU0, Dipole, DipoleScene, EstimatorSpec, FieldMap, GridParams,
-                       NoiseSpec, asympt_coefficients, b3, build_grid,
+                       NoiseSpec, add_noise, asympt_coefficients, b3, build_grid,
                        convergence_slope, d_coefficients, estimate_moment,
                        estimator_weight, integrate_weighted, net_moment,
                        predicted_leading_error, recovered_coefficients,
@@ -429,23 +429,28 @@ def test_sweep_noisy_is_deterministic(demo_scene):
     assert [r.estimate for r in a.rows] == [r.estimate for r in b.rows]
 
 
-def test_sweep_parallel_matches_serial(demo_scene):
-    radii = np.geomspace(7.5e-4, 2e-3, 4)
+def test_sweep_draws_noise_stream_i_at_radius_index_i(demo_scene):
+    radii = np.geomspace(7.5e-4, 2e-3, 3)
     specs = [EstimatorSpec("m1", 1), EstimatorSpec("m3", 2)]
-    kwargs = dict(grid_params=GridParams(40, 48), noise=NoiseSpec(20.0, seed=7))
-    serial = sweep(demo_scene, radii, specs, **kwargs)
-    threaded = sweep(demo_scene, radii, specs, max_workers=4, **kwargs)
-    assert ([r.estimate for r in serial.rows]
-            == [r.estimate for r in threaded.rows])
+    result = sweep(demo_scene, radii, specs, GridParams(40, 48), NoiseSpec(20.0, seed=7))
+    expected = []
+    for i, radius in enumerate(radii):
+        fmap = add_noise(sample_field(demo_scene, build_grid(radius, 40, 48)),
+                         NoiseSpec(20.0, 7, stream=i))
+        expected += [(radius, spec, estimate_moment(fmap, spec)) for spec in specs]
+    assert [(r.radius, r.spec, r.estimate) for r in result.rows] == expected
 
 
-@pytest.mark.parametrize("workers", [0, -1, math.nan, True, 1.5, math.inf, 2.0, "2"])
-def test_sweep_rejects_bad_max_workers(demo_scene, workers):
-    # 0, -1, NaN and True used to run serially, 1.5 and inf to start a thread pool
-    with pytest.raises(ValueError, match=re.escape(f"max_workers must be an integer >= 1, "
-                                                   f"got {workers!r}")):
-        sweep(demo_scene, [1e-3], [EstimatorSpec("m1", 1)], GridParams(16, 16),
-              max_workers=workers)
+@pytest.mark.parametrize("sizes, text", [
+    ((3, 16), "n_radial must be at least 4, got 3"),
+    ((8, 6), "n_angular must be even and at least 8, got 6"),
+    ((8, 9), "n_angular must be even and at least 8, got 9"),
+])
+def test_grid_params_refuse_the_sizes_build_grid_refuses(sizes, text):
+    # GridParams used to take any value and fail at the first grid of a sweep
+    for make in (GridParams, lambda *n: build_grid(1e-3, *n)):
+        with pytest.raises(ValueError, match=re.escape(text)):
+            make(*sizes)
 
 
 def test_sweep_warns_when_condition_fails(demo_scene):

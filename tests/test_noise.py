@@ -71,6 +71,14 @@ def test_non_real_or_bool_snr_rejected(bad):
         NoiseSpec(bad, seed=1)
 
 
+@pytest.mark.parametrize("bad", ["no", 1, 0, None])
+def test_weighted_variance_must_be_a_bool(bad):
+    # 'no' is truthy and used to select the weighted variance
+    with pytest.raises(ValueError, match=re.escape(
+            f"weighted_variance must be True or False, got {bad!r}")):
+        NoiseSpec(20.0, seed=0, weighted_variance=bad)
+
+
 def test_numpy_float_snr_accepted(small_map):
     # a float32 SNR used to compute sigma in float32 and so draw other noise
     want = NoiseSpec(20.0, seed=3)

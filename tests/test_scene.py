@@ -177,6 +177,25 @@ def test_scene_rejects_a_dipole_entry_that_is_not_a_pair(entry):
         DipoleScene((good, entry), 1.0)
 
 
+@pytest.mark.parametrize("dipoles", [5, 1.0, None])
+def test_scene_rejects_dipoles_that_are_not_iterable(dipoles):
+    # enumerate() raised a bare TypeError
+    with pytest.raises(SceneError, match=re.escape(
+            f"dipoles must be an iterable of dipoles, got {dipoles!r}")):
+        DipoleScene(dipoles, 1.0)
+
+
+def test_scene_arrays_are_read_only_and_keep_their_bits():
+    # a write used to reach net_moment, while dipoles and scene_to_dict kept the old value
+    scene = DipoleScene((((1e-5, 2e-5, 3e-5), (1e-12, 2e-12, 3e-12)),), 1.0)
+    for arr in (scene.positions, scene.moments):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 5.0
+    assert scene.positions.tolist() == [[1e-5, 2e-5, 3e-5]]
+    assert scene.moments.tolist() == [[1e-12, 2e-12, 3e-12]]
+    assert net_moment(scene).m1 == 1e-12
+
+
 @pytest.mark.parametrize("doc, text", [
     ([], "scene document must be a JSON object"),
     ({"unit_system": "si", "dipoles": []}, "scene document missing field 'height'"),
