@@ -3,13 +3,23 @@
 The grid is a Gauss-Legendre rule in radius (Jacobian folded into the
 weights) crossed with a uniform angular rule, so any disk integral of a
 sampled field is a plain weighted dot product.
+
+build_grid(A, n_radial, n_angular) scales one unit-disk rule, built once per
+(n_radial, n_angular) and cached: nodes A*r_i*(cos t_k, sin t_k) and weights
+A^2*w_i.  The cache holds only 1-D factors and two small moment tables, so
+the monomial moments of a map on such a grid are a product of the samples,
+viewed as an (n_radial x n_angular) array, with those tables.  A field CSV
+whose nodes and weights are those of a build_grid grid, bit for bit, reads
+back onto that grid.  Any other grid (another file, or a DiskGrid built
+directly) has no tensor structure to use, and its moments are one dense
+weighted sum over its nodes.
 """
 from __future__ import annotations
 
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,6 +47,23 @@ _DEFAULT_GRID = (200, 256)
 
 
 @dataclass(frozen=True)
+class _UnitRule:
+    """The unit-disk rule of one (n_radial, n_angular) shape, as 1-D factors.
+
+    Node (i, k) sits at radii[i] * (cos[k], sin[k]) with weight ring_weights[i].
+    radial_moments[p, i] = radii[i]^p * ring_weights[i], and
+    angular_moments[j, p, k] = cos[k]^p (j = 0) or sin[k]^p (j = 1), p <= MAX_POWER.
+    """
+
+    radii: np.ndarray             # (n_radial,)
+    ring_weights: np.ndarray      # (n_radial,)
+    cos: np.ndarray               # (n_angular,)
+    sin: np.ndarray               # (n_angular,)
+    radial_moments: np.ndarray    # (MAX_POWER + 1, n_radial)
+    angular_moments: np.ndarray   # (2, MAX_POWER + 1, n_angular)
+
+
+@dataclass(frozen=True)
 class DiskGrid:
     """Quadrature nodes and weights covering the disk |x| <= radius."""
 
@@ -45,16 +72,20 @@ class DiskGrid:
     n_angular: int
     nodes: np.ndarray      # (M, 2)
     weights: np.ndarray    # (M,)
+    # set by build_grid only: the unit rule its read-only nodes and weights
+    # were scaled from; any other grid keeps None and private copies
+    _unit_rule: InitVar[Optional[_UnitRule]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _unit_rule: Optional[_UnitRule]):
         for name in ("n_radial", "n_angular"):
             _integer(getattr(self, name), f"{name} must be a positive integer", lo=1)
-        nodes = _read_only(self.nodes)
-        weights = _read_only(self.weights)
+        if _unit_rule is None:
+            object.__setattr__(self, "nodes", _read_only(self.nodes))
+            object.__setattr__(self, "weights", _read_only(self.weights))
+        object.__setattr__(self, "_rule", _unit_rule)
+        nodes, weights = self.nodes, self.weights
         if nodes.ndim != 2 or nodes.shape[1] != 2 or len(weights) != len(nodes):
             raise ValueError("grid nodes must be (M, 2) with matching weights")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
         area = math.pi * _real(self.radius, "radius must be positive and finite") ** 2
         if not abs(weights.sum() - area) <= 1e-12 * area:  # NaN fails too
             raise ValueError(f"grid weights do not sum to the disk area of radius {self.radius!r}")
@@ -107,8 +138,22 @@ class FieldMap:
 
     @functools.cached_property
     def moments(self) -> np.ndarray:
-        """mu[j, p] = iint (x_j / radius)^p * sample, j = x1, x2, p <= MAX_POWER, field units."""
+        """mu[j, p] = iint (x_j / radius)^p * sample, j = x1, x2, p <= MAX_POWER, field units.
+
+        On a build_grid grid this is radius^2 * sum_i R[p, i] (S C^T)[i, j, p],
+        with S the samples as an (n_radial x n_angular) array and R, C the unit
+        rule's moment tables; on any other grid, one weighted sum over the nodes.
+        """
         # cached: the samples and the grid are read-only, so it cannot go stale
+        rule = self.grid._rule
+        if rule is not None:
+            n_angular = len(rule.cos)
+            ring_sums = self.samples.reshape(-1, n_angular) @ rule.angular_moments.reshape(
+                -1, n_angular).T
+            mu = np.einsum("pi,ijp->jp", rule.radial_moments,
+                           ring_sums.reshape(-1, 2, MAX_POWER + 1))
+            return _read_only(self.radius * self.radius * mu)
+
         def monomials(x: np.ndarray) -> np.ndarray:
             # running products into one stack: no second stack of its size is held
             u = x.T / self.radius
@@ -122,10 +167,17 @@ class FieldMap:
 
 
 @functools.lru_cache(maxsize=32)
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # the reference rule on [-1, 1] does not depend on the radius
-    xg, wg = np.polynomial.legendre.leggauss(n)
-    return _read_only(xg), _read_only(wg)
+def _unit_rule(n_radial: int, n_angular: int) -> _UnitRule:
+    """The unit-disk rule and its moment tables; they do not depend on the radius."""
+    xg, wg = np.polynomial.legendre.leggauss(n_radial)
+    radii = 0.5 * (xg + 1.0)
+    ring_weights = 0.5 * wg * radii * (2.0 * math.pi / n_angular)   # Jacobian r
+    theta = 2.0 * math.pi * np.arange(n_angular) / n_angular
+    cos, sin = np.cos(theta), np.sin(theta)
+    powers = np.arange(MAX_POWER + 1)[:, None]
+    return _UnitRule(*map(_read_only, (radii, ring_weights, cos, sin,
+                                       radii**powers * ring_weights,
+                                       np.stack([cos, sin])[:, None] ** powers)))
 
 
 def _grid_sizes(n_radial: int, n_angular: int) -> None:
@@ -140,19 +192,23 @@ def _grid_sizes(n_radial: int, n_angular: int) -> None:
 
 def build_grid(radius: float, n_radial: int = _DEFAULT_GRID[0],
                n_angular: int = _DEFAULT_GRID[1]) -> DiskGrid:
-    """Gauss-Legendre x uniform-angle tensor rule on the disk of given radius."""
+    """Gauss-Legendre x uniform-angle tensor rule on the disk of given radius.
+
+    The cached unit rule of (n_radial, n_angular), scaled: node (i, k) is
+    (radius * r_i) * (cos t_k, sin t_k), ring by ring, and its weight is
+    radius^2 * w_i.
+    """
     radius = _positive(radius, "radius must be positive and finite")
     _grid_sizes(n_radial, n_angular)
-    xg, wg = _gauss_legendre(n_radial)
-    r = 0.5 * radius * (xg + 1.0)
-    wr = 0.5 * radius * wg * r                       # radial weight with Jacobian r
-    theta = 2.0 * math.pi * np.arange(n_angular) / n_angular
-    nodes = np.stack(
-        [np.outer(r, np.cos(theta)).ravel(), np.outer(r, np.sin(theta)).ravel()],
-        axis=-1,
-    )
-    weights = np.repeat(wr, n_angular) * (2.0 * math.pi / n_angular)
-    return DiskGrid(radius, n_radial, n_angular, nodes, weights)
+    rule = _unit_rule(n_radial, n_angular)
+    r = radius * rule.radii
+    nodes = np.empty((n_radial * n_angular, 2))
+    rings = nodes.reshape(n_radial, n_angular, 2)
+    np.multiply.outer(r, rule.cos, out=rings[..., 0])
+    np.multiply.outer(r, rule.sin, out=rings[..., 1])
+    weights = np.repeat(radius * radius * rule.ring_weights, n_angular)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return DiskGrid(radius, n_radial, n_angular, nodes, weights, rule)
 
 
 def sample_field(scene: DipoleScene, grid: DiskGrid) -> FieldMap:
@@ -208,6 +264,42 @@ def read_field_csv(path: str, unit_system: str = "si") -> FieldMap:
     # the roundoff of one radius far below
     node_radii = np.sort(np.hypot(nodes_arr[:, 0], nodes_arr[:, 1]))
     n_radial = 1 + int(np.count_nonzero(np.diff(node_radii) > 1e-9 * radius))
-    grid = DiskGrid(radius, n_radial, max(len(nodes_arr) // n_radial, 8),
-                    nodes_arr, weights_arr)
+    n_angular = max(len(nodes_arr) // n_radial, 8)
+    grid = _built_grid(radius, n_radial, n_angular, nodes_arr, weights_arr)
+    if grid is None:
+        grid = DiskGrid(radius, n_radial, n_angular, nodes_arr, weights_arr)
     return FieldMap(grid=grid, samples=table[:, 3], unit_system=unit_system)
+
+
+# how far, in ulps, the radius read back from a weight sum may sit from the
+# radius the grid was built with (2 seen over 1500 radii and five shapes)
+_RADIUS_ULPS = 4
+
+
+def _built_grid(radius: float, n_radial: int, n_angular: int,
+                nodes: np.ndarray, weights: np.ndarray) -> Optional[DiskGrid]:
+    """build_grid(a, n_radial, n_angular) if its nodes and weights are these, bit
+    for bit, for a radius a within _RADIUS_ULPS ulps of radius; else None.
+
+    A map written from a build_grid grid reads back onto that grid and so takes
+    the same tensor route for its moments, with the same bits.
+    """
+    try:
+        _grid_sizes(n_radial, n_angular)
+    except ValueError:
+        return None
+    if len(nodes) != n_radial * n_angular:
+        return None
+    outer = _unit_rule(n_radial, n_angular).radii[-1]
+    below = above = radius
+    candidates = [radius]
+    for _ in range(_RADIUS_ULPS):
+        below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+        candidates += [below, above]
+    for a in candidates:
+        # the first node of the outer ring, (a * r) * cos 0, rules out most radii at once
+        if a * outer == nodes[-n_angular, 0]:
+            grid = build_grid(a, n_radial, n_angular)
+            if np.array_equal(grid.nodes, nodes) and np.array_equal(grid.weights, weights):
+                return grid
+    return None

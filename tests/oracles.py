@@ -9,8 +9,9 @@ integrals, the hand-expanded far-field coefficients, the hand-tabulated
 estimator rows with the T-quantity and leading-error formulas, the Bessel
 and Struve series summed term by term in reduced `Fraction`s, the hand-typed
 tail and ring closed forms with the Taylor coefficients of the functions
-they are written in, and the Euler transform of one panel series held as a
-list.  The library
+they are written in, the Euler transform of one panel series held as a
+list, and the monomial disk moments of a field map summed node by node in
+exact arithmetic.  The library
 keys each far-field coefficient by its term's shape (a, b, n) alone; the
 paper's names and order for them are kept here, in PAPER_NAMES.
 """
@@ -226,6 +227,21 @@ def disk_monomial_integral(radius: float, a: int, b: int) -> float:
     # angular integral of cos^a sin^b over the full circle
     ang = 2 * math.pi * half_fact(a) * half_fact(b) / math.prod(range(2, n + 2, 2))
     return radius ** (n + 2) / (n + 2) * ang
+
+
+def disk_moments_fsum(field_map: FieldMap) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, scale): mu[j, p] = sum over nodes of (x_j / A)^p * w * s, each sum
+    rounded once by math.fsum, and scale[j, p] = sum of the terms' magnitudes."""
+    radius = field_map.radius
+    ws = field_map.grid.weights * field_map.samples
+    mu, scale = np.empty((2, 12)), np.empty((2, 12))
+    for j in (0, 1):
+        u = field_map.grid.nodes[:, j] / radius
+        for p in range(12):
+            terms = (u**p * ws).tolist()
+            mu[j, p] = math.fsum(terms)
+            scale[j, p] = math.fsum(map(abs, terms))
+    return mu, scale
 
 
 def condition_margin_bruteforce(scene: DipoleScene, radius: float,

@@ -147,6 +147,7 @@ def test_only_the_rule_module_tests_integral_or_bool_types():
     (r"evaluation points must have 2 components", "field.py"),
     (r"<= _SERIES_CUTOFF", "specfun.py"),                # the J0/J1 dispatch
     (r"must be even and at least 8", "quad.py"),         # the grid-size rule
+    (r"math\.pi / n_angular", "quad.py"),               # the unit rule's angular weight
 ])
 def test_each_numerical_rule_is_written_once(pattern, home):
     found = [path.name for path in sorted(_SOURCE.glob("*.py"))

@@ -1,13 +1,19 @@
+import dataclasses
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from netmoment import (DipoleScene, FieldMap, b3, build_grid, integrate_weighted,
-                       read_field_csv, sample_field, write_field_csv)
-from oracles import disk_monomial_integral, read_field_csv_rows, write_field_csv_rows
+from netmoment import (Dipole, DipoleScene, EstimatorSpec, FieldMap, GridParams, all_specs,
+                       asympt_coefficients, b3, build_grid, estimate_moment, integrate_weighted,
+                       read_field_csv, recovered_coefficients, sample_field, sweep,
+                       t_quantities, write_field_csv)
+from netmoment.quad import _unit_rule
+from oracles import (disk_moments_fsum, disk_monomial_integral, read_field_csv_rows,
+                     write_field_csv_rows)
 
 
 def test_weights_sum_to_disk_area():
@@ -312,3 +318,119 @@ def test_field_map_rejects_wrong_sample_count_and_nonfinite_samples():
         samples[3] = bad
         with pytest.raises(ValueError, match="field samples must be finite"):
             FieldMap(grid, samples)
+
+
+def random_scene(seed: int, n_dipoles: int) -> DipoleScene:
+    """Dipoles within 0.1 mm of the axis and 0.1 mm deep, 0.25 mm below the plane."""
+    rng = np.random.default_rng(seed)
+    positions = np.column_stack([rng.uniform(-1e-4, 1e-4, n_dipoles),
+                                 rng.uniform(-1e-4, 1e-4, n_dipoles),
+                                 rng.uniform(0.0, 1e-4, n_dipoles)])
+    moments = rng.normal(0.0, 1e-12, (n_dipoles, 3))
+    return DipoleScene(tuple(Dipole(tuple(p), tuple(m)) for p, m in zip(positions, moments)),
+                       2.5e-4, "si")
+
+
+@pytest.mark.parametrize("radius", [3e-4, 7.5e-4, 2e-3, 1.7])
+@pytest.mark.parametrize("shape", [(4, 8), (16, 24), (60, 64), (200, 256)])
+def test_build_grid_scales_the_cached_unit_rule(radius, shape):
+    n_radial, n_angular = shape
+    rule = _unit_rule(n_radial, n_angular)
+    grid = build_grid(radius, n_radial, n_angular)
+    r = radius * rule.radii
+    want = np.stack([np.outer(r, rule.cos), np.outer(r, rule.sin)], axis=-1).reshape(-1, 2)
+    assert np.array_equal(grid.nodes.view(np.uint64), want.view(np.uint64))
+    weights = np.repeat(radius * radius * rule.ring_weights, n_angular)
+    assert np.array_equal(grid.weights.view(np.uint64), weights.view(np.uint64))
+    assert abs(grid.weights.sum() - math.pi * radius**2) <= 1e-12 * math.pi * radius**2
+
+
+def test_a_sweep_builds_one_unit_rule_per_shape(demo_scene):
+    _unit_rule.cache_clear()
+    with pytest.warns(UserWarning, match="asymptotic condition"):
+        sweep(demo_scene, np.geomspace(3e-4, 2e-3, 24), [EstimatorSpec("m3", 2)],
+              GridParams(16, 24))
+    info = _unit_rule.cache_info()
+    assert (info.misses, info.hits) == (1, 23)
+
+
+def test_only_build_grid_grids_and_their_files_carry_the_unit_rule(tmp_path, demo_scene):
+    grid = build_grid(7.5e-4, 16, 24)
+    assert grid._rule is _unit_rule(16, 24)
+    path = tmp_path / "map.csv"
+    write_field_csv(sample_field(demo_scene, grid), str(path))
+    assert read_field_csv(str(path)).grid._rule is grid._rule
+    # one weight an ulp off: the file is no longer that grid's
+    lines = path.read_text().splitlines(keepends=True)
+    x1, x2, w, s = lines[7].split(",")
+    lines[7] = ",".join([x1, x2, repr(math.nextafter(float(w), 0.0)), s])
+    path.write_text("".join(lines))
+    others = [read_field_csv(str(path)).grid,
+              type(grid)(grid.radius, 16, 24, grid.nodes, grid.weights),
+              dataclasses.replace(grid, radius=grid.radius)]
+    for other in others:
+        assert other._rule is None
+        assert other.nodes is not grid.nodes and np.array_equal(other.nodes, grid.nodes)
+
+
+def test_a_file_reads_back_onto_the_radius_its_grid_was_built_with(tmp_path, demo_scene):
+    # a radius that the weight sum does not give back exactly
+    radius = next(a for a in np.geomspace(1e-4, 1e-3, 100)
+                  if math.sqrt(build_grid(a, 16, 24).weights.sum() / math.pi) != a)
+    fmap = sample_field(demo_scene, build_grid(radius, 16, 24))
+    path = tmp_path / "map.csv"
+    write_field_csv(fmap, str(path))
+    back = read_field_csv(str(path))
+    assert back.radius == radius and back.grid._rule is not None
+    assert np.array_equal(back.moments, fmap.moments)
+
+
+@pytest.mark.parametrize("seed", [211, 212, 213])
+@pytest.mark.parametrize("shape", [(16, 24), (60, 64), (200, 256)])
+def test_tensor_moments_match_a_node_by_node_exact_sum(seed, shape):
+    rng = np.random.default_rng(seed)
+    radius = float(rng.uniform(3e-4, 2e-3))
+    fmap = sample_field(random_scene(seed, 1 + seed % 7), build_grid(radius, *shape))
+    grid = fmap.grid
+    dense = FieldMap(type(grid)(radius, *shape, grid.nodes, grid.weights), fmap.samples)
+    want, scale = disk_moments_fsum(fmap)
+    for route in (fmap, dense):     # the tensor tables, then one sum over the nodes
+        assert np.all(np.abs(route.moments - want) <= 1e-13 * scale)
+
+
+def test_tensor_moments_hold_no_node_sized_array(demo_scene):
+    fmap = sample_field(demo_scene, build_grid(2e-3))    # the 200 x 256 rule, cached
+    tracemalloc.start()
+    try:
+        fmap.moments
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (2, 12, M) monomial stack alone is 9.8 MB
+    assert peak < 1_000_000
+
+
+def _disk_functionals(fmap: FieldMap, scene: DipoleScene) -> list[float]:
+    coeffs = asympt_coefficients(scene)
+    rec = recovered_coefficients(fmap)
+    return ([estimate_moment(fmap, spec) for spec in all_specs()]
+            + [v for axis in ("x1", "x2")
+               for v in vars(t_quantities(fmap, coeffs, axis)).values()]
+            + [d[k] for d in (rec.a1_over_radius, rec.combo) for k in sorted(d)])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_read_back_map_agrees_with_the_map_in_memory(tmp_path, seed):
+    # routes that differ only in roundoff move the recovered coefficients of
+    # seed 3 by 1.5e-12 relative, so the map read back must take the same route
+    scene = random_scene(seed, 1000)
+    fmap = sample_field(scene, build_grid(2e-3, 60, 64))
+    path = tmp_path / "map.csv"
+    write_field_csv(fmap, str(path))
+    back = read_field_csv(str(path))
+    assert np.array_equal(back.grid.nodes, fmap.grid.nodes)
+    assert np.array_equal(back.grid.weights, fmap.grid.weights)
+    assert (back.grid.n_radial, back.grid.n_angular) == (60, 64)
+    got = np.array(_disk_functionals(back, scene))
+    want = np.array(_disk_functionals(fmap, scene))
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
