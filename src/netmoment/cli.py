@@ -22,7 +22,7 @@ from .estimate import (EstimatorSpec, GridParams, _shown_axis, _synthesised_map,
 from .field import asympt_condition_margin
 from .noise import NoiseSpec, detrend_backward
 from .quad import read_field_csv, write_field_csv
-from .scene import load_scene, net_moment
+from .scene import _UNIT_SYSTEMS, load_scene, net_moment
 from .specfun import IDENTITIES, DomainError
 
 __all__ = ["main"]
@@ -32,10 +32,15 @@ class ConfigError(ValueError):
     """Bad command-line configuration."""
 
 
+def _flag(args, flag: str):
+    """The value of a flag such as --n-radial; None when it was not given."""
+    return getattr(args, flag[2:].replace("-", "_"))
+
+
 def _radii_from_args(args) -> list[float]:
     # NaN and inf would pass the range test below and fail only inside the sweep
     for flag in ("--radius", "--radius-min", "--radius-max"):
-        value = getattr(args, flag[2:].replace("-", "_"))
+        value = _flag(args, flag)
         if value is not None:
             _finite(value, f"{flag} must be finite", ConfigError)
     if args.radius is not None:
@@ -69,6 +74,9 @@ def _synthesis_from_args(args) -> tuple[GridParams, Optional[NoiseSpec]]:
     sizes = {"n_radial": args.n_radial, "n_angular": args.n_angular}
     grid = GridParams(**{k: v for k, v in sizes.items() if v is not None})
     if args.snr_db is None:
+        for flag in ("--seed", "--plain-variance"):
+            if _flag(args, flag) is not None:
+                raise ConfigError(f"{flag} shapes the noise and needs --snr-db")
         return grid, None
     return grid, NoiseSpec(snr_db=args.snr_db, seed=args.seed or 0,
                            weighted_variance=not args.plain_variance)
@@ -86,13 +94,16 @@ def cmd_estimate(args) -> int:
     if args.scene and args.field_csv:
         raise ConfigError("estimate takes --scene or --field-csv, not both: the scene's "
                           "net moment and margin do not describe a map read from a file")
+    if args.scene and args.unit_system is not None:
+        raise ConfigError("--unit-system applies only to a map read with --field-csv; "
+                          "a scene states its own")
     scene = load_scene(args.scene) if args.scene else None
     if args.field_csv:
         for flag in _SYNTHESIS_FLAGS:
-            if getattr(args, flag[2:].replace("-", "_")) is not None:
+            if _flag(args, flag) is not None:
                 raise ConfigError(f"{flag} applies only to a map synthesised from --scene, "
                                   "not to one read with --field-csv")
-        fmap = read_field_csv(args.field_csv)
+        fmap = read_field_csv(args.field_csv, args.unit_system or "si")
     elif scene is not None:
         if args.radius is None:
             raise ConfigError("estimate from a scene needs --radius")
@@ -234,6 +245,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", help="estimate net moment components")
     add_common(p_est, scene_required=False)
     p_est.add_argument("--field-csv", help="estimate from a stored field map instead")
+    p_est.add_argument("--unit-system", choices=_UNIT_SYSTEMS,
+                       help="field units of the --field-csv map (default si)")
     p_est.add_argument("--radius", type=float)
     p_est.add_argument("--spec", action="append",
                        help="component:order[:axis], repeatable; default all")

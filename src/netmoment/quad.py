@@ -228,15 +228,30 @@ def integrate_weighted(field_map: FieldMap,
     return float(sums) if w.ndim == 1 else sums
 
 
+# rows formatted and written at a time: only one block's floats and text are
+# alive at once, whatever the node count
+_CSV_BLOCK_ROWS = 4096
+
+
 def write_field_csv(field_map: FieldMap, path: str) -> None:
-    """Field map CSV: header x1,x2,weight,b3; SI units; full float round trip."""
-    nodes = field_map.grid.nodes
-    columns = (nodes[:, 0].tolist(), nodes[:, 1].tolist(),
-               field_map.grid.weights.tolist(), field_map.samples.tolist())
+    """Field map CSV: header x1,x2,weight,b3; full float round trip.
+
+    The samples are written in the map's own field units (tesla when its
+    unit_system is si), which the file does not record.
+    """
+    nodes, weights, samples = field_map.grid.nodes, field_map.grid.weights, field_map.samples
     # repr round-trips every float; \r\n ends rows as in the csv module's default dialect
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("x1,x2,weight,b3\r\n")
-        fh.writelines(f"{x1!r},{x2!r},{w!r},{s!r}\r\n" for x1, x2, w, s in zip(*columns))
+        for start in range(0, len(samples), _CSV_BLOCK_ROWS):
+            block = slice(start, start + _CSV_BLOCK_ROWS)
+            x1, x2 = nodes[block].T.tolist()
+            # one repr per distinct weight (a build_grid ring shares one), told
+            # apart by bits: as values 0.0 == -0.0 would share one text
+            distinct, which = np.unique(weights[block].view(np.uint64), return_inverse=True)
+            texts = [repr(v) for v in distinct.view(np.float64).tolist()]
+            rows = zip(x1, x2, [texts[i] for i in which.tolist()], samples[block].tolist())
+            fh.write("".join(f"{a!r},{b!r},{w},{s!r}\r\n" for a, b, w, s in rows))
 
 
 def read_field_csv(path: str, unit_system: str = "si") -> FieldMap:

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from netmoment import (EstimatorSpec, b3, build_grid, detrend_backward,
+from netmoment import (MU0, EstimatorSpec, b3, build_grid, detrend_backward,
                        estimate_moment, sample_field, scene_to_dict)
 from netmoment import specfun
 from netmoment.cli import main
@@ -423,3 +423,44 @@ def test_estimate_from_a_scene_needs_a_radius(scene_file, capsys):
 def test_bad_spec_is_a_configuration_error(scene_file, capsys):
     assert main(["estimate", "--scene", scene_file, "--radius", "2e-3", "--spec", "m1:x"]) == 1
     assert "error: order in 'm1:x' must be an integer" in capsys.readouterr().err
+
+
+def test_natural_map_read_back_estimates_like_the_scene(tmp_path, demo_scene_natural, capsys):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene_to_dict(demo_scene_natural)))
+    grid = ["--radius", "2e-3", "--n-radial", "40", "--n-angular", "64"]
+    out = tmp_path / "map.csv"
+    assert main(["synth", "--scene", str(path), *grid, "--out", str(out)]) == 0
+    capsys.readouterr()
+    estimates = {}
+    for label, argv in (("scene", ["--scene", str(path), *grid]),
+                        ("natural", ["--field-csv", str(out), "--unit-system", "natural"]),
+                        ("si", ["--field-csv", str(out)])):
+        assert main(["estimate", *argv]) == 0
+        report = json.loads(capsys.readouterr().out)
+        estimates[label] = [e["estimate"] for e in report["estimates"]]
+    assert estimates["natural"] == estimates["scene"]
+    # read as si, the same numbers are tesla and every moment is scaled by 1/mu0
+    assert estimates["si"] == pytest.approx([v / MU0 for v in estimates["scene"]], rel=1e-12)
+
+
+def test_estimate_rejects_unit_system_with_scene(scene_file, capsys):
+    rc = main(["estimate", "--scene", scene_file, "--radius", "2e-3", "--spec", "m1:1",
+               "--unit-system", "si"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "--unit-system" in captured.err and "--field-csv" in captured.err
+
+
+@pytest.mark.parametrize("flags", [["--seed", "5"], ["--plain-variance"]])
+@pytest.mark.parametrize("command", ["synth", "estimate", "sweep"])
+def test_noise_flags_without_snr_are_rejected(tmp_path, scene_file, capsys, command, flags):
+    out = tmp_path / "out.csv"
+    argv = [command, "--scene", scene_file, "--radius", "2e-3", "--n-radial", "8",
+            "--n-angular", "8", *flags]
+    rc = main(argv if command == "estimate" else argv + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == "" and not out.exists()
+    assert f"{flags[0]} shapes the noise and needs --snr-db" in captured.err

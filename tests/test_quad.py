@@ -11,7 +11,7 @@ from netmoment import (Dipole, DipoleScene, EstimatorSpec, FieldMap, GridParams,
                        asympt_coefficients, b3, build_grid, estimate_moment, integrate_weighted,
                        read_field_csv, recovered_coefficients, sample_field, sweep,
                        t_quantities, write_field_csv)
-from netmoment.quad import _unit_rule
+from netmoment.quad import _CSV_BLOCK_ROWS, DiskGrid, _unit_rule
 from oracles import (disk_moments_fsum, disk_monomial_integral, read_field_csv_rows,
                      write_field_csv_rows)
 
@@ -152,6 +152,47 @@ def test_read_field_csv_matches_csv_reader_on_random_bit_patterns(tmp_path):
     write_field_csv(FieldMap(grid=grid, samples=samples, unit_system="si"), str(path))
     back = assert_reads_like_csv_reader(path)
     assert np.array_equal(back.samples.view(np.uint64), samples.view(np.uint64))
+
+
+def test_field_csv_bytes_match_csv_writer_across_block_boundaries(tmp_path, demo_scene):
+    built = build_grid(2e-3)
+    nodes, weights = built.nodes.copy(), built.weights.copy()
+    samples = sample_field(demo_scene, built).samples.copy()
+    block = _CSV_BLOCK_ROWS
+    assert len(nodes) % block and len(nodes) > 2 * block
+    for edge in (block, len(nodes) // block * block):
+        # signed zero weights in both orders, one pair on each side of the edge; a
+        # memo keyed by value would write the first zero's text for the second
+        for i, zero in ((edge - 3, 0.0), (edge - 2, -0.0), (edge + 1, -0.0), (edge + 2, 0.0)):
+            weights[edge - 1 if i < edge else edge] += weights[i]    # the area stays
+            weights[i] = zero
+        samples[edge - 2:edge + 2] = [-0.0, 5e-324, -5e-324, -0.0]
+    assert built.nodes[block, 1] == 0.0     # the first node of a ring sits at angle 0
+    nodes[block, 1] = -0.0
+    fmap = FieldMap(grid=DiskGrid(2e-3, 200, 256, nodes, weights), samples=samples)
+    path, ref = tmp_path / "map.csv", tmp_path / "ref.csv"
+    write_field_csv(fmap, str(path))
+    write_field_csv_rows(fmap, str(ref))
+    assert path.read_bytes() == ref.read_bytes()
+    back = assert_reads_like_csv_reader(path)
+    for got, want in ((back.grid.nodes, nodes), (back.grid.weights, weights),
+                      (back.samples, samples)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("shape", [(200, 256), (400, 256)])
+def test_field_csv_writer_peak_does_not_grow_with_the_map(tmp_path, demo_scene, shape):
+    fmap = sample_field(demo_scene, build_grid(2e-3, *shape))
+    path = tmp_path / "map.csv"
+    write_field_csv(fmap, str(path))     # any first-call set-up is not counted
+    tracemalloc.start()
+    try:
+        write_field_csv(fmap, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one float list of the 200 x 256 map's four columns alone is 1.6 MB
+    assert peak < 1_500_000
 
 
 _HEADER = "x1,x2,weight,b3\r\n"
