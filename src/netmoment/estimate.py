@@ -498,26 +498,36 @@ def raster_m3_drift_series(scene: DipoleScene, radii: Sequence[float],
     r_max = radii[-1]
     step = 2.0 * r_max / n_pixels
     centers = -r_max + step * (np.arange(n_pixels) + 0.5)
-    gx, gy = np.meshgrid(centers, centers, indexing="ij")
-    r2 = (gx**2 + gy**2).ravel()
+    # pixel (i, k) sits at (centers[i], centers[k]): axes[j] is x_j over the
+    # raster as a view, and the outer sum of the squares has the bits of
+    # gx**2 + gy**2 over a meshgrid, which is never built
+    along = np.broadcast_to(centers, (n_pixels, n_pixels))
+    axes = (along.T, along)
+    r2 = np.add.outer(centers**2, centers**2)
     inside = r2 <= r_max**2
-    pts = np.stack([gx.ravel()[inside], gy.ravel()[inside]], axis=-1)
+    r2 = r2[inside]
+    pts = np.stack([axes[0][inside], axes[1][inside]], axis=-1)
     samples = b3(scene, pts)
+    del pts
     if noise is not None:
         # the plain variance over the raster's pixels, whatever noise.weighted_variance says
         samples = _noisy(samples, noise)
-    order = np.argsort(r2[inside])
-    r_sorted = np.sqrt(r2[inside][order])
-    u = pts[order, j] / r_max
-    sv = samples[order] * step * step
-    # cumulative moments over the largest disk, rescaled to each subdisk
-    cums = {p: np.cumsum(u**p * sv) for p in row}
+    order = np.argsort(r2)
+    r_sorted = np.sqrt(r2[order])
+    del r2
     idx = np.searchsorted(r_sorted, radii, side="right") - 1
+    del r_sorted
     if idx[0] < 0:
         raise ValueError(f"radii: no pixel centre lies inside radius {radii[0]}; "
                          f"raise n_pixels above {n_pixels}")
+    u = axes[j][inside][order] / r_max
+    sv = samples[order] * step * step
+    del samples, order
+    # cumulative moments over the largest disk, read at each subdisk's last
+    # pixel and rescaled to that subdisk
+    cums = {p: np.cumsum(u**p * sv)[idx] for p in row}
     out = []
-    for a, i in zip(radii, idx):
-        mu = {p: cums[p][i] * (r_max / a) ** p for p in row}
+    for k, a in enumerate(radii):
+        mu = {p: cums[p][k] * (r_max / a) ** p for p in row}
         out.append((a, a * _apply(row, mu) / scene.mu0))
     return out

@@ -190,6 +190,18 @@ def _grid_sizes(n_radial: int, n_angular: int) -> None:
         raise ValueError(f"n_angular must be even and at least 8, got {n_angular}")
 
 
+def _scaled_rings(rule: _UnitRule, radius: float, rings: slice, out: np.ndarray) -> np.ndarray:
+    """The given rings of the unit rule scaled to radius.
+
+    Writes node (i, k) = (radius * r_i) * (cos t_k, sin t_k) of each ring into
+    out, shaped (rings, n_angular, 2), and returns the ring weights radius^2 * w_i.
+    """
+    r = radius * rule.radii[rings]
+    np.multiply.outer(r, rule.cos, out=out[..., 0])
+    np.multiply.outer(r, rule.sin, out=out[..., 1])
+    return radius * radius * rule.ring_weights[rings]
+
+
 def build_grid(radius: float, n_radial: int = _DEFAULT_GRID[0],
                n_angular: int = _DEFAULT_GRID[1]) -> DiskGrid:
     """Gauss-Legendre x uniform-angle tensor rule on the disk of given radius.
@@ -201,12 +213,9 @@ def build_grid(radius: float, n_radial: int = _DEFAULT_GRID[0],
     radius = _positive(radius, "radius must be positive and finite")
     _grid_sizes(n_radial, n_angular)
     rule = _unit_rule(n_radial, n_angular)
-    r = radius * rule.radii
     nodes = np.empty((n_radial * n_angular, 2))
-    rings = nodes.reshape(n_radial, n_angular, 2)
-    np.multiply.outer(r, rule.cos, out=rings[..., 0])
-    np.multiply.outer(r, rule.sin, out=rings[..., 1])
-    weights = np.repeat(radius * radius * rule.ring_weights, n_angular)
+    ring_weights = _scaled_rings(rule, radius, slice(None), nodes.reshape(n_radial, n_angular, 2))
+    weights = np.repeat(ring_weights, n_angular)
     nodes.flags.writeable = weights.flags.writeable = False
     return DiskGrid(radius, n_radial, n_angular, nodes, weights, rule)
 
@@ -272,17 +281,26 @@ def read_field_csv(path: str, unit_system: str = "si") -> FieldMap:
         raise ValueError(f"field CSV {path} contains no nodes")
     if table.shape[1] != 4:
         raise ValueError(f"field CSV {path} rows must have 4 columns, got {table.shape[1]}")
-    nodes_arr = table[:, :2]
     weights_arr = table[:, 2]
     radius = math.sqrt(weights_arr.sum() / math.pi)
+    # a build_grid ring shares one weight, so its first run of equal weights is one ring
+    n_angular = int(np.argmax(weights_arr != weights_arr[0])) or len(weights_arr)
+    n_radial = len(table) // n_angular
+    a = _built_radius(table, radius, n_radial, n_angular)
+    if a is not None:
+        # the file is that grid: only its samples are kept, and the table goes
+        # before the grid is built
+        samples = table[:, 3].copy()
+        del table, weights_arr
+        return FieldMap(grid=build_grid(a, n_radial, n_angular), samples=samples,
+                        unit_system=unit_system)
+    nodes_arr = table[:, :2]
     # distinct node radii: the rule's radial gaps are far above 1e-9 * radius,
     # the roundoff of one radius far below
     node_radii = np.sort(np.hypot(nodes_arr[:, 0], nodes_arr[:, 1]))
     n_radial = 1 + int(np.count_nonzero(np.diff(node_radii) > 1e-9 * radius))
     n_angular = max(len(nodes_arr) // n_radial, 8)
-    grid = _built_grid(radius, n_radial, n_angular, nodes_arr, weights_arr)
-    if grid is None:
-        grid = DiskGrid(radius, n_radial, n_angular, nodes_arr, weights_arr)
+    grid = DiskGrid(radius, n_radial, n_angular, nodes_arr, weights_arr)
     return FieldMap(grid=grid, samples=table[:, 3], unit_system=unit_system)
 
 
@@ -291,30 +309,39 @@ def read_field_csv(path: str, unit_system: str = "si") -> FieldMap:
 _RADIUS_ULPS = 4
 
 
-def _built_grid(radius: float, n_radial: int, n_angular: int,
-                nodes: np.ndarray, weights: np.ndarray) -> Optional[DiskGrid]:
-    """build_grid(a, n_radial, n_angular) if its nodes and weights are these, bit
-    for bit, for a radius a within _RADIUS_ULPS ulps of radius; else None.
+def _built_radius(table: np.ndarray, radius: float, n_radial: int,
+                  n_angular: int) -> Optional[float]:
+    """The radius a within _RADIUS_ULPS ulps of radius for which the nodes and
+    weights of the (M, 4) field table are those of build_grid(a, n_radial,
+    n_angular), bit for bit; None if there is none.
 
     A map written from a build_grid grid reads back onto that grid and so takes
-    the same tensor route for its moments, with the same bits.
+    the same tensor route for its moments, with the same bits.  The table is
+    compared in blocks of whole rings, so no grid-sized array is built.
     """
     try:
         _grid_sizes(n_radial, n_angular)
     except ValueError:
         return None
-    if len(nodes) != n_radial * n_angular:
+    if len(table) != n_radial * n_angular:
         return None
-    outer = _unit_rule(n_radial, n_angular).radii[-1]
+    rule = _unit_rule(n_radial, n_angular)
+    rings = table.reshape(n_radial, n_angular, 4)
+    step = max(1, _CSV_BLOCK_ROWS // n_angular)
+    block = np.empty((step, n_angular, 2))
     below = above = radius
     candidates = [radius]
     for _ in range(_RADIUS_ULPS):
         below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
         candidates += [below, above]
     for a in candidates:
-        # the first node of the outer ring, (a * r) * cos 0, rules out most radii at once
-        if a * outer == nodes[-n_angular, 0]:
-            grid = build_grid(a, n_radial, n_angular)
-            if np.array_equal(grid.nodes, nodes) and np.array_equal(grid.weights, weights):
-                return grid
+        for i in range(0, n_radial, step):
+            part = slice(i, i + step)
+            nodes = block[:len(rings[part])]
+            weights = _scaled_rings(rule, a, part, nodes)
+            if not (np.array_equal(nodes, rings[part, :, :2])
+                    and np.all(rings[part, :, 2] == weights[:, None])):
+                break
+        else:
+            return a
     return None

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -44,3 +46,16 @@ def wide_sweep(demo_scene):
     radii = np.geomspace(3e-4, 2e-2, 24)
     with pytest.warns(UserWarning, match="asymptotic condition"):
         return sweep(demo_scene, radii, all_specs(), GridParams(200, 256))
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    """traced_peak(call): the peak bytes tracemalloc traces while call() runs."""
+    def peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak

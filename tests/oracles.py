@@ -10,8 +10,9 @@ estimator rows with the T-quantity and leading-error formulas, the Bessel
 and Struve series summed term by term in reduced `Fraction`s, the hand-typed
 tail and ring closed forms with the Taylor coefficients of the functions
 they are written in, the Euler transform of one panel series held as a
-list, and the monomial disk moments of a field map summed node by node in
-exact arithmetic.  The library
+list, the monomial disk moments of a field map summed node by node in
+exact arithmetic, and the raster drift series computed over whole-raster
+arrays.  The library
 keys each far-field coefficient by its term's shape (a, b, n) alone; the
 paper's names and order for them are kept here, in PAPER_NAMES.
 """
@@ -25,7 +26,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from netmoment import AsymptCoeffs, DipoleScene, FieldMap, b3, height_moment
-from netmoment.estimate import _CLOSURE
+from netmoment.estimate import _CLOSURE, _apply, _ascending_radii, _estimator_row
+from netmoment.noise import _noisy
 
 # The paper's name of each far-field coefficient group and the shapes (a, b, n)
 # of its terms x1^a x2^b / |x|^n, in the paper's order.
@@ -98,6 +100,38 @@ def read_field_csv_rows(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             weights.append(w)
             samples.append(s)
     return np.array(nodes), np.array(weights), np.array(samples)
+
+
+def raster_m3_drift_series_whole(scene: DipoleScene, radii, spec, noise,
+                                 n_pixels: int = 256) -> list[tuple[float, float]]:
+    """The raster drift series with every whole-raster array alive at once.
+
+    A meshgrid of the pixel centres, all four radius-sorted arrays side by
+    side and one full cumulative sum per power of the row.
+    """
+    row, j = _estimator_row(spec)
+    radii = _ascending_radii(radii)
+    r_max = radii[-1]
+    step = 2.0 * r_max / n_pixels
+    centers = -r_max + step * (np.arange(n_pixels) + 0.5)
+    gx, gy = np.meshgrid(centers, centers, indexing="ij")
+    r2 = (gx**2 + gy**2).ravel()
+    inside = r2 <= r_max**2
+    pts = np.stack([gx.ravel()[inside], gy.ravel()[inside]], axis=-1)
+    samples = b3(scene, pts)
+    if noise is not None:
+        samples = _noisy(samples, noise)
+    order = np.argsort(r2[inside])
+    r_sorted = np.sqrt(r2[inside][order])
+    u = pts[order, j] / r_max
+    sv = samples[order] * step * step
+    cums = {p: np.cumsum(u**p * sv) for p in row}
+    idx = np.searchsorted(r_sorted, radii, side="right") - 1
+    out = []
+    for a, i in zip(radii, idx):
+        mu = {p: cums[p][i] * (r_max / a) ** p for p in row}
+        out.append((a, a * _apply(row, mu) / scene.mu0))
+    return out
 
 
 def ft_series_coefficient(scene: DipoleScene, q: int) -> tuple[float, float]:

@@ -320,11 +320,11 @@ def test_criterion_8_symmetry_suite(demo_scene):
     half = DipoleScene(demo_scene.dipoles[:2], demo_scene.height, "si")
     rest = DipoleScene(demo_scene.dipoles[2:], demo_scene.height, "si")
     pts = grid.nodes[::97]
-    assert np.allclose(b3(demo_scene, pts), b3(half, pts) + b3(rest, pts), rtol=1e-13)
+    assert np.allclose(b3(demo_scene, pts), b3(half, pts) + b3(rest, pts), rtol=1e-13, atol=0)
     doubled = DipoleScene(
         tuple(Dipole(d.position, tuple(2 * m for m in d.moment))
               for d in demo_scene.dipoles), demo_scene.height, "si")
-    assert np.allclose(b3(doubled, pts), 2 * b3(demo_scene, pts), rtol=1e-15)
+    assert np.allclose(b3(doubled, pts), 2 * b3(demo_scene, pts), rtol=1e-15, atol=0)
     # reflection antisymmetry for the tangential estimate
     mirrored = DipoleScene(
         tuple(Dipole((-d.position[0], d.position[1], d.position[2]),

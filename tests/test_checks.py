@@ -148,6 +148,8 @@ def test_only_the_rule_module_tests_integral_or_bool_types():
     (r"<= _SERIES_CUTOFF", "specfun.py"),                # the J0/J1 dispatch
     (r"must be even and at least 8", "quad.py"),         # the grid-size rule
     (r"math\.pi / n_angular", "quad.py"),               # the unit rule's angular weight
+    (r"\* rule\.radii\b", "quad.py"),                  # a built ring's nodes: grid and CSV match
+    (r"\* rule\.ring_weights\b", "quad.py"),           # a built ring's weight: grid and CSV match
 ])
 def test_each_numerical_rule_is_written_once(pattern, home):
     found = [path.name for path in sorted(_SOURCE.glob("*.py"))

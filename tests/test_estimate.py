@@ -20,7 +20,8 @@ from netmoment.quad import MAX_POWER
 from netmoment.specfun import sin_cos_components, sin_cos_taylor
 from conftest import DEMO_DIPOLES, DEMO_HEIGHT
 from oracles import (ESTIMATOR_ROWS, from_paper_order, ft_im_direct, ft_series_coefficient,
-                     leading_error_tabulated, named, t_quantities_tabulated)
+                     leading_error_tabulated, named, raster_m3_drift_series_whole,
+                     t_quantities_tabulated)
 
 finite_coeff = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 
@@ -500,6 +501,27 @@ def test_drift_series_clean_limit_and_determinism(demo_scene):
     assert a == b
     with pytest.raises(ValueError, match="normal component"):
         raster_m3_drift_series(demo_scene, radii, EstimatorSpec("m1", 1), spec)
+
+
+# the drift specs of the README sweep
+@pytest.mark.parametrize("label", ["m3:2", "m3:3:x1", "m3:4:x2"])
+def test_drift_series_equals_the_whole_raster_series(demo_scene, label):
+    spec = EstimatorSpec.parse(label)
+    radii = np.geomspace(3e-4, 2e-3, 24)
+    for noise in (None, NoiseSpec(20.0, seed=2311)):
+        for n_pixels in (1, 7, 31, 64, 256, 301):
+            assert (raster_m3_drift_series(demo_scene, radii, spec, noise, n_pixels)
+                    == raster_m3_drift_series_whole(demo_scene, radii, spec, noise, n_pixels))
+
+
+def test_drift_series_holds_one_working_copy_of_the_raster(demo_scene, traced_peak):
+    radii = np.geomspace(3e-4, 2e-3, 24)
+    spec, noise = EstimatorSpec("m3", 2), NoiseSpec(20.0, seed=2311)
+    raster_m3_drift_series(demo_scene, radii, spec, noise)     # any first-call set-up
+    peak = traced_peak(lambda: raster_m3_drift_series(demo_scene, radii, spec, noise))
+    # the whole-raster arrays (a meshgrid, four sorted copies side by side, one
+    # full cumulative sum per power) peaked at 5.1 MB here, 5.9 MB for m3:3
+    assert peak < 3 * 2**20, f"the drift series peaked at {peak / 2**20:.2f} MB"
 
 
 @pytest.mark.parametrize("radii", [

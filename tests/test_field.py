@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -76,15 +75,10 @@ def test_b3_blocks_match_unchunked_beyond_pair_budget():
     assert_bitwise(b3(scene, nodes), b3_unchunked(scene, nodes))
 
 
-def test_b3_memory_does_not_grow_with_nodes():
+def test_b3_memory_does_not_grow_with_nodes(traced_peak):
     scene = random_scene(1000, seed=13)
     nodes = build_grid(1e-3, 32, 256).nodes               # 8192 nodes
-    tracemalloc.start()
-    try:
-        b3(scene, nodes)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: b3(scene, nodes))
     # one pass over all pairs would hold five 65 MB arrays
     assert peak < 8 * 2**20, f"b3 peaked at {peak / 2**20:.1f} MB"
 
@@ -102,16 +96,11 @@ def test_b3_tiles_match_unchunked_few_dipoles(n_dipoles):
     assert_bitwise(b3(scene, point), b3_unchunked(scene, point))
 
 
-def test_b3_tiles_do_not_grow_with_nodes():
+def test_b3_tiles_do_not_grow_with_nodes(traced_peak):
     nodes = build_grid(1e-3, 512, 256).nodes               # 2**17 nodes
     for n_dipoles in (1, 7):                               # 7: the widest dipole-major block
         scene = random_scene(n_dipoles, seed=15)
-        tracemalloc.start()
-        try:
-            b3(scene, nodes)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: b3(scene, nodes))
         # the 1 MB output, four 128 KB buffers and a node buffer of at most
         # 256 KB; buffers sized to the node count would add 4 MB or more
         assert peak < 3 * 2**20, f"{n_dipoles} dipoles: b3 peaked at {peak / 2**20:.2f} MB"
@@ -127,7 +116,7 @@ def test_b3_superposition(demo_scene):
     parts = [DipoleScene((d,), demo_scene.height, "si") for d in demo_scene.dipoles]
     pts = np.array([[1e-4, 2e-4], [-3e-4, 5e-5], [0.0, 0.0]])
     total = sum(b3(p, pts) for p in parts)
-    assert np.allclose(b3(demo_scene, pts), total, rtol=1e-14)
+    assert np.allclose(b3(demo_scene, pts), total, rtol=1e-14, atol=0)
 
 
 def test_b3_and_coefficients_scale_linearly(demo_scene):
@@ -140,7 +129,8 @@ def test_b3_and_coefficients_scale_linearly(demo_scene):
     ca = asympt_coefficients(demo_scene)
     cb = asympt_coefficients(scaled)
     assert ca.keys() == cb.keys()
-    assert np.allclose([cb[s] for s in ca], [2.0 * v for v in ca.values()], rtol=1e-15)
+    assert np.allclose([cb[s] for s in ca], [2.0 * v for v in ca.values()],
+                       rtol=1e-15, atol=0)
 
 
 def test_a0_is_minus_m3_over_4pi():
@@ -255,7 +245,7 @@ def test_si_coefficients_carry_mu0(demo_scene, demo_scene_natural):
     nat = asympt_coefficients(demo_scene_natural)
     assert si.keys() == nat.keys()
     assert np.allclose(list(si.values()), [v * demo_scene.mu0 for v in nat.values()],
-                       rtol=1e-15)
+                       rtol=1e-15, atol=0)
 
 
 def test_net_moment_from_a0(demo_scene):

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import re
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -181,16 +180,12 @@ def test_field_csv_bytes_match_csv_writer_across_block_boundaries(tmp_path, demo
 
 
 @pytest.mark.parametrize("shape", [(200, 256), (400, 256)])
-def test_field_csv_writer_peak_does_not_grow_with_the_map(tmp_path, demo_scene, shape):
+def test_field_csv_writer_peak_does_not_grow_with_the_map(tmp_path, demo_scene, shape,
+                                                          traced_peak):
     fmap = sample_field(demo_scene, build_grid(2e-3, *shape))
     path = tmp_path / "map.csv"
     write_field_csv(fmap, str(path))     # any first-call set-up is not counted
-    tracemalloc.start()
-    try:
-        write_field_csv(fmap, str(path))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: write_field_csv(fmap, str(path)))
     # one float list of the 200 x 256 map's four columns alone is 1.6 MB
     assert peak < 1_500_000
 
@@ -426,6 +421,55 @@ def test_a_file_reads_back_onto_the_radius_its_grid_was_built_with(tmp_path, dem
     assert np.array_equal(back.moments, fmap.moments)
 
 
+def test_field_csv_read_back_holds_one_copy_of_the_map(tmp_path, demo_scene, traced_peak):
+    fmap = sample_field(demo_scene, build_grid(2e-3))    # 200 x 256
+    path = tmp_path / "map.csv"
+    write_field_csv(fmap, str(path))
+    read_field_csv(str(path))       # any first-call set-up is not counted
+    peak = traced_peak(lambda: read_field_csv(str(path)))
+    # the 1.6 MB table next to a radii scan and a whole build_grid candidate
+    # peaked at 3.9 MB
+    assert peak < 2.6 * 2**20, f"the read-back peaked at {peak / 2**20:.2f} MB"
+
+
+def _off_grid(grid: DiskGrid, edit: str) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of a file that is not grid's, by one edit of them."""
+    nodes, weights = grid.nodes.copy(), grid.weights.copy()
+    if edit == "outer weight one ulp off":
+        weights[-1] = math.nextafter(weights[-1], 0.0)
+    elif edit == "outer node one ulp off":
+        nodes[-3, 1] = math.nextafter(nodes[-3, 1], math.inf)
+    elif edit == "equal weights":
+        weights[:] = math.pi * grid.radius**2 / len(weights)
+    else:                           # scattered nodes of equal weight
+        rng = np.random.default_rng(5)
+        r = grid.radius * np.sqrt(rng.uniform(0.0, 1.0, len(nodes)))
+        t = rng.uniform(0.0, 2.0 * math.pi, len(nodes))
+        nodes = np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
+        weights[:] = math.pi * grid.radius**2 / len(weights)
+    return nodes, weights
+
+
+@pytest.mark.parametrize("edit, shape", [
+    ("outer weight one ulp off", (16, 24)),
+    ("outer node one ulp off", (16, 24)),
+    ("equal weights", (16, 24)),
+    ("scattered nodes", (384, 8)),  # one radius per node; the sizes need not fit
+])
+def test_a_file_off_every_built_grid_reads_back_as_it_is(tmp_path, demo_scene, edit, shape):
+    grid = build_grid(7.5e-4, 16, 24)
+    nodes, weights = _off_grid(grid, edit)
+    samples = b3(demo_scene, nodes)
+    path = tmp_path / "map.csv"
+    write_field_csv(FieldMap(DiskGrid(grid.radius, 16, 24, nodes, weights), samples), str(path))
+    back = read_field_csv(str(path))
+    assert back.grid._rule is None
+    assert (back.grid.n_radial, back.grid.n_angular) == shape
+    for got, want in ((back.grid.nodes, nodes), (back.grid.weights, weights),
+                      (back.samples, samples)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("seed", [211, 212, 213])
 @pytest.mark.parametrize("shape", [(16, 24), (60, 64), (200, 256)])
 def test_tensor_moments_match_a_node_by_node_exact_sum(seed, shape):
@@ -439,14 +483,9 @@ def test_tensor_moments_match_a_node_by_node_exact_sum(seed, shape):
         assert np.all(np.abs(route.moments - want) <= 1e-13 * scale)
 
 
-def test_tensor_moments_hold_no_node_sized_array(demo_scene):
+def test_tensor_moments_hold_no_node_sized_array(demo_scene, traced_peak):
     fmap = sample_field(demo_scene, build_grid(2e-3))    # the 200 x 256 rule, cached
-    tracemalloc.start()
-    try:
-        fmap.moments
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: fmap.moments)
     # one (2, 12, M) monomial stack alone is 9.8 MB
     assert peak < 1_000_000
 
