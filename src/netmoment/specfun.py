@@ -1,12 +1,12 @@
 """Bessel/Struve evaluation and the oscillatory ring-integral machinery.
 
-Everything here feeds the far-field moment estimators: J0/J1 (series for
-moderate arguments, Hankel big-argument form beyond), Struve H0/H1 by exact
-rational series, closed forms for the semi-infinite Bessel tail integrals
-and the exterior ring integrals, an oscillation-aware quadrature that
-independently confirms each, the ring Taylor tables from the finite-part
-rule field._finite_part, and `IDENTITIES`, the one table of identity checks
-that `netmoment verify-specfun` runs.
+Everything here feeds the far-field moment estimators: J0/J1/J2 and Struve
+H0/H1 by exact rational series on |x| <= 50, each rounded once, closed forms
+for the semi-infinite Bessel tail integrals and the exterior ring integrals,
+an oscillation-aware quadrature that independently confirms each, the ring
+Taylor tables from the finite-part rule field._finite_part, and
+`IDENTITIES`, the one table of identity checks that `netmoment
+verify-specfun` runs.
 
 The closed forms are derived: a form {(f, k): c} sums c f(rho) rho^k over
 f in 1, J0, J1 and S = J0 (pi/2)H1 - J1 (pi/2)H0.  Only int_rho^inf J0 is
@@ -20,15 +20,16 @@ pairs with sin, even a with cos.
 
 The exact series of J_n and (pi/2)H_n share one loop, which sums the terms
 as one integer numerator over the running integer denominator of the last
-term, so a series is normalised once, when its Fraction is built.
+term, so a series is normalised once, when its Fraction is built; the float
+J_n divides that numerator by that denominator and skips the gcd.
 
 The quadrature route shares no code with the closed forms: its integrands
 evaluate J_n by a vectorised midpoint rule on Bessel's integral
-(`_bessel_integral`), never through the rational series or the Hankel form,
-and its panels are plain Gauss-Legendre with a graded first panel and Euler
-acceleration.  The ring integrals of one trig share their panels, so each
-panel evaluates that trig once for all of them; the tail integrals of one
-Bessel order share theirs in the same way, each panel evaluating J_n once.
+(`_bessel_integral`), never through the rational series, and its panels
+are plain Gauss-Legendre with a graded first panel and Euler acceleration.
+The ring integrals of one trig share their panels, so each panel evaluates
+that trig once for all of them; the tail integrals of one Bessel order share
+theirs in the same way, each panel evaluating J_n once.
 """
 from __future__ import annotations
 
@@ -70,22 +71,28 @@ class DomainError(ValueError):
     """Argument outside the supported numerical domain."""
 
 
-# Struve series in double-rational arithmetic stays exact; beyond this the
-# consumers (rho = 2*pi*k1*A) have no business anyway.
+# The cap of every exact series, and so of J_n, (pi/2)H_n and the closed forms
+# read on them: the terms grow to ~1e19 at 50 before they cancel, and the
+# consumers (rho = 2*pi*k1*A) have no business beyond it.
 STRUVE_MAX_ARG = 50.0
 
-_SERIES_CUTOFF = 18.0
+
+def _capped(x: float, text: str, lo: float = -STRUVE_MAX_ARG) -> float:
+    """x, if it lies in [lo, STRUVE_MAX_ARG]; NaN does not."""
+    if not lo <= x <= STRUVE_MAX_ARG:
+        raise DomainError(f"{text}, got {x!r}")
+    return x
 
 
 def _alternating_series(num: int, den: int, zp: int, zq: int,
-                        factor: Callable[[int], int], tol_exp: int) -> Fraction:
+                        factor: Callable[[int], int], tol_exp: int) -> tuple[int, int]:
     """sum_k (-1)^k t_k exactly, t_0 = num/den, t_k = t_(k-1) zp / (zq factor(k)).
 
-    The terms grow to ~1e19 near x = 50 before cancelling; rationals keep the
-    cancellation exact.  The sum is an integer numerator over the running
-    denominator D_k = D_(k-1) zq factor(k) of its last term, so no term pays
-    a gcd.  The loop stops after the first term below 10^-tol_exp, tested in
-    integers.
+    The terms grow to ~1e19 near x = 50 before cancelling; integers keep the
+    cancellation exact.  The sum is returned as an integer numerator over the
+    running denominator D_k = D_(k-1) zq factor(k) of its last term, so no
+    term pays a gcd.  The loop stops after the first term below 10^-tol_exp,
+    tested in integers.
     """
     tot = num
     scale = 10**tol_exp
@@ -98,96 +105,70 @@ def _alternating_series(num: int, den: int, zp: int, zq: int,
         if abs(num) * scale < den:
             break
         k += 1
-    return Fraction(tot, den)
+    return tot, den
 
 
-def _bessel_series_frac(x: Fraction, n: int, tol_exp: int = 30) -> Fraction:
-    """J_n by the ascending series, exactly: sum (-1)^k z^k (x/2)^n / (k! (n+k)!), z = (x/2)^2."""
+def _bessel_series_ratio(x: Fraction, n: int, tol_exp: int = 30) -> tuple[int, int]:
+    """J_n as an unreduced integer ratio: sum (-1)^k z^k (x/2)^n / (k! (n+k)!), z = (x/2)^2."""
     hp, hq = x.numerator, 2 * x.denominator  # x/2, not reduced
     return _alternating_series(hp**n, hq**n * math.factorial(n), hp * hp, hq * hq,
                                lambda k: k * (n + k), tol_exp)
 
 
-def _bessel_series(x: float, n: int) -> float:
-    return float(_bessel_series_frac(Fraction(x), n, tol_exp=22))
+def _bessel_series_frac(x: Fraction, n: int, tol_exp: int = 30) -> Fraction:
+    """J_n at x by the ascending series, exactly."""
+    return Fraction(*_bessel_series_ratio(x, n, tol_exp))
 
 
-def _hankel_pq(x: float, n: int) -> tuple[float, float]:
-    """P and Q of the large-argument form, truncated at the smallest term."""
-    mu = 4 * n * n
-    p, q = 1.0, 0.0
-    term = 1.0
-    k = 0
-    eight_x = 8.0 * x
-    prev = math.inf
-    while True:
-        term *= (mu - (2 * k + 1) ** 2) / ((k + 1) * eight_x)
-        mag = abs(term)
-        if mag >= prev:
-            break
-        if k % 2 == 0:
-            q += term if k % 4 == 0 else -term
-        else:
-            p += -term if k % 4 == 1 else term
-        prev = mag
-        k += 1
-        if k > 60:
-            break
-    return p, q
-
-
-def _bessel_asympt(x: float, n: int) -> float:
-    p, q = _hankel_pq(x, n)
-    chi = x - (0.5 * n + 0.25) * math.pi
-    return math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(chi) - q * math.sin(chi))
+def _bessel_arg(fn: str, x: float) -> float:
+    """x as a float for fn: finite, with |x| within the series cap."""
+    xf = _finite(x, f"{fn} needs finite x", DomainError)
+    return _capped(xf, f"{fn} needs |x| <= {STRUVE_MAX_ARG}")
 
 
 def _bessel_j(n: int, x: float) -> float:
-    """J0 or J1 (n = 0, 1): the series up to _SERIES_CUTOFF, the Hankel form beyond, J1 odd."""
-    xf = _finite(x, f"bessel_j{n} needs finite x", DomainError)
-    ax = abs(xf)
-    val = _bessel_series(ax, n) if ax <= _SERIES_CUTOFF else _bessel_asympt(ax, n)
-    return -val if n and xf < 0 else val
+    """J_n(x), n = 0, 1, 2: the exact series at |x| rounded once, the sign by parity."""
+    xf = _bessel_arg(f"bessel_j{n}", x)
+    # one int / int rounds correctly: the bits of float(Fraction), without its gcd
+    num, den = _bessel_series_ratio(Fraction(abs(xf)), n)
+    return (-num if n % 2 and xf < 0 else num) / den
 
 
 def bessel_j0(x: float) -> float:
-    """Bessel J0, absolute accuracy ~1e-13 on |x| <= 50."""
+    """Bessel J0 on |x| <= 50, correctly rounded from the exact series."""
     return _bessel_j(0, x)
 
 
 def bessel_j1(x: float) -> float:
-    """Bessel J1 (odd), absolute accuracy ~1e-13 on |x| <= 50."""
+    """Bessel J1 (odd) on |x| <= 50, correctly rounded from the exact series."""
     return _bessel_j(1, x)
 
 
 def bessel_j1_prime(x: float) -> float:
-    """J1'(x) = J0(x) - J1(x)/x, with the x -> 0 limit 1/2."""
-    xf = _finite(x, "bessel_j1_prime needs finite x", DomainError)
+    """J1'(x) = J0(x) - J1(x)/x on |x| <= 50, exact and rounded once; the x -> 0 limit 1/2."""
+    xf = _bessel_arg("bessel_j1_prime", x)
     if xf == 0.0:
         return 0.5
-    return bessel_j0(xf) - bessel_j1(xf) / xf
+    r = Fraction(abs(xf))  # J1' is even
+    return float(_bessel_series_frac(r, 0) - _bessel_series_frac(r, 1) / r)
 
 
 def bessel_j2(x: float) -> float:
-    """J2 via the recurrence 2*J1/x - J0, series near zero."""
-    xf = _finite(x, "bessel_j2 needs finite x", DomainError)
-    if abs(xf) <= 1e-2:
-        return _bessel_series(abs(xf), 2)
-    return 2.0 * bessel_j1(xf) / xf - bessel_j0(xf)
+    """Bessel J2 (even) on |x| <= 50, correctly rounded from the exact series."""
+    return _bessel_j(2, x)
 
 
 def _struve_series_frac(z: Fraction, n: int, tol_exp: int = 30) -> Fraction:
     """(pi/2) H_n(z) as an exact rational: sum (-1)^k z^(2k+n+1)/((2k+1)!!(2k+2n+1)!!)."""
     p, q = z.numerator, z.denominator
-    return _alternating_series(p ** (n + 1), q ** (n + 1) * math.prod(range(1, 2 * n + 2, 2)),
-                               p * p, q * q, lambda k: (2 * k + 1) * (2 * k + 2 * n + 1), tol_exp)
+    den = q ** (n + 1) * math.prod(range(1, 2 * n + 2, 2))
+    return Fraction(*_alternating_series(p ** (n + 1), den, p * p, q * q,
+                                         lambda k: (2 * k + 1) * (2 * k + 2 * n + 1), tol_exp))
 
 
 def _struve_series(x: float, n: int) -> float:
     text = f"struve_h{n} defined on [0, {STRUVE_MAX_ARG}]"
-    xf = _real(x, text, DomainError)
-    if not 0.0 <= xf <= STRUVE_MAX_ARG:  # NaN fails too
-        raise DomainError(f"{text}, got {x!r}")
+    xf = _capped(_real(x, text, DomainError), text, 0.0)
     return 2.0 * float(_struve_series_frac(Fraction(xf), n, tol_exp=22)) / math.pi
 
 
@@ -274,12 +255,10 @@ def _tail_form(i: int, p: int) -> Form:
 
 
 def _closed_form_rho(fn: str, rho: float) -> float:
-    """rho as a float; it must be finite, > 0 and within the Struve cap."""
+    """rho as a float; it must be finite, > 0 and within the series cap."""
     rho = _positive(rho, f"{fn} needs finite rho > 0", DomainError)
-    if rho > STRUVE_MAX_ARG:
-        raise DomainError(f"{fn} closed forms use Struve functions, capped at "
-                          f"rho <= {STRUVE_MAX_ARG}, got {rho}")
-    return rho
+    return _capped(rho, f"{fn} closed forms use Struve functions, capped at "
+                        f"rho <= {STRUVE_MAX_ARG}")
 
 
 # (i, p) of the kind's integrand J_i(x) / x^p; any other value raises DomainError
@@ -301,7 +280,9 @@ def tail_recursion_rhs(n: int, rho: float) -> float:
     """Right side of the reduction identity for int_rho^inf J1/x^(2n+1).
 
     (2n J1(rho)/rho^(2n) + J1'(rho)/rho^(2n-1) - int_rho^inf J1/x^(2n-1)) / (4n^2 - 1),
-    the one copy of it: the form by which `_tail_form` derives that tail.
+    evaluated exactly as the form by which `_tail_form` derives that tail, so
+    it equals `tail_integral` of J1/x^(2n+1).  The `recursion:n=*` rows sum the
+    same right side in floats instead.
     """
     # a float n would leak float arithmetic into the exact form
     n = _integer(n, "tail_recursion_rhs needs an integer n in {1, 2, 3}", DomainError, 1, 3)
@@ -431,9 +412,9 @@ def tail_integral_quadrature(kind: TailIntegralKind, rho: float) -> float:
     """The defining integral evaluated numerically, closed forms untouched.
 
     J0, J1 and J2 come from `_bessel_integral` (Bessel's integral, not the
-    series or asymptotic forms of the closed forms), integrated over
-    half-period panels from rho, the first one graded, with Euler
-    acceleration of the alternating panel sums.  The kinds of one Bessel
+    exact series of the closed forms), integrated over half-period panels
+    from rho, the first one graded, with Euler acceleration of the
+    alternating panel sums.  The kinds of one Bessel
     order are integrated together on shared panels by `_tail_quadratures`,
     which keeps the values of recent (order, rho) pairs.
     """
@@ -616,13 +597,16 @@ def _tail_vs_quadrature(kind: TailIntegralKind) -> float:
     return worst
 
 
-# reduction identity for the odd tail int J1/x^(2n+1)
+# reduction identity for the odd tail int J1/x^(2n+1), its right side summed
+# in floats from J1, J1' and the lower tail, not read from the derived form
 def _tail_recursion(n: int) -> float:
     kind = TailIntegralKind(f"j1_over_x_p{2 * n + 1}")
+    lower = TailIntegralKind(f"j1_over_x_p{2 * n - 1}")
     worst = 0.0
     for rho in (0.7, 3.0, 12.0):
         lhs = tail_integral(kind, rho)
-        rhs = tail_recursion_rhs(n, rho)
+        rhs = (2 * n * bessel_j1(rho) / rho ** (2 * n) + bessel_j1_prime(rho) / rho ** (2 * n - 1)
+               - tail_integral(lower, rho)) / (4 * n * n - 1)
         worst = _max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
     return worst
 

@@ -145,7 +145,7 @@ def test_only_the_rule_module_tests_integral_or_bool_types():
     (r"abs\(num\) \* scale < den", "specfun.py"),      # the exact series' stop test
     (r"snr_db\s*[!=]=\s*math\.inf", "noise.py"),       # the SNR = inf pass-through
     (r"evaluation points must have 2 components", "field.py"),
-    (r"<= _SERIES_CUTOFF", "specfun.py"),                # the J0/J1 dispatch
+    (r"[<>]=? STRUVE_MAX_ARG\b", "specfun.py"),          # the cap of every exact series
     (r"must be even and at least 8", "quad.py"),         # the grid-size rule
     (r"math\.pi / n_angular", "quad.py"),               # the unit rule's angular weight
     (r"\* rule\.radii\b", "quad.py"),                  # a built ring's nodes: grid and CSV match

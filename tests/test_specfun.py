@@ -71,6 +71,53 @@ def test_bessel_rejects_nonfinite_x(fn, bad):
         fn(bad)
 
 
+_BESSEL_REFERENCES = {
+    bessel_j0: lambda x: mp.besselj(0, x),
+    bessel_j1: lambda x: mp.besselj(1, x),
+    bessel_j1_prime: lambda x: mp.besselj(1, x, derivative=1),
+    bessel_j2: lambda x: mp.besselj(2, x),
+}
+
+
+@pytest.mark.parametrize("fn", list(_BESSEL_REFERENCES))
+def test_bessel_accepts_the_series_cap(fn):
+    with mp.workdps(40):
+        for x in (-STRUVE_MAX_ARG, STRUVE_MAX_ARG):
+            assert abs(fn(x) - float(_BESSEL_REFERENCES[fn](x))) < 1e-12, x
+
+
+@pytest.mark.parametrize("fn", list(_BESSEL_REFERENCES))
+@pytest.mark.parametrize("bad", [50.000001, -60.0])
+def test_bessel_refuses_beyond_the_series_cap(fn, bad):
+    # bessel_j0(60.0) used to return -0.0915 from a large-argument form
+    with pytest.raises(DomainError, match=re.escape(f"{fn.__name__} needs |x| <= 50.0, got {bad}")):
+        fn(bad)
+
+
+def test_bessel_functions_round_the_exact_series_once(monkeypatch):
+    # J_n is the series that the closed forms read, rounded once, at every |x| <= 50
+    for x in (1e-300, 0.3, 4.0, 17.9, 18.1, 30.0, 49.5):
+        for n, fn in enumerate((bessel_j0, bessel_j1, bessel_j2)):
+            want = float(specfun._bessel_series_frac(Fraction(x), n))
+            assert fn(x).hex() == want.hex(), (n, x)
+            assert fn(-x).hex() == ((-1) ** n * want).hex(), (n, x)
+
+    def broken(*args):
+        raise AssertionError("exact series reached")
+
+    monkeypatch.setattr(specfun, "_alternating_series", broken)
+    for fn in _BESSEL_REFERENCES:
+        with pytest.raises(AssertionError, match="exact series reached"):
+            fn(30.0)
+
+
+def test_bessel_j1_prime_keeps_its_limit_at_subnormal_x():
+    # J1(x) used to round to 0 before the division: 5e-324 gave 1.0 and
+    # 1e-310 gave 0.5000000000000246
+    for x in (5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-160):
+        assert bessel_j1_prime(x) == 0.5, x
+
+
 def _dyadic_arguments():
     rng = np.random.default_rng(2024)
     xs = [Fraction(float(x)) for x in rng.uniform(0.0, 50.0, 12)]
@@ -132,8 +179,8 @@ def test_tail_quadrature_shares_no_code_with_closed_forms(monkeypatch):
 
     # values cached by earlier calls would pass without running the quadrature
     specfun._tail_quadratures.cache_clear()
-    for name in ("_exact_series", "_alternating_series", "_bessel_series_frac",
-                 "_struve_series_frac", "_bessel_series", "_bessel_asympt", "_bessel_j",
+    for name in ("_exact_series", "_alternating_series", "_bessel_series_ratio",
+                 "_bessel_series_frac", "_struve_series_frac", "_bessel_j",
                  "bessel_j0", "bessel_j1", "bessel_j2"):
         monkeypatch.setattr(specfun, name, broken)
     for kind, want in closed.items():
@@ -382,6 +429,68 @@ def test_nan_error_fails_its_identity_row(monkeypatch):
                  "bessel:j0-ring-representation"):
         _, check = specfun.IDENTITIES[name]
         assert math.isnan(check()), name
+
+
+def _scaled_value(monkeypatch):
+    # every closed form, read through the one exact evaluation of a form
+    value = specfun._value
+    monkeypatch.setattr(specfun, "_value",
+                        lambda form, rho: value(form, rho) * Fraction(1001, 1000))
+
+
+def _scaled_series(monkeypatch):
+    # every exact series, and so every float J_n and every closed form
+    series = specfun._alternating_series
+
+    def scaled(*args):
+        num, den = series(*args)
+        return num * 1000001, den * 1000000
+
+    monkeypatch.setattr(specfun, "_alternating_series", scaled)
+
+
+def _changed_bessel(n, change):
+    # J_n alone: J0' = -J1 and the envelope hold under a factor common to J0 and J1
+    def patch(monkeypatch):
+        bessel_j = specfun._bessel_j
+        monkeypatch.setattr(specfun, "_bessel_j",
+                            lambda m, x: change(bessel_j(m, x)) if m == n else bessel_j(m, x))
+    return patch
+
+
+# identity row -> a perturbation of what it checks that must fail it
+_MUTATIONS = {
+    **{name: _scaled_value for name in specfun.IDENTITIES
+       if name.startswith(("tail:", "recursion:", "ring:sin-cos", "ring:taylor"))},
+    "bessel:j0-ring-representation": _scaled_series,
+    "bessel:j1-ring-representation": _scaled_series,
+    "bessel:j0-derivative": _changed_bessel(1, lambda v: v * (1 + 1e-6)),
+    "bessel:j0-envelope": _changed_bessel(0, lambda v: v + 0.1),
+}
+
+# identity rows that no perturbation of the package reaches, with the reason
+_UNREACHABLE = {
+    "ring:odd-symmetry-vanishing": "it sums numpy trig over the angle; no package routine enters",
+}
+
+
+def test_every_identity_row_has_a_mutation_or_a_reason():
+    assert sorted([*_MUTATIONS, *_UNREACHABLE]) == sorted(specfun.IDENTITIES)
+
+
+@pytest.mark.parametrize("name", list(_MUTATIONS))
+def test_identity_row_fails_under_its_mutation(name, monkeypatch):
+    tol, check = specfun.IDENTITIES[name]
+    # cached values would hide the mutation, and values cached under it would
+    # leak into later tests
+    specfun._exact_series.cache_clear()
+    specfun._tail_quadratures.cache_clear()
+    _MUTATIONS[name](monkeypatch)
+    try:
+        err = check()
+    finally:
+        specfun._exact_series.cache_clear()
+    assert not err <= tol, (name, err)
 
 
 def test_tail_integral_rho_derivative():
