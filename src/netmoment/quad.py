@@ -10,9 +10,9 @@ A^2*w_i.  The cache holds only 1-D factors and two small moment tables, so
 the monomial moments of a map on such a grid are a product of the samples,
 viewed as an (n_radial x n_angular) array, with those tables.  A field CSV
 whose nodes and weights are those of a build_grid grid, bit for bit, reads
-back onto that grid.  Any other grid (another file, or a DiskGrid built
-directly) has no tensor structure to use, and its moments are one dense
-weighted sum over its nodes.
+back onto that grid.  Only such a grid has a shape, its rule's (n_radial,
+n_angular).  Any other grid (another file, or a DiskGrid built directly) has
+no shape and no tensor structure, and its moments are one dense weighted sum.
 """
 from __future__ import annotations
 
@@ -65,11 +65,10 @@ class _UnitRule:
 
 @dataclass(frozen=True)
 class DiskGrid:
-    """Quadrature nodes and weights covering the disk |x| <= radius."""
+    """Quadrature nodes and weights covering the disk |x| <= radius; its shape
+    (n_radial, n_angular) is read off its build_grid rule, and is None without one."""
 
     radius: float
-    n_radial: int
-    n_angular: int
     nodes: np.ndarray      # (M, 2)
     weights: np.ndarray    # (M,)
     # set by build_grid only: the unit rule its read-only nodes and weights
@@ -77,8 +76,6 @@ class DiskGrid:
     _unit_rule: InitVar[Optional[_UnitRule]] = None
 
     def __post_init__(self, _unit_rule: Optional[_UnitRule]):
-        for name in ("n_radial", "n_angular"):
-            _integer(getattr(self, name), f"{name} must be a positive integer", lo=1)
         if _unit_rule is None:
             object.__setattr__(self, "nodes", _read_only(self.nodes))
             object.__setattr__(self, "weights", _read_only(self.weights))
@@ -102,6 +99,14 @@ class DiskGrid:
             bad = np.flatnonzero(~inside)
             raise ValueError(f"{len(bad)} grid node(s) outside the disk or not finite, "
                              f"first node {bad[0]} at {tuple(nodes[bad[0]].tolist())}")
+
+    @property
+    def n_radial(self) -> Optional[int]:
+        return None if self._rule is None else len(self._rule.radii)
+
+    @property
+    def n_angular(self) -> Optional[int]:
+        return None if self._rule is None else len(self._rule.cos)
 
 
 @dataclass(frozen=True)
@@ -217,7 +222,7 @@ def build_grid(radius: float, n_radial: int = _DEFAULT_GRID[0],
     ring_weights = _scaled_rings(rule, radius, slice(None), nodes.reshape(n_radial, n_angular, 2))
     weights = np.repeat(ring_weights, n_angular)
     nodes.flags.writeable = weights.flags.writeable = False
-    return DiskGrid(radius, n_radial, n_angular, nodes, weights, rule)
+    return DiskGrid(radius, nodes, weights, rule)
 
 
 def sample_field(scene: DipoleScene, grid: DiskGrid) -> FieldMap:
@@ -294,14 +299,9 @@ def read_field_csv(path: str, unit_system: str = "si") -> FieldMap:
         del table, weights_arr
         return FieldMap(grid=build_grid(a, n_radial, n_angular), samples=samples,
                         unit_system=unit_system)
-    nodes_arr = table[:, :2]
-    # distinct node radii: the rule's radial gaps are far above 1e-9 * radius,
-    # the roundoff of one radius far below
-    node_radii = np.sort(np.hypot(nodes_arr[:, 0], nodes_arr[:, 1]))
-    n_radial = 1 + int(np.count_nonzero(np.diff(node_radii) > 1e-9 * radius))
-    n_angular = max(len(nodes_arr) // n_radial, 8)
-    grid = DiskGrid(radius, n_radial, n_angular, nodes_arr, weights_arr)
-    return FieldMap(grid=grid, samples=table[:, 3], unit_system=unit_system)
+    # any other file keeps its nodes and weights as written, and has no shape
+    return FieldMap(grid=DiskGrid(radius, table[:, :2], weights_arr), samples=table[:, 3],
+                    unit_system=unit_system)
 
 
 # how far, in ulps, the radius read back from a weight sum may sit from the

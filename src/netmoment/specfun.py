@@ -277,17 +277,17 @@ def tail_integral(kind: TailIntegralKind, rho: float) -> float:
 
 
 def tail_recursion_rhs(n: int, rho: float) -> float:
-    """Right side of the reduction identity for int_rho^inf J1/x^(2n+1).
+    """Right side of the reduction identity for int_rho^inf J1/x^(2n+1), in floats.
 
     (2n J1(rho)/rho^(2n) + J1'(rho)/rho^(2n-1) - int_rho^inf J1/x^(2n-1)) / (4n^2 - 1),
-    evaluated exactly as the form by which `_tail_form` derives that tail, so
-    it equals `tail_integral` of J1/x^(2n+1).  The `recursion:n=*` rows sum the
-    same right side in floats instead.
+    summed from `bessel_j1`, `bessel_j1_prime` and the closed form of the lower
+    tail: a second route to `tail_integral` of J1/x^(2n+1), which evaluates the
+    derived form exactly and rounds once, so a fault in either shows.
     """
-    # a float n would leak float arithmetic into the exact form
     n = _integer(n, "tail_recursion_rhs needs an integer n in {1, 2, 3}", DomainError, 1, 3)
-    r = Fraction(_closed_form_rho("tail_recursion_rhs", rho))
-    return float(_value(_tail_form(1, 2 * n + 1), r))
+    rho = _closed_form_rho("tail_recursion_rhs", rho)
+    return (2 * n * bessel_j1(rho) / rho ** (2 * n) + bessel_j1_prime(rho) / rho ** (2 * n - 1)
+            - tail_integral(TailIntegralKind(f"j1_over_x_p{2 * n - 1}"), rho)) / (4 * n * n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -597,16 +597,14 @@ def _tail_vs_quadrature(kind: TailIntegralKind) -> float:
     return worst
 
 
-# reduction identity for the odd tail int J1/x^(2n+1), its right side summed
-# in floats from J1, J1' and the lower tail, not read from the derived form
+# reduction identity for the odd tail int J1/x^(2n+1): the derived form against
+# its right side, summed in floats from J1, J1' and the lower tail
 def _tail_recursion(n: int) -> float:
     kind = TailIntegralKind(f"j1_over_x_p{2 * n + 1}")
-    lower = TailIntegralKind(f"j1_over_x_p{2 * n - 1}")
     worst = 0.0
     for rho in (0.7, 3.0, 12.0):
         lhs = tail_integral(kind, rho)
-        rhs = (2 * n * bessel_j1(rho) / rho ** (2 * n) + bessel_j1_prime(rho) / rho ** (2 * n - 1)
-               - tail_integral(lower, rho)) / (4 * n * n - 1)
+        rhs = tail_recursion_rhs(n, rho)
         worst = _max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
     return worst
 

@@ -7,6 +7,7 @@ analytic requirements.
 import dataclasses
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from netmoment import (Dipole, DipoleScene, EstimatorSpec, GridParams, NoiseSpec
                        all_specs, asympt_coefficients, b3, build_grid,
                        convergence_slope, detrend_backward, estimate_moment,
                        estimator_weight, integrate_weighted, net_moment,
-                       noise_sigma, raster_m3_drift_series, sample_field, sweep,
-                       t_quantities_analytic)
+                       noise_sigma, raster_m3_drift_series, sample_field, specfun,
+                       sweep, t_quantities_analytic)
 from netmoment.specfun import (TailIntegralKind, sin_cos_components,
                                sin_cos_components_quadrature, sin_cos_taylor,
                                tail_integral, tail_integral_quadrature,
@@ -78,6 +79,20 @@ def test_criterion_2_convergence_orders(wide_sweep):
 # 3. appendix identity suite
 # ---------------------------------------------------------------------------
 
+def _reduction_errors() -> list[float]:
+    """|lhs - rhs| / max(1, |lhs|) of the reduction identity at each (n, rho)."""
+    errors = []
+    for n in (1, 2, 3):
+        kind = {1: TailIntegralKind.J1_OVER_X_P3,
+                2: TailIntegralKind.J1_OVER_X_P5,
+                3: TailIntegralKind.J1_OVER_X_P7}[n]
+        for rho in (0.7, 3.0, 12.0):
+            lhs = tail_integral(kind, rho)
+            rhs = tail_recursion_rhs(n, rho)
+            errors.append(abs(lhs - rhs) / max(1.0, abs(lhs)))
+    return errors
+
+
 def test_criterion_3_tail_identities():
     start = time.perf_counter()
     worst_tail = 0.0
@@ -88,17 +103,8 @@ def test_criterion_3_tail_identities():
             rel = abs(closed - ref) / max(abs(ref), 1e-300)
             worst_tail = max(worst_tail, rel)
             assert rel <= 1e-8, (kind, rho, rel)
-    worst_rec = 0.0
-    for n in (1, 2, 3):
-        kind = {1: TailIntegralKind.J1_OVER_X_P3,
-                2: TailIntegralKind.J1_OVER_X_P5,
-                3: TailIntegralKind.J1_OVER_X_P7}[n]
-        for rho in (0.7, 3.0, 12.0):
-            lhs = tail_integral(kind, rho)
-            rhs = tail_recursion_rhs(n, rho)
-            err = abs(lhs - rhs) / max(1.0, abs(lhs))
-            worst_rec = max(worst_rec, err)
-            assert err <= 1e-10
+    worst_rec = max(_reduction_errors())
+    assert worst_rec <= 1e-10
     rng = np.random.default_rng(2024)
     theta = 2.0 * math.pi * np.arange(4096) / 4096
     cos_t, sin_t = np.cos(theta), np.sin(theta)
@@ -121,6 +127,15 @@ def test_criterion_3_tail_identities():
     report("3", f"tail closed forms {worst_tail:.1e} (tol 1e-8), reduction "
                 f"identity {worst_rec:.1e} (tol 1e-10), vanishing ring "
                 f"integrals {worst_ring:.1e} (tol 1e-12); runtime {elapsed:.1f} s")
+
+
+def test_criterion_3_reduction_check_compares_two_routes(monkeypatch):
+    # every exact form scaled by 1.001: the right side, summed from J1, J1' and
+    # the lower tail, no longer follows the derived form, so the check fails
+    value = specfun._value
+    monkeypatch.setattr(specfun, "_value",
+                        lambda form, rho: value(form, rho) * Fraction(1001, 1000))
+    assert max(_reduction_errors()) > 1e-10
 
 
 # ---------------------------------------------------------------------------

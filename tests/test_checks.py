@@ -32,8 +32,6 @@ _INTEGER_ARGUMENTS = [
     ("stream", ValueError, lambda s, v: NoiseSpec(20.0, seed=0, stream=v)),
     ("n_radial", ValueError, lambda s, v: build_grid(1e-3, v, 16)),
     ("n_angular", ValueError, lambda s, v: build_grid(1e-3, 8, v)),
-    ("n_radial", ValueError, lambda s, v: DiskGrid(1.0, v, 16, _GRID.nodes, _GRID.weights)),
-    ("n_angular", ValueError, lambda s, v: DiskGrid(1.0, 8, v, _GRID.nodes, _GRID.weights)),
     ("n_radial", ValueError, lambda s, v: GridParams(v, 16)),
     ("n_pixels", ValueError, lambda s, v: raster_m3_drift_series(
         s, [1e-3, 2e-3], EstimatorSpec("m3", 2), None, n_pixels=v)),
@@ -57,7 +55,7 @@ _INTEGER_ARGUMENTS = [
 _POSITIVE_ARGUMENTS = [
     ("radius", ValueError, lambda s, v: build_grid(v, 8, 16)),
     # with the nodes and weights of the unit disk, whose area a radius of -1 shares
-    ("radius", ValueError, lambda s, v: DiskGrid(v, 8, 16, _GRID.nodes, _GRID.weights)),
+    ("radius", ValueError, lambda s, v: DiskGrid(v, _GRID.nodes, _GRID.weights)),
     ("radius", ValueError, lambda s, v: asympt_condition_margin(s, v)),
     ("radius", ValueError, lambda s, v: estimator_weight(EstimatorSpec("m1", 1), v)),
     ("radius", ValueError, lambda s, v: predicted_leading_error(s, EstimatorSpec("m1", 1), v)),
@@ -150,6 +148,7 @@ def test_only_the_rule_module_tests_integral_or_bool_types():
     (r"math\.pi / n_angular", "quad.py"),               # the unit rule's angular weight
     (r"\* rule\.radii\b", "quad.py"),                  # a built ring's nodes: grid and CSV match
     (r"\* rule\.ring_weights\b", "quad.py"),           # a built ring's weight: grid and CSV match
+    (r"4 \* n \* n - 1", "specfun.py"),              # the reduction identity's right side
 ])
 def test_each_numerical_rule_is_written_once(pattern, home):
     found = [path.name for path in sorted(_SOURCE.glob("*.py"))

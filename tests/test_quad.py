@@ -168,7 +168,7 @@ def test_field_csv_bytes_match_csv_writer_across_block_boundaries(tmp_path, demo
         samples[edge - 2:edge + 2] = [-0.0, 5e-324, -5e-324, -0.0]
     assert built.nodes[block, 1] == 0.0     # the first node of a ring sits at angle 0
     nodes[block, 1] = -0.0
-    fmap = FieldMap(grid=DiskGrid(2e-3, 200, 256, nodes, weights), samples=samples)
+    fmap = FieldMap(grid=DiskGrid(2e-3, nodes, weights), samples=samples)
     path, ref = tmp_path / "map.csv", tmp_path / "ref.csv"
     write_field_csv(fmap, str(path))
     write_field_csv_rows(fmap, str(ref))
@@ -231,7 +231,7 @@ def test_nonfinite_radius_rejected():
             build_grid(bad, 8, 16)
     grid = build_grid(1.0, 8, 16)
     with pytest.raises(ValueError, match="disk area"):
-        DiskGrid(math.nan, 8, 16, grid.nodes, grid.weights)
+        DiskGrid(math.nan, grid.nodes, grid.weights)
 
 
 def test_disk_grid_rejects_negative_radius_and_bad_sizes(demo_scene):
@@ -241,12 +241,12 @@ def test_disk_grid_rejects_negative_radius_and_bad_sizes(demo_scene):
     # same disk area and used to be accepted, flipping the sign of m3 estimates
     with pytest.raises(ValueError, match=re.escape("radius must be positive and finite, "
                                                    "got -0.002")):
-        DiskGrid(-2e-3, 16, 32, grid.nodes, grid.weights)
-    for sizes, name in (((True, 32), "n_radial"), ((16, 1.5), "n_angular"),
-                        ((0, 32), "n_radial"), ((16, "32"), "n_angular")):
-        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
-            DiskGrid(2e-3, *sizes, grid.nodes, grid.weights)
-    same = DiskGrid(np.float64(2e-3), np.int64(16), 32, grid.nodes, grid.weights)
+        DiskGrid(-2e-3, grid.nodes, grid.weights)
+    # the shape belongs to the rule: no size is taken, so none can contradict
+    # the nodes (3 x 5 sizes with the 512 nodes of a 16 x 32 grid were accepted)
+    with pytest.raises(TypeError):
+        DiskGrid(2e-3, 3, 5, grid.nodes, grid.weights)
+    same = DiskGrid(np.float64(2e-3), grid.nodes, grid.weights)
     assert type(same.radius) is float
     fmap = sample_field(demo_scene, same)
     assert estimate_moment(fmap, EstimatorSpec("m3", 2)) > 0
@@ -259,7 +259,7 @@ def test_grid_rejects_nan_node():
         nodes = grid.nodes.copy()
         nodes[5, column] = math.nan
         with pytest.raises(ValueError, match="not finite, first node 5 at"):
-            DiskGrid(1.0, 8, 16, nodes, grid.weights)
+            DiskGrid(1.0, nodes, grid.weights)
 
 
 def test_read_field_csv_rejects_nan_node(tmp_path, demo_scene):
@@ -276,7 +276,7 @@ def test_grid_invariant_rejects_bad_weights():
     from netmoment import DiskGrid
     grid = build_grid(1.0, 8, 16)
     with pytest.raises(ValueError, match="disk area"):
-        DiskGrid(1.0, 8, 16, grid.nodes, grid.weights * 1.001)
+        DiskGrid(1.0, grid.nodes, grid.weights * 1.001)
 
 
 def test_zero_weight_integrates_to_zero(demo_scene):
@@ -342,7 +342,7 @@ def test_disk_grid_rejects_nodes_that_are_not_planar_points():
     nodes = np.column_stack([grid.nodes, np.zeros(len(grid.nodes))])
     with pytest.raises(ValueError, match=re.escape("grid nodes must be (M, 2) with matching "
                                                    "weights")):
-        DiskGrid(1.0, 8, 16, nodes, grid.weights)
+        DiskGrid(1.0, nodes, grid.weights)
 
 
 def test_field_map_rejects_wrong_sample_count_and_nonfinite_samples():
@@ -395,17 +395,24 @@ def test_only_build_grid_grids_and_their_files_carry_the_unit_rule(tmp_path, dem
     assert grid._rule is _unit_rule(16, 24)
     path = tmp_path / "map.csv"
     write_field_csv(sample_field(demo_scene, grid), str(path))
-    assert read_field_csv(str(path)).grid._rule is grid._rule
+    back = read_field_csv(str(path)).grid
+    assert back._rule is grid._rule
+    # the shape is the rule's: it matches the nodes, and a grid without a rule has none
+    for built in (grid, back):
+        assert (built.n_radial, built.n_angular) == (16, 24)
+        assert built.n_radial * built.n_angular == len(built.nodes)
     # one weight an ulp off: the file is no longer that grid's
     lines = path.read_text().splitlines(keepends=True)
     x1, x2, w, s = lines[7].split(",")
     lines[7] = ",".join([x1, x2, repr(math.nextafter(float(w), 0.0)), s])
     path.write_text("".join(lines))
     others = [read_field_csv(str(path)).grid,
-              type(grid)(grid.radius, 16, 24, grid.nodes, grid.weights),
+              type(grid)(grid.radius, grid.nodes, grid.weights),
               dataclasses.replace(grid, radius=grid.radius)]
+    # the replaced grid used to keep the sizes of the grid it came from
     for other in others:
         assert other._rule is None
+        assert (other.n_radial, other.n_angular) == (None, None)
         assert other.nodes is not grid.nodes and np.array_equal(other.nodes, grid.nodes)
 
 
@@ -450,21 +457,17 @@ def _off_grid(grid: DiskGrid, edit: str) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-@pytest.mark.parametrize("edit, shape", [
-    ("outer weight one ulp off", (16, 24)),
-    ("outer node one ulp off", (16, 24)),
-    ("equal weights", (16, 24)),
-    ("scattered nodes", (384, 8)),  # one radius per node; the sizes need not fit
-])
-def test_a_file_off_every_built_grid_reads_back_as_it_is(tmp_path, demo_scene, edit, shape):
+@pytest.mark.parametrize("edit", ["outer weight one ulp off", "outer node one ulp off",
+                                  "equal weights", "scattered nodes"])
+def test_a_file_off_every_built_grid_reads_back_as_it_is(tmp_path, demo_scene, edit):
     grid = build_grid(7.5e-4, 16, 24)
     nodes, weights = _off_grid(grid, edit)
     samples = b3(demo_scene, nodes)
     path = tmp_path / "map.csv"
-    write_field_csv(FieldMap(DiskGrid(grid.radius, 16, 24, nodes, weights), samples), str(path))
+    write_field_csv(FieldMap(DiskGrid(grid.radius, nodes, weights), samples), str(path))
     back = read_field_csv(str(path))
     assert back.grid._rule is None
-    assert (back.grid.n_radial, back.grid.n_angular) == shape
+    assert (back.grid.n_radial, back.grid.n_angular) == (None, None)
     for got, want in ((back.grid.nodes, nodes), (back.grid.weights, weights),
                       (back.samples, samples)):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -477,7 +480,7 @@ def test_tensor_moments_match_a_node_by_node_exact_sum(seed, shape):
     radius = float(rng.uniform(3e-4, 2e-3))
     fmap = sample_field(random_scene(seed, 1 + seed % 7), build_grid(radius, *shape))
     grid = fmap.grid
-    dense = FieldMap(type(grid)(radius, *shape, grid.nodes, grid.weights), fmap.samples)
+    dense = FieldMap(type(grid)(radius, grid.nodes, grid.weights), fmap.samples)
     want, scale = disk_moments_fsum(fmap)
     for route in (fmap, dense):     # the tensor tables, then one sum over the nodes
         assert np.all(np.abs(route.moments - want) <= 1e-13 * scale)
