@@ -416,6 +416,55 @@ def test_only_build_grid_grids_and_their_files_carry_the_unit_rule(tmp_path, dem
         assert other.nodes is not grid.nodes and np.array_equal(other.nodes, grid.nodes)
 
 
+@pytest.mark.parametrize("make", [
+    # 3 x 5 sizes with the 512 nodes of a 16 x 32 grid were accepted
+    lambda g: DiskGrid(g.radius, 3, 5, g.nodes, g.weights),
+    # sizes that match the nodes are refused too: there is no size to give
+    lambda g: DiskGrid(radius=g.radius, n_radial=16, n_angular=32,
+                       nodes=g.nodes, weights=g.weights),
+], ids=["positional sizes off the nodes", "keyword sizes on the nodes"])
+def test_disk_grid_takes_no_size_argument(make):
+    with pytest.raises(TypeError):
+        make(build_grid(2e-3, 16, 32))
+
+
+@pytest.mark.parametrize("shape", [(4, 8), (5, 14), (16, 24), (33, 10), (200, 256)])
+def test_a_built_grid_and_its_file_have_the_shape_it_was_built_with(tmp_path, demo_scene,
+                                                                    shape):
+    grid = build_grid(7.5e-4, *shape)
+    path = tmp_path / "map.csv"
+    write_field_csv(sample_field(demo_scene, grid), str(path))
+    for built in (grid, read_field_csv(str(path)).grid):
+        assert (built.n_radial, built.n_angular) == shape
+        assert type(built.n_radial) is int and type(built.n_angular) is int
+        assert built.n_radial * built.n_angular == len(built.nodes)
+
+
+@pytest.mark.parametrize("make", ["direct", "replaced", "file off the built grid"])
+def test_a_grid_without_a_rule_has_no_shape(tmp_path, demo_scene, make):
+    grid = build_grid(7.5e-4, 16, 24)
+    if make == "direct":
+        other = DiskGrid(grid.radius, grid.nodes, grid.weights)
+    elif make == "replaced":        # used to keep the sizes of the grid it came from
+        other = dataclasses.replace(grid, radius=grid.radius)
+    else:
+        nodes, weights = _off_grid(grid, "scattered nodes")
+        path = tmp_path / "map.csv"
+        write_field_csv(FieldMap(DiskGrid(grid.radius, nodes, weights),
+                                 b3(demo_scene, nodes)), str(path))
+        other = read_field_csv(str(path)).grid
+    assert other._rule is None
+    assert (other.n_radial, other.n_angular) == (None, None)
+
+
+@pytest.mark.parametrize("name", ["n_radial", "n_angular"])
+def test_a_grids_shape_cannot_be_set(name):
+    grid = build_grid(1.0, 8, 16)
+    with pytest.raises(AttributeError):
+        setattr(grid, name, 3)
+    assert (grid.n_radial, grid.n_angular) == (8, 16)
+
+
 def test_a_file_reads_back_onto_the_radius_its_grid_was_built_with(tmp_path, demo_scene):
     # a radius that the weight sum does not give back exactly
     radius = next(a for a in np.geomspace(1e-4, 1e-3, 100)
