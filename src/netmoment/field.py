@@ -81,13 +81,15 @@ def b3(scene: DipoleScene, x) -> np.ndarray | float:
     dipoles than that, so memory does not grow with the number of points.
     Every block is computed in the same four reused buffers, with the same
     operations in the same order as the one-pass formula
-        mu0/(4 pi) * sum_d [3u (dx1 m1 + dx2 m2) + (2u^2 - r^2) m3] / (r^2 + u^2)^2.5,
-    and each point's dipole sum adds in the order of a contiguous row sum, so
-    the values depend on neither the block size nor the layout.
+        mu0/(4 pi) * sum_d [dx1 (3u m1) + dx2 (3u m2) + (2u^2 - r^2) m3] / (sqrt(q) q q)
+    with r^2 = dx1^2 + dx2^2 and q = r^2 + u^2, and each point's dipole sum
+    adds in the order of a contiguous row sum, so the values depend on
+    neither the block size nor the layout.  q^2.5 is sqrt(q) times q twice:
+    a square root and two products cost about half of one pow.
 
     The layout follows the dipole count.  From _SEQUENTIAL_ROW_SUM dipoles
-    on, a block is (nodes x dipoles) and the eight per-dipole operands are
-    tiled once per call to its shape (at most 8 x 128 KB).  Below that, a
+    on, a block is (nodes x dipoles) and the seven per-dipole operands are
+    tiled once per call to its shape (at most 7 x 128 KB).  Below that, a
     short last axis would make numpy run one tiny inner loop per node, so a
     block is (dipoles x nodes), the operands are (dipoles x 1) columns, the
     block's nodes are copied into one (2 x nodes) buffer and the dipole sum
@@ -102,10 +104,11 @@ def b3(scene: DipoleScene, x) -> np.ndarray | float:
         p1, p2, t3 = scene.positions.T
         m1, m2, m3 = scene.moments.T
         u = scene.height - t3                         # h - t3 > 0 per scene invariant
-        u2 = u**2
+        u2 = u * u
+        three_u = 3.0 * u
         step = max(1, _PAIR_BUDGET // n_dip)
         size = min(step, len(pts))
-        operands = np.stack([p1, p2, m1, m2, m3, u2, 3.0 * u, 2.0 * u2])
+        operands = np.stack([p1, p2, three_u * m1, three_u * m2, m3, u2, 2.0 * u2])
         dipole_major = n_dip < _SEQUENTIAL_ROW_SUM
         if dipole_major:
             operands = operands[:, :, None]
@@ -125,25 +128,26 @@ def b3(scene: DipoleScene, x) -> np.ndarray | float:
                 np.copyto(nodes[:, :n], block.T)
                 x1, x2 = nodes[:, :n]
                 a, b, r2, den = bufs[..., :n]
-                p1, p2, m1, m2, m3, u2, three_u, two_u2 = operands
+                p1, p2, um1, um2, m3, u2, two_u2 = operands
             else:
                 x1, x2 = block[:, 0, None], block[:, 1, None]
                 a, b, r2, den = bufs[:, :n]
-                p1, p2, m1, m2, m3, u2, three_u, two_u2 = operands[:, :n]
+                p1, p2, um1, um2, m3, u2, two_u2 = operands[:, :n]
             np.subtract(x1, p1, out=a)                        # dx1
             np.subtract(x2, p2, out=b)                        # dx2
             np.square(a, out=r2)
             np.square(b, out=den)
             np.add(r2, den, out=r2)                           # r^2
-            np.multiply(a, m1, out=a)
-            np.multiply(b, m2, out=b)
+            np.multiply(a, um1, out=a)                        # dx1 (3u m1)
+            np.multiply(b, um2, out=b)                        # dx2 (3u m2)
             np.add(a, b, out=a)
-            np.multiply(three_u, a, out=a)
             np.subtract(two_u2, r2, out=b)
             np.multiply(b, m3, out=b)
             np.add(a, b, out=a)                               # numerator
-            np.add(r2, u2, out=r2)
-            np.power(r2, 2.5, out=den)
+            np.add(r2, u2, out=r2)                            # q
+            np.sqrt(r2, out=den)
+            np.multiply(den, r2, out=den)
+            np.multiply(den, r2, out=den)                     # q^2.5
             np.divide(a, den, out=a)
             np.add.reduce(a, axis=0 if dipole_major else -1, out=vals[lo:lo + n])
         vals *= scene.mu0 / (4.0 * _PI)

@@ -96,7 +96,8 @@ def add_noise(field_map: FieldMap, spec: NoiseSpec) -> FieldMap:
     samples = _noisy(field_map.samples, spec,
                      field_map.grid.weights if spec.weighted_variance else None)
     return FieldMap(grid=field_map.grid, samples=samples, unit_system=field_map.unit_system,
-                    provenance=Provenance("noisy", snr_db=spec.snr_db, seed=spec.seed))
+                    provenance=Provenance("noisy", snr_db=spec.snr_db, seed=spec.seed),
+                    _fresh=True)
 
 
 @dataclass(frozen=True)

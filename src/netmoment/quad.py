@@ -127,10 +127,19 @@ class FieldMap:
     samples: np.ndarray
     unit_system: str = "si"
     provenance: Provenance = Provenance("clean")
+    # set by sample_field, add_noise and read_field_csv only: their samples
+    # are a float array that nothing else writes (fresh, or the read-only
+    # samples of a clean map at SNR = inf), kept and made read-only in place;
+    # any other caller's samples are copied
+    _fresh: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _fresh: bool):
         _one_of(self.unit_system, _UNIT_SYSTEMS, f"unit_system must be one of {_UNIT_SYSTEMS}")
-        samples = _read_only(self.samples)
+        if _fresh:
+            samples = self.samples
+            samples.flags.writeable = False
+        else:
+            samples = _read_only(self.samples)
         if samples.shape != (len(self.grid.nodes),):
             raise ValueError("sample count must match the grid node count")
         if not np.all(np.isfinite(samples)):
@@ -228,7 +237,7 @@ def build_grid(radius: float, n_radial: int = _DEFAULT_GRID[0],
 def sample_field(scene: DipoleScene, grid: DiskGrid) -> FieldMap:
     """Evaluate the scene's normal field at every node, in node order."""
     return FieldMap(grid=grid, samples=b3(scene, grid.nodes),
-                    unit_system=scene.unit_system, provenance=Provenance("clean"))
+                    unit_system=scene.unit_system, provenance=Provenance("clean"), _fresh=True)
 
 
 def integrate_weighted(field_map: FieldMap,
@@ -298,8 +307,9 @@ def read_field_csv(path: str, unit_system: str = "si") -> FieldMap:
         samples = table[:, 3].copy()
         del table, weights_arr
         return FieldMap(grid=build_grid(a, n_radial, n_angular), samples=samples,
-                        unit_system=unit_system)
-    # any other file keeps its nodes and weights as written, and has no shape
+                        unit_system=unit_system, _fresh=True)
+    # any other file keeps its nodes and weights as written, and has no shape;
+    # its strided sample column is copied
     return FieldMap(grid=DiskGrid(radius, table[:, :2], weights_arr), samples=table[:, 3],
                     unit_system=unit_system)
 

@@ -70,8 +70,11 @@ def b3_unchunked(scene: DipoleScene, x) -> np.ndarray | float:
     dx1 = pts[..., 0, None] - pos[:, 0]
     dx2 = pts[..., 1, None] - pos[:, 1]
     r2 = dx1**2 + dx2**2
-    num = 3.0 * u * (dx1 * mom[:, 0] + dx2 * mom[:, 1]) + (2.0 * u**2 - r2) * mom[:, 2]
-    vals = (scene.mu0 / (4.0 * math.pi)) * np.sum(num / (r2 + u**2) ** 2.5, axis=-1)
+    # the ops of b3 in its order: 3u folded into m1 and m2, q^2.5 as sqrt(q) q q
+    num = (dx1 * ((3.0 * u) * mom[:, 0]) + dx2 * ((3.0 * u) * mom[:, 1])
+           + (2.0 * u**2 - r2) * mom[:, 2])
+    q = r2 + u**2
+    vals = (scene.mu0 / (4.0 * math.pi)) * np.sum(num / (np.sqrt(q) * q * q), axis=-1)
     return float(vals[0]) if scalar else vals.reshape(x.shape[:-1])
 
 

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -104,6 +105,47 @@ def test_b3_tiles_do_not_grow_with_nodes(traced_peak):
         # the 1 MB output, four 128 KB buffers and a node buffer of at most
         # 256 KB; buffers sized to the node count would add 4 MB or more
         assert peak < 3 * 2**20, f"{n_dipoles} dipoles: b3 peaked at {peak / 2**20:.2f} MB"
+
+
+def b3_exact(scene: DipoleScene, point) -> tuple[float, float]:
+    """(B3, its size) at one point, from the scene's floats in 40 digits.
+
+    B3 = (mu0 / 4 pi) sum_d [3u (m1 y1 + m2 y2) + (2u^2 - |y|^2) m3] / q^(5/2) with
+    q = |y|^2 + u^2.  The size is the same sum over the absolute value of each
+    product, (|3u m1 y1| + |3u m2 y2| + (2u^2 + |y|^2) |m3|) / q^(5/2): the scale
+    of the roundoff of any float route, also where a numerator cancels and
+    its term is far smaller than its parts.
+    """
+    with mp.workdps(40):
+        x1, x2 = map(mp.mpf, point)
+        total = size = mp.mpf(0)
+        for d in scene.dipoles:
+            (t1, t2, t3), (m1, m2, m3) = ([mp.mpf(c) for c in v] for v in (d.position, d.moment))
+            y1, y2, u = x1 - t1, x2 - t2, mp.mpf(scene.height) - t3
+            rho2 = y1 * y1 + y2 * y2
+            q52 = mp.power(rho2 + u * u, mp.mpf(5) / 2)
+            total += (3 * u * (m1 * y1 + m2 * y2) + (2 * u * u - rho2) * m3) / q52
+            size += (abs(3 * u * m1 * y1) + abs(3 * u * m2 * y2)
+                     + (2 * u * u + rho2) * abs(m3)) / q52
+        scale = mp.mpf(scene.mu0) / (4 * mp.pi)
+        return float(scale * total), float(scale * size)
+
+
+# 1, 4 and 7 dipoles take the dipole-major layout, 8 and 50 the node-major one
+@pytest.mark.parametrize("n_dipoles", [1, 4, 7, 8, 50])
+def test_b3_is_within_four_eps_of_its_size_from_the_exact_field(n_dipoles):
+    scene = random_scene(n_dipoles, seed=270 + n_dipoles)
+    rng = np.random.default_rng(280 + n_dipoles)
+    angles = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+    points = np.concatenate([
+        scene.positions[:3, :2],                                     # right above a dipole
+        2e-2 * np.column_stack([np.cos(angles), np.sin(angles)]),   # far out on the disk
+        rng.uniform(-2e-3, 2e-3, (8, 2)),
+        [[0.0, 0.0]],
+    ])
+    for point, value in zip(points, b3(scene, points)):
+        exact, size = b3_exact(scene, point)
+        assert abs(value - exact) <= 4 * np.finfo(float).eps * size, (point, value, exact)
 
 
 def test_b3_empty_scene_zero():

@@ -6,10 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from netmoment import (Dipole, DipoleScene, EstimatorSpec, FieldMap, GridParams, all_specs,
-                       asympt_coefficients, b3, build_grid, estimate_moment, integrate_weighted,
-                       read_field_csv, recovered_coefficients, sample_field, sweep,
-                       t_quantities, write_field_csv)
+from netmoment import (Dipole, DipoleScene, EstimatorSpec, FieldMap, GridParams, NoiseSpec,
+                       add_noise, all_specs, asympt_coefficients, b3, build_grid,
+                       estimate_moment, integrate_weighted, noise, quad, read_field_csv,
+                       recovered_coefficients, sample_field, sweep, t_quantities,
+                       write_field_csv)
 from netmoment.quad import _CSV_BLOCK_ROWS, DiskGrid, _unit_rule
 from oracles import (disk_moments_fsum, disk_monomial_integral, read_field_csv_rows,
                      write_field_csv_rows)
@@ -305,6 +306,46 @@ def test_map_arrays_are_read_only(demo_scene):
     for arr in (fmap.samples, fmap.grid.nodes, fmap.grid.weights, fmap.moments):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
+
+
+@pytest.mark.parametrize("producer", ["sample_field", "add_noise", "read_field_csv"])
+def test_a_producer_hands_its_fresh_samples_to_the_map(tmp_path, demo_scene, monkeypatch,
+                                                       producer):
+    clean = sample_field(demo_scene, build_grid(1e-3, 8, 16))
+    path = tmp_path / "map.csv"
+    write_field_csv(clean, str(path))
+    handed = []
+
+    def spy(*args, **kwargs):
+        handed.append(kwargs["samples"])
+        return FieldMap(*args, **kwargs)
+
+    monkeypatch.setattr(quad, "FieldMap", spy)
+    monkeypatch.setattr(noise, "FieldMap", spy)
+    fmap = {"sample_field": lambda: sample_field(demo_scene, clean.grid),
+            "add_noise": lambda: add_noise(clean, NoiseSpec(20.0, seed=1)),
+            "read_field_csv": lambda: read_field_csv(str(path))}[producer]()
+    assert len(handed) == 1 and np.shares_memory(fmap.samples, handed[0])
+    with pytest.raises(ValueError, match="read-only"):
+        fmap.samples[0] = 1.0
+
+
+def test_a_callers_samples_are_copied(demo_scene):
+    grid = build_grid(1e-3, 8, 16)
+    samples = b3(demo_scene, grid.nodes)
+    fmap = FieldMap(grid, samples)
+    assert not np.shares_memory(fmap.samples, samples) and samples.flags.writeable
+    samples[:] = 1.0
+    assert np.array_equal(fmap.samples, sample_field(demo_scene, grid).samples)
+
+
+def test_sample_field_holds_no_copy_of_the_samples(demo_scene, monkeypatch, traced_peak):
+    grid = build_grid(2e-3)                                  # 200 x 256
+    values = b3(demo_scene, grid.nodes)
+    monkeypatch.setattr(quad, "b3", lambda scene, nodes: values)
+    peak = traced_peak(lambda: sample_field(demo_scene, grid))
+    # a copy of the samples is 0.39 MiB; the finite check's mask is 0.05 MiB
+    assert peak < 0.2 * 2**20, f"sample_field peaked at {peak / 2**20:.2f} MiB"
 
 
 def test_grid_rejects_fractional_radial_count():
