@@ -37,6 +37,10 @@ def _flag(args, flag: str):
     return getattr(args, flag[2:].replace("-", "_"))
 
 
+# the sweep's range flags, which a single --radius replaces; None when not given
+_RANGE_FLAGS = ("--radius-min", "--radius-max", "--radius-count", "--log-spacing")
+
+
 def _radii_from_args(args) -> list[float]:
     # NaN and inf would pass the range test below and fail only inside the sweep
     for flag in ("--radius", "--radius-min", "--radius-max"):
@@ -44,6 +48,9 @@ def _radii_from_args(args) -> list[float]:
         if value is not None:
             _finite(value, f"{flag} must be finite", ConfigError)
     if args.radius is not None:
+        for flag in _RANGE_FLAGS:
+            if _flag(args, flag) is not None:
+                raise ConfigError(f"{flag} shapes a radius range and cannot go with --radius")
         return [args.radius]
     if None in (args.radius_min, args.radius_max, args.radius_count):
         raise ConfigError("provide --radius or all of --radius-min/--radius-max/--radius-count")
@@ -259,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--radius-min", type=float)
     p_sweep.add_argument("--radius-max", type=float)
     p_sweep.add_argument("--radius-count", type=int)
-    p_sweep.add_argument("--log-spacing", action="store_true")
+    p_sweep.add_argument("--log-spacing", action="store_true", default=None)
     p_sweep.add_argument("--spec", action="append")
     p_sweep.add_argument("--detrend-window", type=int, nargs="?", const=11, default=None,
                          help="append backward-detrended normal-moment columns "

@@ -296,7 +296,12 @@ def read_field_csv(path: str, unit_system: str = "si") -> FieldMap:
     if table.shape[1] != 4:
         raise ValueError(f"field CSV {path} rows must have 4 columns, got {table.shape[1]}")
     weights_arr = table[:, 2]
-    radius = math.sqrt(weights_arr.sum() / math.pi)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are refused below
+        area = float(weights_arr.sum())
+    if not 0.0 < area < math.inf:
+        raise ValueError(f"field CSV {path}: the weight column sums to {area!r}, "
+                         "not to the finite area > 0 of a disk")
+    radius = math.sqrt(area / math.pi)
     # a build_grid ring shares one weight, so its first run of equal weights is one ring
     n_angular = int(np.argmax(weights_arr != weights_arr[0])) or len(weights_arr)
     n_radial = len(table) // n_angular

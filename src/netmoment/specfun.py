@@ -308,8 +308,7 @@ def _euler_sums(panels: np.ndarray) -> np.ndarray:
     """Euler transform of each row of a (K, L) array of (eventually) alternating panels.
 
     The panels before the last 40 are summed as they are; the partial sums of
-    the last 40 are averaged pairwise until one is left.  Every operation runs
-    along the last axis, so each row's value is bitwise that of a one-row call.
+    the last 40 are averaged pairwise until one is left, all rows at once.
     """
     size = min(panels.shape[-1], 40)
     s = np.cumsum(panels[:, -size:], axis=-1)
@@ -331,10 +330,9 @@ def _integrate_panels(f: Callable[[np.ndarray], np.ndarray], a: float,
     f maps the nodes x of a panel to K rows of integrand values, shape
     (K, len(x)), so integrals that share their panels share one evaluation
     per panel.  The panel sums are kept as a (K, panels) array; at each
-    checkpoint `_euler_sums` transforms the rows not yet frozen in one call.
-    Each row keeps its own stopping state and is frozen at the panel where
-    it would stop alone, so its value is the same whatever rows it is
-    integrated with.
+    checkpoint `_euler_sums` transforms all rows in one call, and the group
+    stops at the second checkpoint in a row at which every row moved by
+    less than tol of its value.
 
     The first panel [a, a + period] is graded: cut at a, 2a, 4a, ... so a
     steep algebraic factor such as x^-7 near a small lower limit is resolved,
@@ -348,30 +346,20 @@ def _integrate_panels(f: Callable[[np.ndarray], np.ndarray], a: float,
     first = [math.fsum(row) for row in zip(*pieces)]
     panels = np.empty((len(first), _MAX_PANELS))
     panels[:, 0] = first
-    values: list[float | None] = [None] * len(first)
-    prev = [math.inf] * len(first)
-    stable = [0] * len(first)
+    prev = np.inf
+    stable = 0
     lo = a + period
     for i in range(1, _MAX_PANELS):
         hi = lo + period
         panels[:, i] = _gauss_legendre(f, lo, hi)
         lo = hi
         if i >= 16 and i % 2 == 0:
-            rows = [k for k, value in enumerate(values) if value is None]
-            for k, cur in zip(rows, _euler_sums(panels[rows, :i + 1]).tolist()):
-                if abs(cur - prev[k]) < tol * abs(cur) + 1e-300:
-                    stable[k] += 1
-                    if stable[k] >= 2:
-                        values[k] = cur
-                else:
-                    stable[k] = 0
-                prev[k] = cur
-            if None not in values:
-                return values
-    rows = [k for k, value in enumerate(values) if value is None]
-    for k, cur in zip(rows, _euler_sums(panels[rows]).tolist()):
-        values[k] = cur
-    return values
+            cur = _euler_sums(panels[:, :i + 1])
+            stable = stable + 1 if np.all(np.abs(cur - prev) < tol * np.abs(cur) + 1e-300) else 0
+            if stable >= 2:
+                return cur.tolist()
+            prev = cur
+    return _euler_sums(panels).tolist()
 
 
 def _bessel_integral(n: int, x: np.ndarray) -> np.ndarray:
@@ -395,9 +383,9 @@ def _tail_quadratures(n: int, rho: float) -> dict[int, float]:
     """int_rho^inf J_n(x) / x^p dx for every power p that `_TAIL_INTEGRANDS` pairs with n.
 
     The powers share their panels, so each panel evaluates J_n once for all
-    of them and each row divides by its own x**p; each value is bitwise that
-    of a one-row call.  Cached because the tail checks of one run ask for
-    every power of the same (n, rho) one kind at a time.
+    of them and each row divides by its own x**p.  Cached because the tail
+    checks of one run ask for every power of the same (n, rho) one kind at a
+    time.
     """
     powers = [p for m, p in _TAIL_INTEGRANDS.values() if m == n]
 
@@ -416,11 +404,14 @@ def tail_integral_quadrature(kind: TailIntegralKind, rho: float) -> float:
     from rho, the first one graded, with Euler acceleration of the
     alternating panel sums.  The kinds of one Bessel
     order are integrated together on shared panels by `_tail_quadratures`,
-    which keeps the values of recent (order, rho) pairs.
+    which keeps the values of recent (order, rho) pairs.  rho is capped like
+    the closed forms it checks: the midpoints of `_bessel_integral` grow
+    with it.
     """
     n, p = _integrand(kind)
     rho = _positive(rho, "tail_integral_quadrature needs finite rho > 0", DomainError)
-    return _tail_quadratures(n, rho)[p]
+    return _tail_quadratures(n, _capped(rho, "tail_integral_quadrature checks closed forms "
+                                             f"capped at rho <= {STRUVE_MAX_ARG}"))[p]
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +481,7 @@ def _ring_trig_integrals(trig: str, powers: list[tuple[int, int, int]],
 
     The integrals share their panels, so trig(2 pi k1 r cos t) is evaluated
     once per panel for all of them; each takes its own product with its
-    angular factor, so its value is bitwise that of a call on its own.
+    angular factor.
     """
     theta = 2.0 * math.pi * np.arange(_N_THETA) / _N_THETA
     angs = [np.cos(theta) ** a * np.sin(theta) ** b for a, b, _ in powers]

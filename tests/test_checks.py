@@ -76,6 +76,14 @@ _POSITIVE_ARGUMENTS = [
     ("radius", DomainError, lambda s, v: sin_cos_taylor(v)),
 ]
 
+# rho beyond the series cap, refused by the closed forms and by the quadrature
+# that checks them (whose midpoints grow with rho, to gigabytes at 1e8)
+_CAPPED_ARGUMENTS = [
+    ("rho <= 50.0", DomainError, lambda s, v: tail_integral(_J0, v)),
+    ("rho <= 50.0", DomainError, lambda s, v: tail_recursion_rhs(1, v)),
+    ("tail_integral_quadrature", DomainError, lambda s, v: tail_integral_quadrature(_J0, v)),
+]
+
 # 1.5 is a valid positive value, so only the integer arguments get it; an
 # integer beyond the float range (whose float() raised OverflowError) is read
 # as inf, so only the positive arguments get it
@@ -90,7 +98,8 @@ def _cases(arguments, values):
 
 @pytest.mark.parametrize("name, error, call, value",
                          _cases(_INTEGER_ARGUMENTS, _NOT_INTEGERS)
-                         + _cases(_POSITIVE_ARGUMENTS, _NOT_POSITIVE))
+                         + _cases(_POSITIVE_ARGUMENTS, _NOT_POSITIVE)
+                         + _cases(_CAPPED_ARGUMENTS, [50.000001, 60.0, 120.0]))
 def test_argument_rules_reject_with_the_layer_error_naming_the_argument(
         demo_scene, name, error, call, value):
     with pytest.raises(ValueError) as info:
@@ -175,3 +184,16 @@ def test_b3_takes_no_power():
     # sqrt(q) times q twice 29 us (timeit, numpy 2.4): the power stays out
     source = inspect.getsource(field.b3)
     assert "np.power" not in source and "**" not in source
+
+
+def test_the_package_exports_each_layer_name_once():
+    import netmoment
+    from netmoment import estimate, noise, quad, scene, specfun
+    layers = (scene, field, quad, noise, estimate)
+    names = [name for layer in layers for name in layer.__all__] + ["specfun"]
+    assert len(set(names)) == len(names)
+    assert sorted(netmoment.__all__) == sorted(names)
+    for layer in layers:
+        for name in layer.__all__:
+            assert getattr(netmoment, name) is getattr(layer, name), name
+    assert netmoment.specfun is specfun

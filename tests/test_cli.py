@@ -362,6 +362,19 @@ def test_sweep_rejects_nonfinite_radius_flags(tmp_path, scene_file, capsys, flag
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [["--radius-min", "5e-4"], ["--radius-max", "2e-3"],
+                                   ["--radius-count", "5"], ["--log-spacing"]])
+def test_sweep_rejects_range_flags_with_radius(tmp_path, scene_file, capsys, flags):
+    # a single --radius wrote one row and dropped these without a word
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--scene", scene_file, "--radius", "1e-3", *flags, "--spec", "m1:1",
+               "--n-radial", "8", "--n-angular", "8", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == "" and not out.exists()
+    assert f"{flags[0]} shapes a radius range and cannot go with --radius" in captured.err
+
+
 def test_domain_error_exit_code(monkeypatch, tmp_path, scene_file):
     import netmoment.cli as cli_mod
 

@@ -212,6 +212,22 @@ def test_read_field_csv_rejects_malformed_file(tmp_path, text, match):
             read_field_csv(str(path))
 
 
+@pytest.mark.parametrize("weights, total", [(["-1.0"], "-1.0"), (["0.0"], "0.0"),
+                                            (["inf"], "inf"), (["nan"], "nan"),
+                                            (["1e308", "1e308"], "inf"),
+                                            (["inf", "-inf"], "nan")])
+def test_read_field_csv_rejects_weights_that_give_no_radius(tmp_path, weights, total):
+    # these failed as a bare math domain error, or blamed a radius the file does
+    # not hold, and inf leaked a RuntimeWarning from numpy
+    path = tmp_path / "bad.csv"
+    path.write_bytes((_HEADER + "".join(f"0.5,0.0,{w},1.0\r\n" for w in weights)).encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(
+                f"field CSV {path}: the weight column sums to {total}, not to the finite")):
+            read_field_csv(str(path))
+
+
 @pytest.mark.parametrize("scene_name, radius, shape", [
     ("demo_scene", 2e-3, (200, 256)),
     ("demo_scene", 7.5e-4, (20, 24)),
