@@ -26,10 +26,12 @@ J_n divides that numerator by that denominator and skips the gcd.
 The quadrature route shares no code with the closed forms: its integrands
 evaluate J_n by a vectorised midpoint rule on Bessel's integral
 (`_bessel_integral`), never through the rational series, and its panels
-are plain Gauss-Legendre with a graded first panel and Euler acceleration.
-The ring integrals of one trig share their panels, so each panel evaluates
-that trig once for all of them; the tail integrals of one Bessel order share
-theirs in the same way, each panel evaluating J_n once.
+are plain Gauss-Legendre with a graded first panel and Euler acceleration,
+evaluated a batch of panels per integrand call.  The ring integrals of one
+trig share their panels, so each batch evaluates that trig once for all of
+them, on a periodic angle rule folded onto [0, pi/2]; the seven tail
+integrals at one rho share theirs in the same way, each batch evaluating
+J0, J1 and J2 once.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ import math
 import sys
 from enum import Enum
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -296,104 +298,139 @@ def tail_recursion_rhs(n: int, rho: float) -> float:
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
-# relative stopping tolerances of the tail and the ring-integral quadratures, the
-# panel cap of _integrate_panels and the angular node count of ring_trig_integral
+# relative stopping tolerances of the tail and the ring-integral quadratures,
+# and the panel cap of _integrate_panels with its batches: one integrand call
+# for panels 1 .. _FIRST_BATCH (the first checkpoint needs all of them), then
+# one per _BATCH panels
 _TAIL_TOL = 1e-14
 _RING_TOL = 1e-12
 _MAX_PANELS = 400
+_FIRST_BATCH = 16
+_BATCH = 8
+# the periodic angle rule of ring_trig_integral: _N_THETA nodes on the circle,
+# folded onto the _N_THETA // 4 + 1 of them in [0, pi/2]
 _N_THETA = 256
+
+
+@functools.cache
+def _euler_weights(size: int) -> np.ndarray:
+    """C(size - 1, j) / 2^(size - 1) for j < size, exact floats; built on first use."""
+    return np.array([math.comb(size - 1, j) for j in range(size)]) / 2.0 ** (size - 1)
 
 
 def _euler_sums(panels: np.ndarray) -> np.ndarray:
     """Euler transform of each row of a (K, L) array of (eventually) alternating panels.
 
-    The panels before the last 40 are summed as they are; the partial sums of
-    the last 40 are averaged pairwise until one is left, all rows at once.
+    The panels before the last 40 are summed as they are.  The partial sums
+    of the last 40 are averaged pairwise until one is left, which is their
+    weighted sum with the binomial weights of `_euler_weights`: one
+    cumulative sum and one product, all rows at once.  Each row is reduced
+    on its own, so it has the bits of a call on that row alone.
     """
     size = min(panels.shape[-1], 40)
-    s = np.cumsum(panels[:, -size:], axis=-1)
-    while s.shape[-1] > 1:
-        s = 0.5 * (s[:, :-1] + s[:, 1:])
-    return np.sum(panels[:, :-size], axis=-1) + s[:, 0]
+    averaged = np.sum(np.cumsum(panels[:, -size:], axis=-1) * _euler_weights(size), axis=-1)
+    return np.sum(panels[:, :-size], axis=-1) + averaged
 
 
-def _gauss_legendre(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> np.ndarray:
-    """Each row of f integrated over [lo, hi] by the 20-point rule."""
-    x = 0.5 * (hi - lo) * (_GL_NODES + 1.0) + lo
-    return np.sum(f(x) * _GL_WEIGHTS, axis=-1) * 0.5 * (hi - lo)
+def _gauss_legendre(f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> np.ndarray:
+    """Each row of f integrated over each [edges[j], edges[j + 1]] by the 20-point rule.
+
+    f is called once, on the nodes of all the intervals; the result has shape
+    (K, len(edges) - 1).
+    """
+    half = 0.5 * np.diff(edges)
+    x = (half[:, None] * (_GL_NODES + 1.0) + edges[:-1, None]).ravel()
+    values = f(x)
+    return np.sum(values.reshape(len(values), len(half), -1) * _GL_WEIGHTS, axis=-1) * half
 
 
 def _integrate_panels(f: Callable[[np.ndarray], np.ndarray], a: float,
                       period: float, tol: float) -> list[float]:
     """Integrate each row of f on (a, inf): half-period panels + Euler acceleration.
 
-    f maps the nodes x of a panel to K rows of integrand values, shape
-    (K, len(x)), so integrals that share their panels share one evaluation
-    per panel.  The panel sums are kept as a (K, panels) array; at each
-    checkpoint `_euler_sums` transforms all rows in one call, and the group
-    stops at the second checkpoint in a row at which every row moved by
-    less than tol of its value.
+    f maps nodes x to K rows of integrand values, shape (K, len(x)), so
+    integrals that share their panels share each evaluation.  Panels are
+    evaluated in batches, one call of f each: the pieces of the first panel,
+    panels 1 .. _FIRST_BATCH, then _BATCH panels at a time up to the cap of
+    _MAX_PANELS.  The panel sums are kept as a (K, panels) array.  At each
+    checkpoint, every even panel i >= _FIRST_BATCH, `_euler_sums` transforms
+    panels 0 .. i of all rows in one call, and the group stops at the second
+    checkpoint in a row at which every row moved by less than tol of its
+    value; panels of the batch past that checkpoint are dropped.
 
     The first panel [a, a + period] is graded: cut at a, 2a, 4a, ... so a
     steep algebraic factor such as x^-7 near a small lower limit is resolved,
-    and its pieces are summed into that one panel.
+    and its pieces are summed into that one panel.  The edges after a lie on
+    a grid of 2^-40 periods, with the period rounded to it, so each edge is
+    a float exactly while a is below about 7800 periods: a partial sum is
+    the integral up to an exact point, and its Euler sum sees no rounding of
+    the edges.
     """
+    step = 2.0 ** (math.frexp(period)[1] - 40)
+    period = round(period / step) * step
+    first_end = round((a + period) / step) * step
     cuts = [a]
-    while a > 0.0 and 2.0 * cuts[-1] < a + period:
+    while a > 0.0 and 2.0 * cuts[-1] < first_end:
         cuts.append(2.0 * cuts[-1])
-    cuts.append(a + period)
-    pieces = [_gauss_legendre(f, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    first = [math.fsum(row) for row in zip(*pieces)]
-    panels = np.empty((len(first), _MAX_PANELS))
-    panels[:, 0] = first
+    cuts.append(first_end)
+    pieces = _gauss_legendre(f, np.array(cuts))
+    panels = np.empty((len(pieces), _MAX_PANELS))
+    panels[:, 0] = [math.fsum(row) for row in pieces]
     prev = np.inf
     stable = 0
-    lo = a + period
-    for i in range(1, _MAX_PANELS):
-        hi = lo + period
-        panels[:, i] = _gauss_legendre(f, lo, hi)
-        lo = hi
-        if i >= 16 and i % 2 == 0:
+    done = 1
+    while done < _MAX_PANELS:
+        end = min(done + (_BATCH if done > 1 else _FIRST_BATCH), _MAX_PANELS)
+        edges = first_end + period * np.arange(done - 1, end)
+        panels[:, done:end] = _gauss_legendre(f, edges)
+        for i in range(max(done + done % 2, _FIRST_BATCH), end, 2):
             cur = _euler_sums(panels[:, :i + 1])
             stable = stable + 1 if np.all(np.abs(cur - prev) < tol * np.abs(cur) + 1e-300) else 0
             if stable >= 2:
                 return cur.tolist()
             prev = cur
+        done = end
     return _euler_sums(panels).tolist()
 
 
-def _bessel_integral(n: int, x: np.ndarray) -> np.ndarray:
-    """J_n(x) by the midpoint rule on (1/pi) int_0^pi cos(n t - x sin t) dt.
+def _bessel_integral(orders: Sequence[int], x: np.ndarray) -> np.ndarray:
+    """J_n(x) for each n in orders by the midpoint rule on (1/pi) int_0^pi cos(n t - x sin t) dt.
 
     For integer n the integrand is 2pi-periodic and even about pi, so the m
     midpoints are the periodic trapezoid rule with 2m points, whose error is
     of the size of J_(2m-n)(x): it falls below roundoff once 2m exceeds
-    max|x| by a few max|x|^(1/3).  m follows from the call's own input and
-    all nodes are evaluated as one (len(x), m) array.
+    max|x| by a few max|x|^(1/3).  m follows from the call's own input.
+    cos(n t - x sin t) = cos(n t) cos(x sin t) + sin(n t) sin(x sin t), so the
+    orders share one (len(x), m) array each of cos(x sin t) and sin(x sin t),
+    and each J_n is their products with cos(n t) and sin(n t).  Returns shape
+    (len(orders), len(x)).
     """
     x = np.asarray(x, dtype=float)
     x_max = float(np.max(np.abs(x)))
     m = math.ceil(x_max / 2 + 4 * x_max ** (1 / 3)) + 16
     tau = (np.arange(m) + 0.5) * (math.pi / m)
-    return np.cos(n * tau - np.multiply.outer(x, np.sin(tau))).mean(axis=-1)
+    phase = np.multiply.outer(x, np.sin(tau))
+    cos_phase, sin_phase = np.cos(phase), np.sin(phase)
+    # one matrix-vector product per order: a matrix product would have BLAS
+    # touch its packing buffers, about 0.3 MB more peak RSS for the same time
+    return np.stack([cos_phase @ np.cos(n * tau) + sin_phase @ np.sin(n * tau)
+                     for n in orders]) / m
 
 
 @functools.lru_cache(maxsize=32)
-def _tail_quadratures(n: int, rho: float) -> dict[int, float]:
-    """int_rho^inf J_n(x) / x^p dx for every power p that `_TAIL_INTEGRANDS` pairs with n.
+def _tail_quadratures(rho: float) -> dict[TailIntegralKind, float]:
+    """int_rho^inf J_i(x) / x^p dx for every kind of `_TAIL_INTEGRANDS`, as one panel group.
 
-    The powers share their panels, so each panel evaluates J_n once for all
-    of them and each row divides by its own x**p.  Cached because the tail
-    checks of one run ask for every power of the same (n, rho) one kind at a
-    time.
+    The seven kinds share their panels, so each batch of panels evaluates J0,
+    J1 and J2 once for all of them, and each row divides its order by its own
+    x**p.  Cached because the tail checks of one run ask for every kind at
+    the same rho one kind at a time.
     """
-    powers = [p for m, p in _TAIL_INTEGRANDS.values() if m == n]
-
     def f(x: np.ndarray) -> np.ndarray:
-        jn = _bessel_integral(n, x)
-        return np.stack([jn / x**p for p in powers])
+        j = _bessel_integral((0, 1, 2), x)  # row i is J_i
+        return np.stack([j[i] / x**p for i, p in _TAIL_INTEGRANDS.values()])
 
-    return dict(zip(powers, _integrate_panels(f, rho, math.pi, _TAIL_TOL)))
+    return dict(zip(_TAIL_INTEGRANDS, _integrate_panels(f, rho, math.pi, _TAIL_TOL)))
 
 
 def tail_integral_quadrature(kind: TailIntegralKind, rho: float) -> float:
@@ -402,16 +439,15 @@ def tail_integral_quadrature(kind: TailIntegralKind, rho: float) -> float:
     J0, J1 and J2 come from `_bessel_integral` (Bessel's integral, not the
     exact series of the closed forms), integrated over half-period panels
     from rho, the first one graded, with Euler acceleration of the
-    alternating panel sums.  The kinds of one Bessel
-    order are integrated together on shared panels by `_tail_quadratures`,
-    which keeps the values of recent (order, rho) pairs.  rho is capped like
-    the closed forms it checks: the midpoints of `_bessel_integral` grow
-    with it.
+    alternating panel sums.  All kinds at one rho are integrated together on
+    shared panels by `_tail_quadratures`, which keeps the values of recent
+    rho.  rho is capped like the closed forms it checks: the midpoints of
+    `_bessel_integral` grow with it.
     """
-    n, p = _integrand(kind)
+    _integrand(kind)  # refuses an unknown kind
     rho = _positive(rho, "tail_integral_quadrature needs finite rho > 0", DomainError)
-    return _tail_quadratures(n, _capped(rho, "tail_integral_quadrature checks closed forms "
-                                             f"capped at rho <= {STRUVE_MAX_ARG}"))[p]
+    return _tail_quadratures(_capped(rho, "tail_integral_quadrature checks closed forms "
+                                          f"capped at rho <= {STRUVE_MAX_ARG}"))[kind]
 
 
 # ---------------------------------------------------------------------------
@@ -480,18 +516,28 @@ def _ring_trig_integrals(trig: str, powers: list[tuple[int, int, int]],
     """`ring_trig_integral` for each (a, b, p) in powers, all of one trig.
 
     The integrals share their panels, so trig(2 pi k1 r cos t) is evaluated
-    once per panel for all of them; each takes its own product with its
-    angular factor.
+    once per batch of panels for all of them; each takes its own product
+    with its angular factor.
+
+    The periodic rule of _N_THETA nodes on the circle is folded onto its
+    nodes in [0, pi/2].  The reflections t -> -t, pi - t and pi + t map
+    those nodes onto all the others and multiply the integrand by (-1)^b,
+    s (-1)^a and s (-1)^(a+b), with s = +1 for cos and -1 for sin, so a node
+    carries the weight (1 + (-1)^b)(1 + s (-1)^a), halved at t = 0 and
+    pi/2, which have two images each instead of four.  The fold is exact
+    for every (a, b), and a shape that the weight kills integrates to 0.0.
     """
-    theta = 2.0 * math.pi * np.arange(_N_THETA) / _N_THETA
-    angs = [np.cos(theta) ** a * np.sin(theta) ** b for a, b, _ in powers]
-    ct = np.cos(theta)
-    fun = np.sin if trig == "sin" else np.cos
+    quarter = _N_THETA // 4
+    theta = 2.0 * math.pi * np.arange(quarter + 1) / _N_THETA
+    ct, st = np.cos(theta), np.sin(theta)
+    fold = np.full(quarter + 1, 2.0 * math.pi / _N_THETA)
+    fold[[0, -1]] *= 0.5
+    fun, s = (np.sin, -1) if trig == "sin" else (np.cos, 1)
+    angs = [(1 + (-1) ** b) * (1 + s * (-1) ** a) * fold * ct**a * st**b for a, b, _ in powers]
 
     def g(r: np.ndarray) -> np.ndarray:
         vals = fun(2.0 * math.pi * k1 * np.outer(r, ct))
-        return np.stack([vals @ ang * (2.0 * math.pi / _N_THETA) / r**p
-                         for ang, (_, _, p) in zip(angs, powers)])
+        return np.stack([vals @ ang / r**p for ang, (_, _, p) in zip(angs, powers)])
 
     period = 0.5 / k1  # half period of the fastest angular ray
     return _integrate_panels(g, radius, period, _RING_TOL)

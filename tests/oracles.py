@@ -11,8 +11,9 @@ and Struve series summed term by term in reduced `Fraction`s, the hand-typed
 tail and ring closed forms with the Taylor coefficients of the functions
 they are written in, the Euler transform of one panel series held as a
 list, the monomial disk moments of a field map summed node by node in
-exact arithmetic, and the raster drift series computed over whole-raster
-arrays.  The library
+exact arithmetic, the raster drift series computed over whole-raster
+arrays, and the angular rule of the ring integrals summed over every node of
+the circle.  The library
 keys each far-field coefficient by its term's shape (a, b, n) alone; the
 paper's names and order for them are kept here, in PAPER_NAMES.
 """
@@ -683,3 +684,22 @@ def euler_sum_list(panels: list[float]) -> float:
     while len(s) > 1:
         s = 0.5 * (s[:-1] + s[1:])
     return total + float(s[0])
+
+
+# ---------------------------------------------------------------------------
+# the angular rule of the ring integrals over the whole circle, unfolded
+# ---------------------------------------------------------------------------
+
+def ring_angle_rule_unfolded(trig: str, a: int, b: int, p: int, k1: float,
+                             r: np.ndarray) -> np.ndarray:
+    """int_0^2pi trig(2 pi k1 r cos t) cos^a t sin^b t dt / r^p at each r, as a (1, len(r)) row.
+
+    The periodic trapezoid rule on all 256 nodes of the circle, summed node
+    by node: no symmetry of the integrand is used.
+    """
+    fun = {"sin": np.sin, "cos": np.cos}[trig]
+    total = np.zeros(len(r))
+    for k in range(256):
+        t = 2.0 * math.pi * k / 256
+        total += fun(2.0 * math.pi * k1 * r * math.cos(t)) * math.cos(t) ** a * math.sin(t) ** b
+    return (total * (2.0 * math.pi / 256) / r**p)[None]

@@ -22,7 +22,7 @@ from netmoment.specfun import (DomainError, STRUVE_MAX_ARG, TailIntegralKind,
                                tail_integral_quadrature, tail_recursion_rhs)
 from oracles import (COS_TAYLOR_SHAPES, SIN_TAYLOR_SHAPES, bessel_series_frac_per_term,
                      euler_sum_list, exact_series_coefficients, high_precision_ring_fd,
-                     ring_forms_tabulated, sin_cos_taylor_tabulated,
+                     ring_angle_rule_unfolded, ring_forms_tabulated, sin_cos_taylor_tabulated,
                      struve_series_frac_per_term, tail_integrals_tabulated,
                      tail_recursion_rhs_tabulated)
 
@@ -188,17 +188,20 @@ def test_tail_quadrature_shares_no_code_with_closed_forms(monkeypatch):
 
 
 def test_bessel_integral_against_mpmath():
-    # one call over the whole range and one call per 20-point chunk, the
-    # size of a quadrature panel; the node count follows each call's input
+    # one call for all orders over the whole range, and one per panel batch
+    # of nodes; the node count follows each call's input
     xs = np.linspace(0.0, 400.0, 1601)
+    orders = (0, 1, 2)
+    calls = [specfun._bessel_integral(orders, xs)]
+    for batch in (specfun._FIRST_BATCH, specfun._BATCH):
+        size = batch * len(specfun._GL_NODES)
+        calls.append(np.concatenate([specfun._bessel_integral(orders, xs[i:i + size])
+                                     for i in range(0, xs.size, size)], axis=1))
     with mp.workdps(30):
-        for n in (0, 1, 2):
+        for n in orders:
             ref = np.array([float(mp.besselj(n, x)) for x in xs])
-            whole = specfun._bessel_integral(n, xs)
-            panels = np.concatenate([specfun._bessel_integral(n, xs[i:i + 20])
-                                     for i in range(0, xs.size, 20)])
-            assert np.max(np.abs(whole - ref)) < 1e-14, n
-            assert np.max(np.abs(panels - ref)) < 1e-14, n
+            for values in calls:
+                assert np.max(np.abs(values[n] - ref)) < 1e-14, n
 
 
 def test_tail_quadrature_resolves_small_lower_limit():
@@ -209,53 +212,96 @@ def test_tail_quadrature_resolves_small_lower_limit():
 
 
 def _panel_integrals(rows, a, tol):
-    """_integrate_panels of the rows, as one group, and the panels it evaluated."""
-    calls = []
-    values = specfun._integrate_panels(
-        lambda x: calls.append(x) or np.stack([row(x) for row in rows]), a, math.pi, tol)
-    return values, len(calls)
+    """_integrate_panels of the rows as one group: values, integrand calls, panels used.
+
+    The panels used are the 20-node rules on [a, a + L pi], L the width of
+    the last `_euler_sums` call (the stopping checkpoint + 1, or the panel
+    cap); each piece of the graded first panel counts as one.
+    """
+    nodes, widths = [], []
+    euler_sums = specfun._euler_sums
+
+    def f(x):
+        nodes.append(x)
+        return np.stack([row(x) for row in rows])
+
+    def recorded(panels):
+        widths.append(panels.shape[-1])
+        return euler_sums(panels)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(specfun, "_euler_sums", recorded)
+        values = specfun._integrate_panels(f, a, math.pi, tol)
+    x = np.concatenate(nodes)
+    used = np.count_nonzero(x < a + widths[-1] * math.pi) // len(specfun._GL_NODES)
+    return values, len(nodes), used
+
+
+_PANEL_ROWS = (lambda x: np.sin(x) / x, lambda x: np.sin(x) / x**4,
+               lambda x: np.cos(x), lambda x: x)
 
 
 def test_panel_group_runs_as_long_as_its_slowest_row():
     # rows that stop at different panels alone, one never (it runs to the panel
     # cap); a group stops with its slowest row, and each grouped value stays
-    # within 1e-13 of the row's own integral (2.8e-14 seen on the cos row)
-    rows = (lambda x: np.sin(x) / x, lambda x: np.sin(x) / x**4,
-            lambda x: np.cos(x), lambda x: x)
-    alone = [_panel_integrals([row], 0.3, 1e-13) for row in rows]
-    evaluations = [count for _, count in alone]
-    assert evaluations == [44, 40, 24, 403]
-    for group, panels in ((rows, 403), (rows[:2], 44)):
-        together, count = _panel_integrals(group, 0.3, 1e-13)
-        assert count == panels
-        for value, ((lone,), _) in zip(together, alone):
+    # within 1e-13 of the row's own integral (8.3e-14 seen on the cos row,
+    # grouped to the cap).  The first panel has four pieces at a = 0.3, so a
+    # row that stops at checkpoint i used i + 4 rules.
+    alone = [_panel_integrals([row], 0.3, 1e-13) for row in _PANEL_ROWS]
+    assert [used for *_, used in alone] == [44, 40, 24, 403]
+    for group, panels in ((_PANEL_ROWS, 403), (_PANEL_ROWS[:2], 44)):
+        together, _, used = _panel_integrals(group, 0.3, 1e-13)
+        assert used == panels
+        for value, ((lone,), *_) in zip(together, alone):
             assert value == pytest.approx(lone, rel=1e-13, abs=0.0)
+
+
+def test_panels_are_evaluated_in_batches(monkeypatch):
+    # the capped group calls its integrand once for the graded first panel,
+    # once for panels 1-16 and once per 8 panels after them: 50 calls, where
+    # one call per panel made 403
+    _, calls, _ = _panel_integrals(_PANEL_ROWS, 0.3, 1e-13)
+    assert calls <= 50
+    # one run of the identity table, from an empty cache, makes 67 batch calls
+    # (37 for the 6 tail groups, one per rho, and 30 for the 6 ring groups,
+    # two trigs at three scales), where one call per panel made 1011
+    gauss_legendre = specfun._gauss_legendre
+    batches = []
+    monkeypatch.setattr(specfun, "_gauss_legendre",
+                        lambda f, edges: batches.append(len(edges) - 1) or gauss_legendre(f, edges))
+    specfun._tail_quadratures.cache_clear()
+    for _, check in specfun.IDENTITIES.values():
+        check()
+    assert len(batches) == 67
 
 
 @pytest.mark.parametrize("rho", [0.5, 0.7, 1.0, 2.0, 3.0, 5.0, 10.0, 12.0, 25.0])
 def test_tail_kinds_match_one_row_integrals(rho):
-    # a kind integrated with the other powers of its Bessel order stays within
-    # 1e-13 of its own one-row integral (9.9e-15 seen); the group is computed
-    # once per (n, rho)
+    # a kind integrated with the other six stays within 1e-13 of its own
+    # one-row integral (3.8e-14 seen); the group is computed once per rho
     specfun._tail_quadratures.cache_clear()
     for kind, (n, p) in specfun._TAIL_INTEGRANDS.items():
-        (lone,), _ = _panel_integrals([lambda x: specfun._bessel_integral(n, x) / x**p],
-                                      rho, specfun._TAIL_TOL)
+        (lone,), *_ = _panel_integrals([lambda x: specfun._bessel_integral((n,), x)[0] / x**p],
+                                       rho, specfun._TAIL_TOL)
         assert tail_integral_quadrature(kind, rho) == pytest.approx(lone, rel=1e-13, abs=0.0), \
             (kind, rho)
-    assert specfun._tail_quadratures.cache_info().misses == 3
+    assert specfun._tail_quadratures.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("length", [1, 7, 39, 40, 41, 97, 400])
-def test_euler_sums_rows_match_one_row_calls(length):
-    # every row of one call has the bits of a call on that row alone and of
-    # the transform of the row held as a list
+def test_euler_sums_match_pairwise_averages_to_rounding(length):
+    # the binomial weights in one product sum the last 40 partial sums in
+    # another order than the pairwise averages, so each row sits within
+    # 4 eps times the sum of their magnitudes of the list transform; each row
+    # still has the bits of a call on that row alone
     rng = np.random.default_rng(length)
     panels = rng.normal(size=(4, length)) * np.exp(rng.normal(scale=5.0, size=(4, length)))
     together = specfun._euler_sums(panels).tolist()
     for row, value in zip(panels, together):
         assert value.hex() == specfun._euler_sums(row[None]).tolist()[0].hex()
-        assert value.hex() == euler_sum_list(row.tolist()).hex()
+        partial_sums = np.cumsum(row[-min(length, 40):])
+        bound = 4 * np.finfo(float).eps * np.sum(np.abs(partial_sums))
+        assert abs(value - euler_sum_list(row.tolist())) <= bound
 
 
 def test_tail_reduction_identity():
@@ -710,6 +756,29 @@ def test_ring_quadrature_components_match_lone_ring_integrals(k1, radius):
     for (a, b, n), value in grouped.items():
         lone = ring_trig_integral("sin" if a % 2 else "cos", a, b, n - a - b - 1, k1, radius)
         assert value == pytest.approx(lone, rel=1e-13, abs=0.0), (a, b, n)
+
+
+@pytest.mark.parametrize("k1, radius", [(0.05, 1.0), (0.2, 2.0), (0.5, 3.0)])
+def test_ring_trig_integral_folds_the_angle_rule(k1, radius):
+    # the rule folded onto [0, pi/2] gives exactly 0.0 where its weight
+    # (1 + (-1)^b)(1 + s (-1)^a) vanishes, s = +1 for cos and -1 for sin, and
+    # elsewhere the value of the rule over all 256 nodes of the circle, both
+    # integrated over the same radial panels.  They differ by roundoff only:
+    # under 1e-13 relative, or 1e-14 where cancellation leaves a small value
+    # (cos, 0, 4, 1 at k1 = 0.5: 4.4e-3, 9.5e-16 apart; against a 40-digit sum
+    # of the 256-node rule the fold is off by 1.8e-16, the unfolded sum 4.4e-16)
+    for trig, s in (("sin", -1), ("cos", 1)):
+        for a in range(5):
+            for b in range(5):
+                for p in (1, 3):
+                    value = ring_trig_integral(trig, a, b, p, k1, radius)
+                    if (1 + (-1) ** b) * (1 + s * (-1) ** a) == 0:
+                        assert value == 0.0, (trig, a, b, p)
+                        continue
+                    (ref,) = specfun._integrate_panels(
+                        functools.partial(ring_angle_rule_unfolded, trig, a, b, p, k1),
+                        radius, 0.5 / k1, specfun._RING_TOL)
+                    assert value == pytest.approx(ref, rel=1e-13, abs=1e-14), (trig, a, b, p)
 
 
 def test_bessel_j1_prime_against_mpmath():
