@@ -487,7 +487,9 @@ def raster_m3_drift_series(scene: DipoleScene, radii: Sequence[float],
     Mirrors the single-measurement protocol: a uniform Cartesian raster over
     the largest disk, one noise realization on it, then each radius estimate
     integrates the same pixels inside that subdisk.  Cumulative moment sums
-    over radius-sorted pixels make the whole sweep one pass.
+    over radius-sorted pixels make the whole sweep one pass.  A pixel's x_j
+    is one of the n_pixels line centres, so each power (x_j / r_max)^p is
+    taken once per line and gathered per pixel, with the same bits.
     """
     row, j = _estimator_row(spec)
     if spec.component != "m3":
@@ -520,12 +522,16 @@ def raster_m3_drift_series(scene: DipoleScene, radii: Sequence[float],
     if idx[0] < 0:
         raise ValueError(f"radii: no pixel centre lies inside radius {radii[0]}; "
                          f"raise n_pixels above {n_pixels}")
-    u = axes[j][inside][order] / r_max
+    # pixel (i, k) lies on line i of x1 and line k of x2, whose coordinate is
+    # centers[line]: each power is taken once per line and gathered per pixel
+    lines = np.broadcast_to(np.arange(n_pixels), (n_pixels, n_pixels))
+    line = (lines.T, lines)[j][inside][order]
+    u = centers / r_max
     sv = samples[order] * step * step
     del samples, order
     # cumulative moments over the largest disk, read at each subdisk's last
     # pixel and rescaled to that subdisk
-    cums = {p: np.cumsum(u**p * sv)[idx] for p in row}
+    cums = {p: np.cumsum((u**p)[line] * sv)[idx] for p in row}
     out = []
     for k, a in enumerate(radii):
         mu = {p: cums[p][k] * (r_max / a) ** p for p in row}

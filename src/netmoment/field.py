@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -96,9 +96,39 @@ def b3(scene: DipoleScene, x) -> np.ndarray | float:
     is a reduction over axis 0.  That adds left to right from 0, as numpy's
     sum of a contiguous row shorter than _SEQUENTIAL_ROW_SUM does; longer
     rows are summed pairwise, so the switch sits where the bits would change.
+    On the rings of a build_grid grid (sample_field, through _b3_rings) that
+    layout takes its blocks as whole rings, written straight into the node
+    buffer.
     """
     pts, shaped = _points(x)
-    vals = np.zeros(len(pts))
+    return shaped(_b3_kernel(scene, len(pts), pts))
+
+
+def _b3_rings(scene: DipoleScene, n_rings: int, ring_size: int,
+              write: Callable[[slice, np.ndarray], object],
+              nodes: Callable[[], np.ndarray]) -> np.ndarray:
+    """b3(scene, nodes()) for points that are n_rings rings of ring_size
+    consecutive nodes, with the same bits.
+
+    write(part, out) writes x1 and x2 of the slice part of the rings into
+    out[..., 0] and out[..., 1], with out shaped (rings, ring_size, 2).  In
+    b3's dipole-major layout a block is then a whole number of rings, which
+    write puts straight into the node buffer, and nodes() is not called.
+    From _SEQUENTIAL_ROW_SUM dipoles on, or with a ring larger than a block,
+    this is b3 of nodes().
+    """
+    n_dip = len(scene.dipoles)
+    if n_dip >= _SEQUENTIAL_ROW_SUM or n_dip * ring_size > _PAIR_BUDGET:
+        return b3(scene, nodes())
+    return _b3_kernel(scene, n_rings * ring_size, None, (ring_size, write))
+
+
+def _b3_kernel(scene: DipoleScene, n_points: int, pts: Optional[np.ndarray],
+               rings: Optional[tuple[int, Callable[[slice, np.ndarray], object]]] = None
+               ) -> np.ndarray:
+    """b3's values at n_points planar points, block by block as b3 describes:
+    the (n_points, 2) points pts, or the rings that _b3_rings describes."""
+    vals = np.zeros(n_points)
     n_dip = len(scene.dipoles)
     if n_dip:
         p1, p2, t3 = scene.positions.T
@@ -107,9 +137,12 @@ def b3(scene: DipoleScene, x) -> np.ndarray | float:
         u2 = u * u
         three_u = 3.0 * u
         step = max(1, _PAIR_BUDGET // n_dip)
-        size = min(step, len(pts))
         operands = np.stack([p1, p2, three_u * m1, three_u * m2, m3, u2, 2.0 * u2])
         dipole_major = n_dip < _SEQUENTIAL_ROW_SUM
+        if rings is not None:
+            ring_size, write = rings
+            step -= step % ring_size
+        size = min(step, n_points)
         if dipole_major:
             operands = operands[:, :, None]
             # rows padded by one cache line: on a buffer contiguous across rows
@@ -118,18 +151,25 @@ def b3(scene: DipoleScene, x) -> np.ndarray | float:
             # which makes the column ops about 3x slower from 4 dipoles on
             bufs = np.empty((4, n_dip, size + 8))
             nodes = np.empty((2, size))
+            if rings is not None:
+                # (rings, ring_size, 2) over the two rows of the node buffer
+                ring_nodes = np.moveaxis(nodes.reshape(2, -1, ring_size), 0, -1)
         else:
             operands = np.repeat(operands[:, None], size, axis=1)
             bufs = np.empty((4, size, n_dip))
-        for lo in range(0, len(pts), step):
-            block = pts[lo:lo + step]
-            n = len(block)
+        for lo in range(0, n_points, step):
+            n = min(step, n_points - lo)
             if dipole_major:
-                np.copyto(nodes[:, :n], block.T)
+                if rings is None:
+                    np.copyto(nodes[:, :n], pts[lo:lo + n].T)
+                else:
+                    first = lo // ring_size
+                    write(slice(first, first + n // ring_size), ring_nodes[:n // ring_size])
                 x1, x2 = nodes[:, :n]
                 a, b, r2, den = bufs[..., :n]
                 p1, p2, um1, um2, m3, u2, two_u2 = operands
             else:
+                block = pts[lo:lo + n]
                 x1, x2 = block[:, 0, None], block[:, 1, None]
                 a, b, r2, den = bufs[:, :n]
                 p1, p2, um1, um2, m3, u2, two_u2 = operands[:, :n]
@@ -151,7 +191,7 @@ def b3(scene: DipoleScene, x) -> np.ndarray | float:
             np.divide(a, den, out=a)
             np.add.reduce(a, axis=0 if dipole_major else -1, out=vals[lo:lo + n])
         vals *= scene.mu0 / (4.0 * _PI)
-    return shaped(vals)
+    return vals
 
 
 # The far-field coefficients follow from b3's own formula.  Per dipole,

@@ -8,7 +8,11 @@ build_grid(A, n_radial, n_angular) scales one unit-disk rule, built once per
 (n_radial, n_angular) and cached: nodes A*r_i*(cos t_k, sin t_k) and weights
 A^2*w_i.  The cache holds only 1-D factors and two small moment tables, so
 the monomial moments of a map on such a grid are a product of the samples,
-viewed as an (n_radial x n_angular) array, with those tables.  A field CSV
+viewed as an (n_radial x n_angular) array, with those tables.  Such a grid
+holds only its radius and rule: its node and weight arrays are each made on
+first access.  sample_field writes the nodes block by block of whole rings
+into b3's own buffer, so a sweep of fewer than 8 dipoles makes no node array,
+and only add_noise's weighted variance makes the weights.  A field CSV
 whose nodes and weights are those of a build_grid grid, bit for bit, reads
 back onto that grid.  Only such a grid has a shape, its rule's (n_radial,
 n_angular).  Any other grid (another file, or a DiskGrid built directly) has
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import InitVar, dataclass
 from typing import Callable, Optional
@@ -25,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._checks import _integer, _one_of, _positive, _real
-from .field import b3
+from .field import _b3_rings, b3
 from .scene import _UNIT_SYSTEMS, DipoleScene, _read_only
 
 __all__ = [
@@ -62,28 +67,48 @@ class _UnitRule:
     radial_moments: np.ndarray    # (MAX_POWER + 1, n_radial)
     angular_moments: np.ndarray   # (2, MAX_POWER + 1, n_angular)
 
+    @property
+    def size(self) -> int:
+        """The node count of the rule."""
+        return self.radii.size * self.cos.size
+
 
 @dataclass(frozen=True)
 class DiskGrid:
     """Quadrature nodes and weights covering the disk |x| <= radius; its shape
-    (n_radial, n_angular) is read off its build_grid rule, and is None without one."""
+    (n_radial, n_angular) is read off its build_grid rule, and is None without one.
+
+    A grid made directly keeps read-only copies of its nodes and weights and
+    checks them.  A build_grid grid is its radius and its cached unit rule
+    alone: build_grid checks the radius and the rule was checked once, when
+    it was built.  Its read-only nodes and weights are each made from the rule
+    on first access and kept.
+    """
 
     radius: float
     nodes: np.ndarray      # (M, 2)
     weights: np.ndarray    # (M,)
-    # set by build_grid only: the unit rule its read-only nodes and weights
-    # were scaled from; any other grid keeps None and private copies
+    # set by build_grid only, with no arrays: the unit rule its nodes and
+    # weights are scaled from; any other grid keeps None and private copies
     _unit_rule: InitVar[Optional[_UnitRule]] = None
 
     def __post_init__(self, _unit_rule: Optional[_UnitRule]):
-        if _unit_rule is None:
-            object.__setattr__(self, "nodes", _read_only(self.nodes))
-            object.__setattr__(self, "weights", _read_only(self.weights))
         object.__setattr__(self, "_rule", _unit_rule)
+        if _unit_rule is not None:
+            # made on first access, by __getattr__
+            object.__delattr__(self, "nodes")
+            object.__delattr__(self, "weights")
+            return
+        object.__setattr__(self, "nodes", _read_only(self.nodes))
+        object.__setattr__(self, "weights", _read_only(self.weights))
         nodes, weights = self.nodes, self.weights
         if nodes.ndim != 2 or nodes.shape[1] != 2 or len(weights) != len(nodes):
             raise ValueError("grid nodes must be (M, 2) with matching weights")
-        area = math.pi * _real(self.radius, "radius must be positive and finite") ** 2
+        radius = _real(self.radius, "radius must be positive and finite")
+        # radius * radius: ** raises OverflowError where the product is inf
+        area = math.pi * radius * radius
+        if area == math.inf:
+            raise ValueError(f"radius {radius!r}: the disk area overflows")
         if not abs(weights.sum() - area) <= 1e-12 * area:  # NaN fails too
             raise ValueError(f"grid weights do not sum to the disk area of radius {self.radius!r}")
         # a negative radius has the area of its opposite, but would flip the
@@ -100,6 +125,22 @@ class DiskGrid:
             raise ValueError(f"{len(bad)} grid node(s) outside the disk or not finite, "
                              f"first node {bad[0]} at {tuple(nodes[bad[0]].tolist())}")
 
+    def __getattr__(self, name: str) -> np.ndarray:
+        # reached only for an attribute the grid does not hold: on a build_grid
+        # grid, its nodes or weights before their first access
+        rule = self.__dict__.get("_rule")
+        if rule is None or name not in ("nodes", "weights"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        n_angular = len(rule.cos)
+        if name == "nodes":
+            arr = np.empty((rule.size, 2))
+            _scaled_rings(rule, self.radius, slice(None), arr.reshape(-1, n_angular, 2))
+        else:
+            arr = np.repeat(_scaled_rings(rule, self.radius, slice(None)), n_angular)
+        arr.flags.writeable = False
+        object.__setattr__(self, name, arr)
+        return arr
+
     @property
     def n_radial(self) -> Optional[int]:
         return None if self._rule is None else len(self._rule.radii)
@@ -107,6 +148,11 @@ class DiskGrid:
     @property
     def n_angular(self) -> Optional[int]:
         return None if self._rule is None else len(self._rule.cos)
+
+    @property
+    def _size(self) -> int:
+        """The node count, without making a build_grid grid's nodes."""
+        return len(self.nodes) if self._rule is None else self._rule.size
 
 
 @dataclass(frozen=True)
@@ -140,7 +186,7 @@ class FieldMap:
             samples.flags.writeable = False
         else:
             samples = _read_only(self.samples)
-        if samples.shape != (len(self.grid.nodes),):
+        if samples.shape != (self.grid._size,):
             raise ValueError("sample count must match the grid node count")
         if not np.all(np.isfinite(samples)):
             raise ValueError("field samples must be finite")
@@ -182,10 +228,19 @@ class FieldMap:
 
 @functools.lru_cache(maxsize=32)
 def _unit_rule(n_radial: int, n_angular: int) -> _UnitRule:
-    """The unit-disk rule and its moment tables; they do not depend on the radius."""
+    """The unit-disk rule and its moment tables; they do not depend on the radius.
+
+    Checked here, once per shape, for every grid scaled from it: the weights
+    sum to the unit disk's area and every ring lies inside the disk.
+    """
     xg, wg = np.polynomial.legendre.leggauss(n_radial)
     radii = 0.5 * (xg + 1.0)
     ring_weights = 0.5 * wg * radii * (2.0 * math.pi / n_angular)   # Jacobian r
+    if not abs(n_angular * ring_weights.sum() - math.pi) <= 1e-12 * math.pi:
+        raise ValueError(f"the {n_radial} x {n_angular} rule's weights do not sum to "
+                         "the unit disk's area")
+    if not np.all((0.0 < radii) & (radii < 1.0)):
+        raise ValueError(f"the {n_radial} x {n_angular} rule has a ring outside the unit disk")
     theta = 2.0 * math.pi * np.arange(n_angular) / n_angular
     cos, sin = np.cos(theta), np.sin(theta)
     powers = np.arange(MAX_POWER + 1)[:, None]
@@ -204,16 +259,28 @@ def _grid_sizes(n_radial: int, n_angular: int) -> None:
         raise ValueError(f"n_angular must be even and at least 8, got {n_angular}")
 
 
-def _scaled_rings(rule: _UnitRule, radius: float, rings: slice, out: np.ndarray) -> np.ndarray:
+def _scaled_rings(rule: _UnitRule, radius: float, rings: slice,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
     """The given rings of the unit rule scaled to radius.
 
-    Writes node (i, k) = (radius * r_i) * (cos t_k, sin t_k) of each ring into
-    out, shaped (rings, n_angular, 2), and returns the ring weights radius^2 * w_i.
+    Returns the ring weights radius^2 * w_i and, given out, shaped
+    (rings, n_angular, 2), writes node (i, k) = (radius * r_i) * (cos t_k, sin t_k)
+    of each ring into it.
     """
-    r = radius * rule.radii[rings]
-    np.multiply.outer(r, rule.cos, out=out[..., 0])
-    np.multiply.outer(r, rule.sin, out=out[..., 1])
+    if out is not None:
+        r = radius * rule.radii[rings]
+        np.multiply.outer(r, rule.cos, out=out[..., 0])
+        np.multiply.outer(r, rule.sin, out=out[..., 1])
     return radius * radius * rule.ring_weights[rings]
+
+
+def _in_range(rule: _UnitRule, radius: float) -> bool:
+    """Whether every weight of the rule scaled to radius is a normal float and
+    the disk's area is finite."""
+    # radius * radius is inf past the float range, where ** raises OverflowError;
+    # a finite area bounds every weight, as the unit weights are below 1
+    return bool(math.pi * radius * radius < math.inf
+                and _scaled_rings(rule, radius, slice(None)).min() >= sys.float_info.min)
 
 
 def build_grid(radius: float, n_radial: int = _DEFAULT_GRID[0],
@@ -222,22 +289,37 @@ def build_grid(radius: float, n_radial: int = _DEFAULT_GRID[0],
 
     The cached unit rule of (n_radial, n_angular), scaled: node (i, k) is
     (radius * r_i) * (cos t_k, sin t_k), ring by ring, and its weight is
-    radius^2 * w_i.
+    radius^2 * w_i.  The grid holds the radius and the rule alone; its nodes
+    and weights are each made on first access.  A radius for which a weight
+    would overflow or fall below the normal floats, or the disk's area
+    overflow, is refused (on the default rule, 1e154 and 1e-152 are).
     """
     radius = _positive(radius, "radius must be positive and finite")
     _grid_sizes(n_radial, n_angular)
     rule = _unit_rule(n_radial, n_angular)
-    nodes = np.empty((n_radial * n_angular, 2))
-    ring_weights = _scaled_rings(rule, radius, slice(None), nodes.reshape(n_radial, n_angular, 2))
-    weights = np.repeat(ring_weights, n_angular)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return DiskGrid(radius, nodes, weights, rule)
+    if not _in_range(rule, radius):
+        raise ValueError(f"radius {radius!r} is out of range for the {n_radial} x {n_angular} "
+                         "rule: its weights or its disk area are not normal floats")
+    return DiskGrid(radius, None, None, rule)
 
 
 def sample_field(scene: DipoleScene, grid: DiskGrid) -> FieldMap:
-    """Evaluate the scene's normal field at every node, in node order."""
-    return FieldMap(grid=grid, samples=b3(scene, grid.nodes),
-                    unit_system=scene.unit_system, provenance=Provenance("clean"), _fresh=True)
+    """Evaluate the scene's normal field at every node, in node order.
+
+    On a build_grid grid, b3 takes the nodes ring by ring from the rule
+    (field._b3_rings): for a scene of fewer than 8 dipoles the grid's node
+    array is not made.  b3's values do not depend on its blocks, so the
+    samples are b3(scene, grid.nodes), bit for bit.
+    """
+    rule = grid._rule
+    if rule is None:
+        samples = b3(scene, grid.nodes)
+    else:
+        samples = _b3_rings(scene, len(rule.radii), len(rule.cos),
+                            lambda part, out: _scaled_rings(rule, grid.radius, part, out),
+                            lambda: grid.nodes)
+    return FieldMap(grid=grid, samples=samples, unit_system=scene.unit_system,
+                    provenance=Provenance("clean"), _fresh=True)
 
 
 def integrate_weighted(field_map: FieldMap,
@@ -328,7 +410,7 @@ def _built_radius(table: np.ndarray, radius: float, n_radial: int,
                   n_angular: int) -> Optional[float]:
     """The radius a within _RADIUS_ULPS ulps of radius for which the nodes and
     weights of the (M, 4) field table are those of build_grid(a, n_radial,
-    n_angular), bit for bit; None if there is none.
+    n_angular), bit for bit; None if there is none or build_grid refuses a.
 
     A map written from a build_grid grid reads back onto that grid and so takes
     the same tensor route for its moments, with the same bits.  The table is
@@ -358,5 +440,6 @@ def _built_radius(table: np.ndarray, radius: float, n_radial: int,
                     and np.all(rings[part, :, 2] == weights[:, None])):
                 break
         else:
-            return a
+            # a grid build_grid would refuse is read back as it is
+            return a if _in_range(rule, a) else None
     return None

@@ -12,8 +12,8 @@ tail and ring closed forms with the Taylor coefficients of the functions
 they are written in, the Euler transform of one panel series held as a
 list, the monomial disk moments of a field map summed node by node in
 exact arithmetic, the raster drift series computed over whole-raster
-arrays, and the angular rule of the ring integrals summed over every node of
-the circle.  The library
+arrays or with every power taken pixel by pixel, and the angular rule of the
+ring integrals summed over every node of the circle.  The library
 keys each far-field coefficient by its term's shape (a, b, n) alone; the
 paper's names and order for them are kept here, in PAPER_NAMES.
 """
@@ -137,6 +137,39 @@ def raster_m3_drift_series_whole(scene: DipoleScene, radii, spec, noise,
         out.append((a, a * _apply(row, mu) / scene.mu0))
     return out
 
+
+
+def raster_m3_drift_series_per_pixel(scene: DipoleScene, radii, spec, noise,
+                                     n_pixels: int = 256) -> list[tuple[float, float]]:
+    """The raster drift series taking every power u^p pixel by pixel.
+
+    The library takes u^p once per pixel line and gathers it per pixel; this
+    raises each pixel's own u = x_j / r_max to the power, as the library did
+    before, with the same memory-lean arrays otherwise.
+    """
+    row, j = _estimator_row(spec)
+    radii = _ascending_radii(radii)
+    r_max = radii[-1]
+    step = 2.0 * r_max / n_pixels
+    centers = -r_max + step * (np.arange(n_pixels) + 0.5)
+    along = np.broadcast_to(centers, (n_pixels, n_pixels))
+    axes = (along.T, along)
+    r2 = np.add.outer(centers**2, centers**2)
+    inside = r2 <= r_max**2
+    r2 = r2[inside]
+    samples = b3(scene, np.stack([axes[0][inside], axes[1][inside]], axis=-1))
+    if noise is not None:
+        samples = _noisy(samples, noise)
+    order = np.argsort(r2)
+    idx = np.searchsorted(np.sqrt(r2[order]), radii, side="right") - 1
+    u = axes[j][inside][order] / r_max
+    sv = samples[order] * step * step
+    cums = {p: np.cumsum(u**p * sv)[idx] for p in row}
+    out = []
+    for k, a in enumerate(radii):
+        mu = {p: cums[p][k] * (r_max / a) ** p for p in row}
+        out.append((a, a * _apply(row, mu) / scene.mu0))
+    return out
 
 def ft_series_coefficient(scene: DipoleScene, q: int) -> tuple[float, float]:
     """Coefficient of k1^q in (Im, Re) of the planar Fourier transform.

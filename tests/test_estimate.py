@@ -20,8 +20,8 @@ from netmoment.quad import MAX_POWER
 from netmoment.specfun import sin_cos_components, sin_cos_taylor
 from conftest import DEMO_DIPOLES, DEMO_HEIGHT
 from oracles import (ESTIMATOR_ROWS, from_paper_order, ft_im_direct, ft_series_coefficient,
-                     leading_error_tabulated, named, raster_m3_drift_series_whole,
-                     t_quantities_tabulated)
+                     leading_error_tabulated, named, raster_m3_drift_series_per_pixel,
+                     raster_m3_drift_series_whole, t_quantities_tabulated)
 
 finite_coeff = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 
@@ -513,6 +513,19 @@ def test_drift_series_equals_the_whole_raster_series(demo_scene, label):
             assert (raster_m3_drift_series(demo_scene, radii, spec, noise, n_pixels)
                     == raster_m3_drift_series_whole(demo_scene, radii, spec, noise, n_pixels))
 
+
+
+@pytest.mark.parametrize("label", ["m3:2", "m3:2:x2", "m3:3:x1", "m3:3:x2", "m3:4:x1",
+                                   "m3:4:x2"])
+@pytest.mark.parametrize("n_pixels", [255, 256])
+def test_drift_series_takes_each_power_once_per_line_with_the_same_bits(demo_scene, label,
+                                                                        n_pixels):
+    spec = EstimatorSpec.parse(label)
+    radii = np.geomspace(3e-4, 2e-3, 24)
+    for noise in (None, NoiseSpec(20.0, seed=2311)):
+        got = raster_m3_drift_series(demo_scene, radii, spec, noise, n_pixels)
+        want = raster_m3_drift_series_per_pixel(demo_scene, radii, spec, noise, n_pixels)
+        assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
 
 def test_drift_series_holds_one_working_copy_of_the_raster(demo_scene, traced_peak):
     radii = np.geomspace(3e-4, 2e-3, 24)

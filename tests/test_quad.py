@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import re
 import warnings
 
@@ -7,11 +8,11 @@ import numpy as np
 import pytest
 
 from netmoment import (Dipole, DipoleScene, EstimatorSpec, FieldMap, GridParams, NoiseSpec,
-                       add_noise, all_specs, asympt_coefficients, b3, build_grid,
-                       estimate_moment, integrate_weighted, noise, quad, read_field_csv,
-                       recovered_coefficients, sample_field, sweep, t_quantities,
-                       write_field_csv)
-from netmoment.quad import _CSV_BLOCK_ROWS, DiskGrid, _unit_rule
+                       add_noise, all_specs, asympt_coefficients, b3, build_grid, estimate,
+                       estimate_moment, integrate_weighted, net_moment, noise, quad,
+                       read_field_csv, recovered_coefficients, sample_field, sweep,
+                       t_quantities, write_field_csv)
+from netmoment.quad import _CSV_BLOCK_ROWS, _DEFAULT_GRID, DiskGrid, _unit_rule
 from oracles import (disk_moments_fsum, disk_monomial_integral, read_field_csv_rows,
                      write_field_csv_rows)
 
@@ -358,7 +359,7 @@ def test_a_callers_samples_are_copied(demo_scene):
 def test_sample_field_holds_no_copy_of_the_samples(demo_scene, monkeypatch, traced_peak):
     grid = build_grid(2e-3)                                  # 200 x 256
     values = b3(demo_scene, grid.nodes)
-    monkeypatch.setattr(quad, "b3", lambda scene, nodes: values)
+    monkeypatch.setattr(quad, "_b3_rings", lambda scene, n_rings, ring_size, write, nodes: values)
     peak = traced_peak(lambda: sample_field(demo_scene, grid))
     # a copy of the samples is 0.39 MiB; the finite check's mask is 0.05 MiB
     assert peak < 0.2 * 2**20, f"sample_field peaked at {peak / 2**20:.2f} MiB"
@@ -623,3 +624,115 @@ def test_read_back_map_agrees_with_the_map_in_memory(tmp_path, seed):
     got = np.array(_disk_functionals(back, scene))
     want = np.array(_disk_functionals(fmap, scene))
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+@pytest.mark.parametrize("radius", [1e154, 1e155, 1e-152, 1e-165])
+def test_build_grid_refuses_a_radius_whose_weights_are_not_normal_floats(radius):
+    # 1e154: an overflow RuntimeWarning; 1e155: a bare OverflowError from the
+    # area; 1e-152: subnormal weights; 1e-165: every weight and the area 0.0
+    with pytest.raises(ValueError, match="radius") as info:
+        build_grid(radius)
+    assert type(info.value) is ValueError
+
+
+def test_a_direct_grid_refuses_a_radius_whose_area_overflows():
+    grid = build_grid(1.0, 8, 16)
+    with pytest.raises(ValueError, match="radius") as info:
+        DiskGrid(1e160, grid.nodes * 1e160, grid.weights)
+    assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("radius", [1e150, 1e-148])
+def test_build_grid_accepts_the_radii_whose_weights_are_normal_floats(radius):
+    grid = build_grid(radius)
+    assert np.all(grid.weights >= np.finfo(float).tiny) and np.all(np.isfinite(grid.nodes))
+    assert abs(grid.weights.sum() - math.pi * radius * radius) <= 1e-12 * math.pi * radius * radius
+
+
+def test_a_file_on_a_refused_radius_reads_back_as_it_is(tmp_path):
+    # the arrays build_grid(1e-152) made before it refused that radius: the
+    # innermost weights are subnormal, and their file still reads back
+    radius, rule = 1e-152, _unit_rule(*_DEFAULT_GRID)
+    nodes = np.empty((rule.size, 2))
+    weights = np.repeat(quad._scaled_rings(rule, radius, slice(None),
+                                           nodes.reshape(-1, _DEFAULT_GRID[1], 2)),
+                        _DEFAULT_GRID[1])
+    assert weights.min() < np.finfo(float).tiny
+    path = tmp_path / "map.csv"
+    write_field_csv(FieldMap(DiskGrid(radius, nodes, weights), np.zeros(len(weights))), str(path))
+    back = read_field_csv(str(path)).grid
+    assert back._rule is None
+    for got, want in ((back.nodes, nodes), (back.weights, weights)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+def test_build_grid_holds_no_node_sized_array(traced_peak):
+    build_grid(2e-3)                # the 200 x 256 rule, cached
+    peak = traced_peak(lambda: build_grid(2e-3))
+    # the nodes and weights built with the grid peaked at 1.2 MiB
+    assert peak < 64 * 2**10, f"build_grid peaked at {peak / 2**10:.1f} KiB"
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
+def test_a_sweep_cell_never_builds_the_node_array(demo_scene, monkeypatch, noisy):
+    written, grids = [], []
+    scaled_rings, make_grid = quad._scaled_rings, estimate.build_grid
+
+    def spy(rule, radius, rings, out=None):
+        if out is not None:
+            written.append(range(len(rule.radii))[rings])
+        return scaled_rings(rule, radius, rings, out)
+
+    def built(*args):
+        grids.append(make_grid(*args))
+        return grids[-1]
+
+    monkeypatch.setattr(quad, "_scaled_rings", spy)
+    monkeypatch.setattr(estimate, "build_grid", built)
+    noise = NoiseSpec(20.0, seed=42) if noisy else None
+    rows = estimate._sweep_cell(demo_scene, all_specs(), GridParams(), noise,
+                                net_moment(demo_scene), asympt_coefficients(demo_scene), 0, 2e-3)
+    assert len(rows) == len(all_specs()) and len(grids) == 1
+    # every ring written once, in blocks of whole rings, and no grid-sized array
+    assert [i for rings in written for i in rings] == list(range(200))
+    assert max(map(len, written)) < 200
+    assert "nodes" not in vars(grids[0])
+
+
+@pytest.mark.parametrize("n_dipoles", [1, 3, 4, 7, 8, 1000])
+@pytest.mark.parametrize("shape", [(200, 256), (16, 24), (5, 8), (4, 8192)])
+def test_the_ring_kernel_gives_the_samples_of_b3_bit_for_bit(n_dipoles, shape):
+    scene = random_scene(n_dipoles, n_dipoles)
+    grid = build_grid(1.3e-3, *shape)
+    samples = sample_field(scene, grid).samples
+    # the dipole-major layout (below 8 dipoles) writes whole rings into its own
+    # buffer; a ring larger than its block, and the node-major layout, read the nodes
+    rings = n_dipoles < 8 and shape[1] <= (1 << 14) // n_dipoles
+    assert ("nodes" in vars(grid)) is not rings
+    want = b3(scene, grid.nodes)
+    assert np.array_equal(samples.view(np.uint64), want.view(np.uint64))
+
+
+def test_a_built_grids_arrays_are_made_once_read_only_and_kept():
+    grid = build_grid(7.5e-4, 16, 24)
+    assert "nodes" not in vars(grid) and "weights" not in vars(grid)
+    weights = grid.weights
+    assert "nodes" not in vars(grid)     # the weights alone, as add_noise needs them
+    nodes = grid.nodes
+    assert grid.nodes is nodes and grid.weights is weights
+    for arr in (nodes, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.nodes = nodes.copy()
+    with pytest.raises(AttributeError, match="no attribute 'weight'"):
+        grid.weight
+    back = pickle.loads(pickle.dumps(build_grid(7.5e-4, 16, 24)))
+    assert "nodes" not in vars(back) and (back.n_radial, back.n_angular) == (16, 24)
+    fresh = build_grid(7.5e-4, 16, 24)
+    replaced = dataclasses.replace(fresh, radius=fresh.radius)
+    for other in (replaced, back):
+        for got, want in ((other.nodes, nodes), (other.weights, weights)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert not got.flags.writeable
+    direct = pickle.loads(pickle.dumps(replaced))
+    assert direct._rule is None and np.array_equal(direct.nodes, nodes)
