@@ -392,9 +392,17 @@ class SweepRow:
 class SweepResult:
     rows: tuple[SweepRow, ...]
 
+    @functools.cached_property
+    def _by_spec(self) -> dict[EstimatorSpec, list[SweepRow]]:
+        # grouped once: the rows are read-only, so it cannot go stale
+        groups = {}
+        for row in sorted(self.rows, key=lambda r: r.radius):
+            groups.setdefault(row.spec, []).append(row)
+        return groups
+
     def for_spec(self, spec: EstimatorSpec) -> list[SweepRow]:
-        rows = [r for r in self.rows if r.spec == spec]
-        return sorted(rows, key=lambda r: r.radius)
+        # the spec's rows sorted by radius; rows of one radius keep their order
+        return list(self._by_spec.get(spec, ()))
 
 
 def _synthesised_map(scene: DipoleScene, radius: float, grid_params: GridParams,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -87,47 +87,37 @@ def b3(scene: DipoleScene, x) -> np.ndarray | float:
     neither the block size nor the layout.  q^2.5 is sqrt(q) times q twice:
     a square root and two products cost about half of one pow.
 
-    The layout follows the dipole count.  From _SEQUENTIAL_ROW_SUM dipoles
-    on, a block is (nodes x dipoles) and the seven per-dipole operands are
-    tiled once per call to its shape (at most 7 x 128 KB).  Below that, a
-    short last axis would make numpy run one tiny inner loop per node, so a
-    block is (dipoles x nodes), the operands are (dipoles x 1) columns, the
-    block's nodes are copied into one (2 x nodes) buffer and the dipole sum
-    is a reduction over axis 0.  That adds left to right from 0, as numpy's
-    sum of a contiguous row shorter than _SEQUENTIAL_ROW_SUM does; longer
-    rows are summed pairwise, so the switch sits where the bits would change.
-    On the rings of a build_grid grid (sample_field, through _b3_rings) that
-    layout takes its blocks as whole rings, written straight into the node
-    buffer.
+    The points reach the kernel as (2, k) blocks of x1 and x2 rows, copied
+    from x (_row_blocks); sample_field hands it a grid's own walk of its
+    nodes (quad.DiskGrid._row_blocks) instead.  The layout follows the
+    dipole count.  From _SEQUENTIAL_ROW_SUM dipoles on, a block is (nodes x
+    dipoles) and the seven per-dipole operands are tiled once per call to
+    its shape (at most 7 x 128 KB).  Below that, a short last axis would
+    make numpy run one tiny inner loop per node, so a block is (dipoles x
+    nodes), the operands are (dipoles x 1) columns and the dipole sum is a
+    reduction over axis 0.  That adds left to right from 0, as numpy's sum
+    of a contiguous row shorter than _SEQUENTIAL_ROW_SUM does; longer rows
+    are summed pairwise, so the switch sits where the bits would change.
     """
     pts, shaped = _points(x)
-    return shaped(_b3_kernel(scene, len(pts), pts))
+    return shaped(_b3_kernel(scene, len(pts), _row_blocks(pts)))
 
 
-def _b3_rings(scene: DipoleScene, n_rings: int, ring_size: int,
-              write: Callable[[slice, np.ndarray], object],
-              nodes: Callable[[], np.ndarray]) -> np.ndarray:
-    """b3(scene, nodes()) for points that are n_rings rings of ring_size
-    consecutive nodes, with the same bits.
-
-    write(part, out) writes x1 and x2 of the slice part of the rings into
-    out[..., 0] and out[..., 1], with out shaped (rings, ring_size, 2).  In
-    b3's dipole-major layout a block is then a whole number of rings, which
-    write puts straight into the node buffer, and nodes() is not called.
-    From _SEQUENTIAL_ROW_SUM dipoles on, or with a ring larger than a block,
-    this is b3 of nodes().
-    """
-    n_dip = len(scene.dipoles)
-    if n_dip >= _SEQUENTIAL_ROW_SUM or n_dip * ring_size > _PAIR_BUDGET:
-        return b3(scene, nodes())
-    return _b3_kernel(scene, n_rings * ring_size, None, (ring_size, write))
+def _row_blocks(pts: np.ndarray) -> Iterator[np.ndarray]:
+    """The (M, 2) points pts as consecutive (2, k) blocks of their x1 and x2
+    rows, k <= _PAIR_BUDGET, copied into one buffer that each block reuses."""
+    rows = np.empty((2, min(_PAIR_BUDGET, len(pts))))
+    for lo in range(0, len(pts), _PAIR_BUDGET):
+        n = min(_PAIR_BUDGET, len(pts) - lo)
+        np.copyto(rows[:, :n], pts[lo:lo + n].T)
+        yield rows[:, :n]
 
 
-def _b3_kernel(scene: DipoleScene, n_points: int, pts: Optional[np.ndarray],
-               rings: Optional[tuple[int, Callable[[slice, np.ndarray], object]]] = None
-               ) -> np.ndarray:
-    """b3's values at n_points planar points, block by block as b3 describes:
-    the (n_points, 2) points pts, or the rings that _b3_rings describes."""
+def _b3_kernel(scene: DipoleScene, n_points: int,
+               row_blocks: Iterable[np.ndarray]) -> np.ndarray:
+    """b3's values at n_points planar points, given as consecutive (2, k) blocks
+    of x1 and x2 rows, each row contiguous (a block may reuse the memory of the
+    one before), cut into blocks of at most _PAIR_BUDGET pairs as b3 describes."""
     vals = np.zeros(n_points)
     n_dip = len(scene.dipoles)
     if n_dip:
@@ -137,12 +127,9 @@ def _b3_kernel(scene: DipoleScene, n_points: int, pts: Optional[np.ndarray],
         u2 = u * u
         three_u = 3.0 * u
         step = max(1, _PAIR_BUDGET // n_dip)
+        size = min(step, n_points)
         operands = np.stack([p1, p2, three_u * m1, three_u * m2, m3, u2, 2.0 * u2])
         dipole_major = n_dip < _SEQUENTIAL_ROW_SUM
-        if rings is not None:
-            ring_size, write = rings
-            step -= step % ring_size
-        size = min(step, n_points)
         if dipole_major:
             operands = operands[:, :, None]
             # rows padded by one cache line: on a buffer contiguous across rows
@@ -150,27 +137,19 @@ def _b3_kernel(scene: DipoleScene, n_points: int, pts: Optional[np.ndarray],
             # and copies each operand column into its own buffer to do so,
             # which makes the column ops about 3x slower from 4 dipoles on
             bufs = np.empty((4, n_dip, size + 8))
-            nodes = np.empty((2, size))
-            if rings is not None:
-                # (rings, ring_size, 2) over the two rows of the node buffer
-                ring_nodes = np.moveaxis(nodes.reshape(2, -1, ring_size), 0, -1)
         else:
             operands = np.repeat(operands[:, None], size, axis=1)
             bufs = np.empty((4, size, n_dip))
-        for lo in range(0, n_points, step):
-            n = min(step, n_points - lo)
+        blocks = (rows[:, i:i + step] for rows in row_blocks
+                  for i in range(0, rows.shape[1], step))
+        lo = 0
+        for x1, x2 in blocks:
+            n = len(x1)
             if dipole_major:
-                if rings is None:
-                    np.copyto(nodes[:, :n], pts[lo:lo + n].T)
-                else:
-                    first = lo // ring_size
-                    write(slice(first, first + n // ring_size), ring_nodes[:n // ring_size])
-                x1, x2 = nodes[:, :n]
                 a, b, r2, den = bufs[..., :n]
                 p1, p2, um1, um2, m3, u2, two_u2 = operands
             else:
-                block = pts[lo:lo + n]
-                x1, x2 = block[:, 0, None], block[:, 1, None]
+                x1, x2 = x1[:, None], x2[:, None]
                 a, b, r2, den = bufs[:, :n]
                 p1, p2, um1, um2, m3, u2, two_u2 = operands[:, :n]
             np.subtract(x1, p1, out=a)                        # dx1
@@ -190,6 +169,7 @@ def _b3_kernel(scene: DipoleScene, n_points: int, pts: Optional[np.ndarray],
             np.multiply(den, r2, out=den)                     # q^2.5
             np.divide(a, den, out=a)
             np.add.reduce(a, axis=0 if dipole_major else -1, out=vals[lo:lo + n])
+            lo += n
         vals *= scene.mu0 / (4.0 * _PI)
     return vals
 

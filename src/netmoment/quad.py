@@ -9,14 +9,16 @@ build_grid(A, n_radial, n_angular) scales one unit-disk rule, built once per
 A^2*w_i.  The cache holds only 1-D factors and two small moment tables, so
 the monomial moments of a map on such a grid are a product of the samples,
 viewed as an (n_radial x n_angular) array, with those tables.  Such a grid
-holds only its radius and rule: its node and weight arrays are each made on
-first access.  sample_field writes the nodes block by block of whole rings
-into b3's own buffer, so a sweep of fewer than 8 dipoles makes no node array,
-and only add_noise's weighted variance makes the weights.  A field CSV
-whose nodes and weights are those of a build_grid grid, bit for bit, reads
-back onto that grid.  Only such a grid has a shape, its rule's (n_radial,
-n_angular).  Any other grid (another file, or a DiskGrid built directly) has
-no shape and no tensor structure, and its moments are one dense weighted sum.
+holds only its radius and rule; its node and weight arrays are each made on
+first access.  A grid walks its nodes as (2, k) blocks of x1 and x2 rows in
+one reused buffer (DiskGrid._row_blocks): whole rings written from the rule,
+or copied slices of another grid's nodes.  b3's kernel reads that walk, so a
+sweep of fewer than 8 dipoles makes no node array.  A field CSV whose nodes
+(compared with a walk) and weights are those of a build_grid grid, bit for
+bit, reads back onto that grid.  Only such a grid has a shape, its rule's
+(n_radial, n_angular).  Any other grid (another file, or a DiskGrid built
+directly) has no shape and no tensor structure, and its moments are one
+dense weighted sum.
 """
 from __future__ import annotations
 
@@ -25,12 +27,12 @@ import math
 import sys
 import warnings
 from dataclasses import InitVar, dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from ._checks import _integer, _one_of, _positive, _real
-from .field import _b3_rings, b3
+from .field import _SEQUENTIAL_ROW_SUM, _b3_kernel, _row_blocks, b3
 from .scene import _UNIT_SYSTEMS, DipoleScene, _read_only
 
 __all__ = [
@@ -49,6 +51,12 @@ MAX_POWER = 11
 
 # (n_radial, n_angular) of the default disk rule
 _DEFAULT_GRID = (200, 256)
+
+# nodes a build_grid grid walks at a time, in whole rings (DiskGrid._row_blocks),
+# and rows write_field_csv formats and writes at a time: one block's nodes
+# stay in cache for b3's kernel, and only one block's floats and text are
+# alive at once, whatever the node count
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -153,6 +161,24 @@ class DiskGrid:
     def _size(self) -> int:
         """The node count, without making a build_grid grid's nodes."""
         return len(self.nodes) if self._rule is None else self._rule.size
+
+    def _row_blocks(self) -> Iterator[np.ndarray]:
+        """The nodes as consecutive (2, k) blocks of x1 and x2 rows in one reused
+        buffer: whole rings (_BLOCK_ROWS nodes at most, or one ring) written from
+        a build_grid grid's rule, or copied slices of any other grid's nodes."""
+        rule = self._rule
+        if rule is None:
+            yield from _row_blocks(self.nodes)
+            return
+        n_radial, n_angular = len(rule.radii), len(rule.cos)
+        step = min(max(1, _BLOCK_ROWS // n_angular), n_radial)
+        rows = np.empty((2, step * n_angular))
+        # (rings, n_angular, 2) over the two rows, as _scaled_rings writes nodes
+        rings = np.moveaxis(rows.reshape(2, step, n_angular), 0, -1)
+        for i in range(0, n_radial, step):
+            k = min(step, n_radial - i)
+            _scaled_rings(rule, self.radius, slice(i, i + k), rings[:k])
+            yield rows[:, :k * n_angular]
 
 
 @dataclass(frozen=True)
@@ -306,18 +332,18 @@ def build_grid(radius: float, n_radial: int = _DEFAULT_GRID[0],
 def sample_field(scene: DipoleScene, grid: DiskGrid) -> FieldMap:
     """Evaluate the scene's normal field at every node, in node order.
 
-    On a build_grid grid, b3 takes the nodes ring by ring from the rule
-    (field._b3_rings): for a scene of fewer than 8 dipoles the grid's node
-    array is not made.  b3's values do not depend on its blocks, so the
-    samples are b3(scene, grid.nodes), bit for bit.
+    b3's kernel takes the grid's walk of its nodes (DiskGrid._row_blocks):
+    for a scene of fewer than 8 dipoles a build_grid grid's node array is
+    not made.  b3's values do not depend on its blocks, so the samples are
+    b3(scene, grid.nodes), bit for bit.
     """
-    rule = grid._rule
-    if rule is None:
+    if len(scene.dipoles) >= _SEQUENTIAL_ROW_SUM:
+        # the same bits through the public b3, only so that a trace of b3
+        # counts a large scene's pairs (bench/test_bench.py::ACTIVE_COUNTS
+        # reads field.b3.pairs on synth_large)
         samples = b3(scene, grid.nodes)
     else:
-        samples = _b3_rings(scene, len(rule.radii), len(rule.cos),
-                            lambda part, out: _scaled_rings(rule, grid.radius, part, out),
-                            lambda: grid.nodes)
+        samples = _b3_kernel(scene, grid._size, grid._row_blocks())
     return FieldMap(grid=grid, samples=samples, unit_system=scene.unit_system,
                     provenance=Provenance("clean"), _fresh=True)
 
@@ -333,11 +359,6 @@ def integrate_weighted(field_map: FieldMap,
     return float(sums) if w.ndim == 1 else sums
 
 
-# rows formatted and written at a time: only one block's floats and text are
-# alive at once, whatever the node count
-_CSV_BLOCK_ROWS = 4096
-
-
 def write_field_csv(field_map: FieldMap, path: str) -> None:
     """Field map CSV: header x1,x2,weight,b3; full float round trip.
 
@@ -348,8 +369,8 @@ def write_field_csv(field_map: FieldMap, path: str) -> None:
     # repr round-trips every float; \r\n ends rows as in the csv module's default dialect
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("x1,x2,weight,b3\r\n")
-        for start in range(0, len(samples), _CSV_BLOCK_ROWS):
-            block = slice(start, start + _CSV_BLOCK_ROWS)
+        for start in range(0, len(samples), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
             x1, x2 = nodes[block].T.tolist()
             # one repr per distinct weight (a build_grid ring shares one), told
             # apart by bits: as values 0.0 == -0.0 would share one text
@@ -413,8 +434,9 @@ def _built_radius(table: np.ndarray, radius: float, n_radial: int,
     n_angular), bit for bit; None if there is none or build_grid refuses a.
 
     A map written from a build_grid grid reads back onto that grid and so takes
-    the same tensor route for its moments, with the same bits.  The table is
-    compared in blocks of whole rings, so no grid-sized array is built.
+    the same tensor route for its moments, with the same bits.  The file's
+    nodes are compared with each candidate grid's walk of its nodes, so no
+    grid-sized array is built.
     """
     try:
         _grid_sizes(n_radial, n_angular)
@@ -423,23 +445,21 @@ def _built_radius(table: np.ndarray, radius: float, n_radial: int,
     if len(table) != n_radial * n_angular:
         return None
     rule = _unit_rule(n_radial, n_angular)
-    rings = table.reshape(n_radial, n_angular, 4)
-    step = max(1, _CSV_BLOCK_ROWS // n_angular)
-    block = np.empty((step, n_angular, 2))
+    nodes, weights = table[:, :2].T, table[:, 2].reshape(n_radial, n_angular)
+
+    def matches(a: float) -> bool:
+        lo = 0
+        for rows in DiskGrid(a, None, None, rule)._row_blocks():
+            if not np.array_equal(rows, nodes[:, lo:lo + rows.shape[1]]):
+                return False
+            lo += rows.shape[1]
+        return bool(np.all(weights == _scaled_rings(rule, a, slice(None))[:, None]))
+
     below = above = radius
     candidates = [radius]
     for _ in range(_RADIUS_ULPS):
         below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
         candidates += [below, above]
-    for a in candidates:
-        for i in range(0, n_radial, step):
-            part = slice(i, i + step)
-            nodes = block[:len(rings[part])]
-            weights = _scaled_rings(rule, a, part, nodes)
-            if not (np.array_equal(nodes, rings[part, :, :2])
-                    and np.all(rings[part, :, 2] == weights[:, None])):
-                break
-        else:
-            # a grid build_grid would refuse is read back as it is
-            return a if _in_range(rule, a) else None
-    return None
+    a = next((a for a in candidates if matches(a)), None)
+    # a grid build_grid would refuse is read back as it is
+    return a if a is not None and _in_range(rule, a) else None

@@ -156,7 +156,7 @@ def test_only_the_rule_module_tests_integral_or_bool_types():
     (r"[<>]=? STRUVE_MAX_ARG\b", "specfun.py"),          # the cap of every exact series
     (r"must be even and at least 8", "quad.py"),         # the grid-size rule
     (r"math\.pi / n_angular", "quad.py"),               # the unit rule's angular weight
-    (r"\* rule\.radii\b", "quad.py"),                  # a built ring's nodes: grid and CSV match
+    (r"\* rule\.radii\b", "quad.py"),                  # a built ring's nodes: grid, walk, CSV
     (r"\* rule\.ring_weights\b", "quad.py"),           # a built ring's weight: grid and CSV match
     (r"4 \* n \* n - 1", "specfun.py"),              # the reduction identity's right side
 ])
@@ -182,8 +182,17 @@ def test_the_sweep_runs_without_a_thread_pool():
 def test_b3_takes_no_power():
     # on one 16 x 1000 block of pairs np.power(q, 2.5) took 48 us and
     # sqrt(q) times q twice 29 us (timeit, numpy 2.4): the power stays out
-    source = inspect.getsource(field.b3)
-    assert "np.power" not in source and "**" not in source
+    # of b3 and of the kernel that computes every pair
+    for function in (field.b3, field._b3_kernel):
+        source = inspect.getsource(function)
+        assert "np.power" not in source and "**" not in source, function.__name__
+
+
+def test_the_field_layer_names_no_ring():
+    # how a grid's nodes reach b3's kernel is the grid's own walk of them
+    # (quad.DiskGrid._row_blocks); the kernel takes only (2, k) row blocks
+    text = (_SOURCE / "field.py").read_text(encoding="utf-8")
+    assert re.findall(r"_b3_rings|ring_size|ring_nodes", text) == []
 
 
 def test_the_package_exports_each_layer_name_once():

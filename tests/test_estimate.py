@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -83,6 +84,23 @@ def test_specs_that_estimate_the_same_thing_compare_equal():
     assert EstimatorSpec("m2", 5, "x2").axis == "x1"
     assert EstimatorSpec("m3", 3, "x2") != EstimatorSpec("m3", 3)
     assert len(set(all_specs())) == len(all_specs()) == 15
+
+
+def test_for_spec_gives_the_rows_of_a_filter_and_sort(base_sweep):
+    absent = EstimatorSpec("m2", 3)
+    rows = [r for r in base_sweep.rows if r.spec != absent]
+    # a second row per radius and spec, told apart by its estimate: rows of
+    # one radius keep their order, as a stable sort keeps them
+    rows += [dataclasses.replace(r, estimate=r.estimate + 1.0) for r in rows]
+    random.Random(33).shuffle(rows)
+    result = SweepResult(tuple(rows))
+    for spec in all_specs():
+        want = sorted((r for r in rows if r.spec == spec), key=lambda r: r.radius)
+        for _ in range(2):                     # the grouping is made once and kept
+            got = result.for_spec(spec)
+            assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
+    result.for_spec(absent).append(rows[0])    # a caller's list is its own
+    assert result.for_spec(absent) == []
 
 
 def test_convergence_slope_finds_rows_of_an_equal_spec(base_sweep):

@@ -12,7 +12,7 @@ from netmoment import (Dipole, DipoleScene, EstimatorSpec, FieldMap, GridParams,
                        estimate_moment, integrate_weighted, net_moment, noise, quad,
                        read_field_csv, recovered_coefficients, sample_field, sweep,
                        t_quantities, write_field_csv)
-from netmoment.quad import _CSV_BLOCK_ROWS, _DEFAULT_GRID, DiskGrid, _unit_rule
+from netmoment.quad import _BLOCK_ROWS, _DEFAULT_GRID, DiskGrid, _unit_rule
 from oracles import (disk_moments_fsum, disk_monomial_integral, read_field_csv_rows,
                      write_field_csv_rows)
 
@@ -159,7 +159,7 @@ def test_field_csv_bytes_match_csv_writer_across_block_boundaries(tmp_path, demo
     built = build_grid(2e-3)
     nodes, weights = built.nodes.copy(), built.weights.copy()
     samples = sample_field(demo_scene, built).samples.copy()
-    block = _CSV_BLOCK_ROWS
+    block = _BLOCK_ROWS
     assert len(nodes) % block and len(nodes) > 2 * block
     for edge in (block, len(nodes) // block * block):
         # signed zero weights in both orders, one pair on each side of the edge; a
@@ -359,7 +359,7 @@ def test_a_callers_samples_are_copied(demo_scene):
 def test_sample_field_holds_no_copy_of_the_samples(demo_scene, monkeypatch, traced_peak):
     grid = build_grid(2e-3)                                  # 200 x 256
     values = b3(demo_scene, grid.nodes)
-    monkeypatch.setattr(quad, "_b3_rings", lambda scene, n_rings, ring_size, write, nodes: values)
+    monkeypatch.setattr(quad, "_b3_kernel", lambda scene, n_points, row_blocks: values)
     peak = traced_peak(lambda: sample_field(demo_scene, grid))
     # a copy of the samples is 0.39 MiB; the finite check's mask is 0.05 MiB
     assert peak < 0.2 * 2**20, f"sample_field peaked at {peak / 2**20:.2f} MiB"
@@ -704,12 +704,14 @@ def test_the_ring_kernel_gives_the_samples_of_b3_bit_for_bit(n_dipoles, shape):
     scene = random_scene(n_dipoles, n_dipoles)
     grid = build_grid(1.3e-3, *shape)
     samples = sample_field(scene, grid).samples
-    # the dipole-major layout (below 8 dipoles) writes whole rings into its own
-    # buffer; a ring larger than its block, and the node-major layout, read the nodes
-    rings = n_dipoles < 8 and shape[1] <= (1 << 14) // n_dipoles
-    assert ("nodes" in vars(grid)) is not rings
+    # below 8 dipoles the kernel reads the grid's walk of whole rings, also
+    # of one ring larger than a block; from 8 on, b3 reads the nodes
+    assert ("nodes" in vars(grid)) is (n_dipoles >= 8)
     want = b3(scene, grid.nodes)
     assert np.array_equal(samples.view(np.uint64), want.view(np.uint64))
+    # a direct grid's walk copies slices of its nodes
+    direct = sample_field(scene, DiskGrid(grid.radius, grid.nodes, grid.weights)).samples
+    assert np.array_equal(direct.view(np.uint64), want.view(np.uint64))
 
 
 def test_a_built_grids_arrays_are_made_once_read_only_and_kept():
