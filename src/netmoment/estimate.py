@@ -297,9 +297,20 @@ def t_quantities(field_map: FieldMap, coeffs: AsymptCoeffs,
                           else _apply(_ROWS[("t", q)], normal) / _PI for q in _T_TARGETS})
 
 
+def _radius_power(radius: float, k: int) -> float:
+    """radius ** k; a ValueError naming the radius where it overflows, or is 0 with k > 0."""
+    try:
+        power = radius ** k
+        if k < 0 or power > 0.0:  # a positive power is a divisor
+            return power
+    except OverflowError:
+        power = math.inf
+    raise ValueError(f"radius {radius!r} is out of range: radius ** {k} is {power!r}")
+
+
 def t_quantities_analytic(coeffs: AsymptCoeffs, radius: float) -> TQuantities:
     """The algebraic left sides of the T quantities from exact coefficients."""
-    a3 = _positive(radius, "radius must be positive and finite") ** 3
+    a3 = _radius_power(_positive(radius, "radius must be positive and finite"), 3)
     return TQuantities(**{f"t{q}": sum(target * (_coeff(coeffs, t) / a3)
                                        for t, target in targets.items())
                           for q, targets in _T_TARGETS.items()})
@@ -339,7 +350,8 @@ def _leftover_terms(spec: EstimatorSpec) -> tuple[tuple[tuple[int, int, int], fl
 
 def _leading_error(c: AsymptCoeffs, spec: EstimatorSpec, radius: float,
                    scale: float) -> float:
-    return -_PI * math.fsum(f * c[t] * radius ** k for t, f, k in _leftover_terms(spec)) / scale
+    return -_PI * math.fsum(f * c[t] * _radius_power(radius, k)
+                            for t, f, k in _leftover_terms(spec)) / scale
 
 
 @dataclass(frozen=True)
@@ -446,8 +458,13 @@ def sweep(scene: DipoleScene, radii: Sequence[float], specs: Sequence[EstimatorS
     asymptotic regime are still useful data.
     """
     radii = _ascending_radii(radii)
+    coeffs = asympt_coefficients(scene)
     for spec in specs:  # checked before any grid is built
         _estimator_row(spec)
+        if (spec.component, spec.order) in _PREDICTED_SPECS:
+            # every power of the radius in it is negative: if none overflows
+            # at the smallest radius, none does at any
+            _leading_error(coeffs, spec, radii[0], scene.mu0)
     margin = asympt_condition_margin(scene, radii[0])
     if margin >= 1.0:
         warnings.warn(
@@ -456,7 +473,6 @@ def sweep(scene: DipoleScene, radii: Sequence[float], specs: Sequence[EstimatorS
             stacklevel=2,
         )
     truth = net_moment(scene)
-    coeffs = asympt_coefficients(scene)
     # one call per radius, so each radius's map is freed before the next is built
     return SweepResult(rows=tuple(
         row for stream, radius in enumerate(radii)

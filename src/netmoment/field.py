@@ -250,5 +250,8 @@ def asympt_condition_margin(scene: DipoleScene, radius: float) -> float:
     p = scene.positions
     u = scene.height - p[:, 2]
     tperp2 = p[:, 0]**2 + p[:, 1]**2
-    vals = (tperp2 + u**2 + 2.0 * radius * np.sqrt(tperp2)) / radius**2
+    # numpy's power has the bits of radius**2, but is inf past the float range
+    # (a margin of 0) instead of raising, and a tiny radius has a margin of inf
+    with np.errstate(divide="ignore", over="ignore"):
+        vals = (tperp2 + u**2 + 2.0 * radius * np.sqrt(tperp2)) / np.float64(radius)**2
     return float(vals.max())

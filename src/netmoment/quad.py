@@ -26,7 +26,7 @@ import functools
 import math
 import sys
 import warnings
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -59,7 +59,7 @@ _DEFAULT_GRID = (200, 256)
 _BLOCK_ROWS = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _UnitRule:
     """The unit-disk rule of one (n_radial, n_angular) shape, as 1-D factors.
 
@@ -81,7 +81,7 @@ class _UnitRule:
         return self.radii.size * self.cos.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiskGrid:
     """Quadrature nodes and weights covering the disk |x| <= radius; its shape
     (n_radial, n_angular) is read off its build_grid rule, and is None without one.
@@ -90,12 +90,13 @@ class DiskGrid:
     checks them.  A build_grid grid is its radius and its cached unit rule
     alone: build_grid checks the radius and the rule was checked once, when
     it was built.  Its read-only nodes and weights are each made from the rule
-    on first access and kept.
+    on first access and kept, so the repr leaves them out.  == is identity,
+    as for any object holding arrays: a grid equals itself alone.
     """
 
     radius: float
-    nodes: np.ndarray      # (M, 2)
-    weights: np.ndarray    # (M,)
+    nodes: np.ndarray = field(repr=False)      # (M, 2)
+    weights: np.ndarray = field(repr=False)    # (M,)
     # set by build_grid only, with no arrays: the unit rule its nodes and
     # weights are scaled from; any other grid keeps None and private copies
     _unit_rule: InitVar[Optional[_UnitRule]] = None
@@ -191,7 +192,7 @@ class Provenance:
         _one_of(self.kind, ("clean", "noisy"), "provenance kind must be clean or noisy")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldMap:
     """Per-node field samples on a disk grid (tesla when unit_system is si)."""
 
@@ -253,6 +254,14 @@ class FieldMap:
 
 
 @functools.lru_cache(maxsize=32)
+def _angles(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only cos and sin of the n nodes 2 pi k / n of the package's one angle rule."""
+    # read by the grid's rings, the ring quadrature and specfun's ring identities
+    theta = 2.0 * math.pi * np.arange(n) / n
+    return _read_only(np.cos(theta)), _read_only(np.sin(theta))
+
+
+@functools.lru_cache(maxsize=32)
 def _unit_rule(n_radial: int, n_angular: int) -> _UnitRule:
     """The unit-disk rule and its moment tables; they do not depend on the radius.
 
@@ -267,8 +276,7 @@ def _unit_rule(n_radial: int, n_angular: int) -> _UnitRule:
                          "the unit disk's area")
     if not np.all((0.0 < radii) & (radii < 1.0)):
         raise ValueError(f"the {n_radial} x {n_angular} rule has a ring outside the unit disk")
-    theta = 2.0 * math.pi * np.arange(n_angular) / n_angular
-    cos, sin = np.cos(theta), np.sin(theta)
+    cos, sin = _angles(n_angular)
     powers = np.arange(MAX_POWER + 1)[:, None]
     return _UnitRule(*map(_read_only, (radii, ring_weights, cos, sin,
                                        radii**powers * ring_weights,

@@ -40,13 +40,13 @@ import math
 import sys
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from ._checks import _finite, _integer, _one_of, _positive, _real
 from .field import _FAR_FIELD_ROWS, _finite_part
-from .quad import MAX_POWER
+from .quad import MAX_POWER, _angles
 
 __all__ = [
     "DomainError",
@@ -528,8 +528,7 @@ def _ring_trig_integrals(trig: str, powers: list[tuple[int, int, int]],
     for every (a, b), and a shape that the weight kills integrates to 0.0.
     """
     quarter = _N_THETA // 4
-    theta = 2.0 * math.pi * np.arange(quarter + 1) / _N_THETA
-    ct, st = np.cos(theta), np.sin(theta)
+    ct, st = (t[:quarter + 1] for t in _angles(_N_THETA))
     fold = np.full(quarter + 1, 2.0 * math.pi / _N_THETA)
     fold[[0, -1]] *= 0.5
     fun, s = (np.sin, -1) if trig == "sin" else (np.cos, 1)
@@ -609,101 +608,84 @@ def sin_cos_taylor(radius: float) -> dict[int, dict[tuple[int, int, int], float]
 # identity table of `netmoment verify-specfun`
 # ---------------------------------------------------------------------------
 
-_RING_THETA = 2.0 * math.pi * np.arange(4096) / 4096
-_COS_T, _SIN_T = np.cos(_RING_THETA), np.sin(_RING_THETA)
-
-
 def _gap(value: float, ref: float) -> float:
     return abs(value - ref) / max(abs(ref), 1e-300)
 
 
-def _max(worst: float, err: float) -> float:
-    """max(worst, err), but NaN when either is NaN.
+def _worst(errors: Iterable[float]) -> float:
+    """The largest of 0.0 and the errors, but NaN when any error is NaN.
 
     The builtin max drops a NaN that is not its first argument, which would
     let a routine returning NaN pass its row.
     """
-    return math.nan if math.isnan(worst) or math.isnan(err) else max(worst, err)
+    errors = [0.0, *errors]
+    return math.nan if any(math.isnan(err) for err in errors) else max(errors)
 
 
 # tail closed forms vs the oscillation-aware quadrature
 def _tail_vs_quadrature(kind: TailIntegralKind) -> float:
-    worst = 0.0
-    for rho in (0.5, 1.0, 2.0, 5.0, 10.0, 25.0):
-        worst = _max(worst, _gap(tail_integral(kind, rho), tail_integral_quadrature(kind, rho)))
-    return worst
+    return _worst(_gap(tail_integral(kind, rho), tail_integral_quadrature(kind, rho))
+                  for rho in (0.5, 1.0, 2.0, 5.0, 10.0, 25.0))
 
 
 # reduction identity for the odd tail int J1/x^(2n+1): the derived form against
 # its right side, summed in floats from J1, J1' and the lower tail
 def _tail_recursion(n: int) -> float:
     kind = TailIntegralKind(f"j1_over_x_p{2 * n + 1}")
-    worst = 0.0
-    for rho in (0.7, 3.0, 12.0):
-        lhs = tail_integral(kind, rho)
-        rhs = tail_recursion_rhs(n, rho)
-        worst = _max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
-    return worst
+    sides = ((tail_integral(kind, rho), tail_recursion_rhs(n, rho)) for rho in (0.7, 3.0, 12.0))
+    return _worst(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300) for lhs, rhs in sides)
 
 
-# ring integrals that vanish by odd angular symmetry
+# the nodes of the ring identities' angle rule
+_RING_NODES = 4096
+
+
+# ring integrals that vanish by odd angular symmetry, on the package's angle rule
 def _odd_symmetry_vanishing() -> float:
     rng = np.random.default_rng(12345)
-    # the powers 0 .. 7 that the draws reach, built per call: a module-level
-    # table would cost every import its memory
-    cos_pow = [_COS_T**k for k in range(8)]
-    sin_pow = [_SIN_T**k for k in range(8)]
-    worst = 0.0
-    for _ in range(20):
-        alpha = rng.uniform(-10, 10)
-        m = rng.integers(0, 4)
-        n = rng.integers(0, 4)
-        arg = alpha * _COS_T
+    cos_t, sin_t = _angles(_RING_NODES)
+    # the powers 0 .. 7 that the draws reach, built per call
+    cos_pow = [cos_t**k for k in range(8)]
+    sin_pow = [sin_t**k for k in range(8)]
+
+    def draw() -> float:
+        alpha, m, n = rng.uniform(-10, 10), rng.integers(0, 4), rng.integers(0, 4)
+        arg = alpha * cos_t
         cos_arg, sin_arg = np.cos(arg), np.sin(arg)
-        vals = [np.sum(trig * cos_pow[a] * sin_pow[b]) * (2.0 * math.pi / 4096)
+        vals = [np.sum(trig * cos_pow[a] * sin_pow[b]) * (2.0 * math.pi / _RING_NODES)
                 for trig, a, b in ((cos_arg, 2 * m + 1, n), (cos_arg, m, 2 * n + 1),
                                    (sin_arg, m, 2 * n + 1), (sin_arg, 2 * m, n))]
-        worst = _max(worst, float(np.max(np.abs(vals))))
-    return worst
+        return float(np.max(np.abs(vals)))
+
+    return _worst(draw() for _ in range(20))
 
 
 # J_n(x) as the ring mean of trig(x cos t) cos^n t, n = 0, 1
 def _ring_representation(n: int) -> float:
     trig, bessel = (np.cos, bessel_j0) if n == 0 else (np.sin, bessel_j1)
-    worst = 0.0
-    for x in np.linspace(0.0, 40.0, 81):
-        worst = _max(worst, abs(float(np.mean(trig(x * _COS_T) * _COS_T**n)) - bessel(x)))
-    return worst
+    cos_t = _angles(_RING_NODES)[0]
+    return _worst(abs(float(np.mean(trig(x * cos_t) * cos_t**n)) - bessel(x))
+                  for x in np.linspace(0.0, 40.0, 81))
 
 
 # J0' = -J1 by central differences
 def _j0_derivative() -> float:
     h = 1e-6
-    worst = 0.0
-    for x in np.linspace(0.5, 40.0, 20):
-        der = (bessel_j0(x + h) - bessel_j0(x - h)) / (2 * h)
-        worst = _max(worst, abs(der + bessel_j1(x)))
-    return worst
+    return _worst(abs((bessel_j0(x + h) - bessel_j0(x - h)) / (2 * h) + bessel_j1(x))
+                  for x in np.linspace(0.5, 40.0, 20))
 
 
 # large-argument form of J0 within x^-1.5 (empirical constant 1)
 def _j0_envelope() -> float:
-    worst = 0.0
-    for x in np.linspace(5.0, 50.0, 46):
-        approx = math.sqrt(2.0 / (math.pi * x)) * math.cos(x - math.pi / 4)
-        worst = _max(worst, (abs(bessel_j0(x) - approx) - x**-1.5))
-    return worst
+    return _worst(abs(bessel_j0(x) - math.sqrt(2.0 / (math.pi * x)) * math.cos(x - math.pi / 4))
+                  - x**-1.5 for x in np.linspace(5.0, 50.0, 46))
 
 
 # ring integral closed forms vs direct quadrature at three scales
 def _ring_closed_forms() -> float:
-    worst = 0.0
-    for k1, radius in ((0.05, 1.0), (0.2, 2.0), (0.5, 3.0)):
-        cf = sin_cos_components(k1, radius)
-        ref = sin_cos_components_quadrature(k1, radius)
-        for shape, value in cf.items():
-            worst = _max(worst, _gap(value, ref[shape]))
-    return worst
+    pairs = ((sin_cos_components(k1, radius), sin_cos_components_quadrature(k1, radius))
+             for k1, radius in ((0.05, 1.0), (0.2, 2.0), (0.5, 3.0)))
+    return _worst(_gap(value, ref[shape]) for cf, ref in pairs for shape, value in cf.items())
 
 
 # Taylor orders 1 (sin) and 0 (cos) vs one-sided differences of the closed
@@ -722,8 +704,8 @@ def _taylor_low_orders() -> float:
     comps = [sin_cos_components(j * h, radius) for j in (1, 2, 3)]
     s1, s2, s3 = (contract(sin_w, cf) for cf in comps)
     c1, c2, c3 = (contract(cos_w, cf) for cf in comps)
-    return _max(_gap((18 * s1 - 9 * s2 + 2 * s3) / (6 * h), contract(sin_w, table[1])),
-                _gap(3 * c1 - 3 * c2 + c3, contract(cos_w, table[0])))
+    return _worst((_gap((18 * s1 - 9 * s2 + 2 * s3) / (6 * h), contract(sin_w, table[1])),
+                   _gap(3 * c1 - 3 * c2 + c3, contract(cos_w, table[0]))))
 
 
 # row name -> (tolerance, check returning the worst error), in report order

@@ -13,9 +13,10 @@ import pytest
 
 from netmoment import (Dipole, DipoleScene, DiskGrid, EstimatorSpec, GridParams, NoiseSpec,
                        SceneError, algebraic_moment, asympt_coefficients,
-                       asympt_condition_margin, build_grid, detrend_backward,
+                       asympt_condition_margin, build_grid, detrend_backward, estimate,
                        estimator_weight, field, height_moment, predicted_leading_error,
                        raster_m3_drift_series, sweep, t_quantities_analytic)
+from netmoment.cli import main
 from netmoment.specfun import (DomainError, TailIntegralKind, bessel_j0, bessel_j1,
                                bessel_j1_prime, bessel_j2, ring_trig_integral,
                                sin_cos_components, sin_cos_components_quadrature,
@@ -83,6 +84,41 @@ _CAPPED_ARGUMENTS = [
     ("rho <= 50.0", DomainError, lambda s, v: tail_recursion_rhs(1, v)),
     ("tail_integral_quadrature", DomainError, lambda s, v: tail_integral_quadrature(_J0, v)),
 ]
+
+# radii inside build_grid's range at which a power of the radius in a closed
+# form overflows, or radius ** 3, which one divides by, is 0: refused where
+# they enter, before any grid is built, with a ValueError naming the radius
+_OUT_OF_RANGE_RADII = [
+    lambda s: sweep(s, [1e-120, 1e-3], [EstimatorSpec("m1", 1)], GridParams(8, 8)),
+    lambda s: sweep(s, [1e-200], [EstimatorSpec("m3", 2)], GridParams(8, 8)),
+    lambda s: predicted_leading_error(s, EstimatorSpec("m1", 1), 1e-200),
+    lambda s: t_quantities_analytic(asympt_coefficients(s), 1e150),
+    lambda s: t_quantities_analytic(asympt_coefficients(s), 1e-150),
+]
+
+
+@pytest.mark.parametrize("call", _OUT_OF_RANGE_RADII, ids=[
+    "sweep-1e-120", "sweep-1e-200", "predicted_leading_error-1e-200",
+    "t_quantities_analytic-1e150", "t_quantities_analytic-1e-150"])
+def test_out_of_range_radii_are_refused_before_any_grid(demo_scene, call, monkeypatch):
+    monkeypatch.setattr(estimate, "build_grid", lambda *args: pytest.fail("a grid was built"))
+    with pytest.raises(ValueError, match="radius") as info:
+        call(demo_scene)
+    assert type(info.value) is ValueError
+
+
+def test_the_cli_refuses_an_out_of_range_radius_with_an_error_line(tmp_path, capsys):
+    scene = tmp_path / "scene.json"
+    scene.write_text('{"unit_system": "si", "height": 2.5e-4, "dipoles": [{"position": '
+                     '[3.5e-5, 3.0e-5, 1.0e-5], "moment": [4.5e-12, 3.5e-12, 1.0e-12]}]}')
+    out = tmp_path / "x.csv"
+    rc = main(["sweep", "--scene", str(scene), "--radius", "1e-120", "--spec", "m1:1",
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: radius 1e-120") and err.count("\n") == 1
+    assert not out.exists()
+
 
 # 1.5 is a valid positive value, so only the integer arguments get it; an
 # integer beyond the float range (whose float() raised OverflowError) is read
@@ -159,6 +195,7 @@ def test_only_the_rule_module_tests_integral_or_bool_types():
     (r"\* rule\.radii\b", "quad.py"),                  # a built ring's nodes: grid, walk, CSV
     (r"\* rule\.ring_weights\b", "quad.py"),           # a built ring's weight: grid and CSV match
     (r"4 \* n \* n - 1", "specfun.py"),              # the reduction identity's right side
+    (r"2\.0 \* math\.pi \* np\.arange", "quad.py"),    # the periodic angle rule's nodes
 ])
 def test_each_numerical_rule_is_written_once(pattern, home):
     found = [path.name for path in sorted(_SOURCE.glob("*.py"))

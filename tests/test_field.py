@@ -278,6 +278,15 @@ def test_margin_decreases_with_radius(demo_scene):
     assert vals[-1] < 1e-3  # the cross term decays like 1/A
 
 
+def test_margin_leaves_the_floats_without_a_warning(demo_scene):
+    # radius**2 is 0 (or subnormal) below about 1e-154, where a numpy divide
+    # warned, and overflowed past 1e154, where it raised OverflowError
+    for radius in (1e-158, 1e-165, 1e-200):
+        assert asympt_condition_margin(demo_scene, radius) == math.inf
+    for radius in (1e160, 1e300):
+        assert asympt_condition_margin(demo_scene, radius) == 0.0
+
+
 def test_margin_empty_scene_zero():
     assert asympt_condition_margin(DipoleScene((), 1.0, "si"), 2.0) == 0.0
 

@@ -738,3 +738,20 @@ def test_a_built_grids_arrays_are_made_once_read_only_and_kept():
             assert not got.flags.writeable
     direct = pickle.loads(pickle.dumps(replaced))
     assert direct._rule is None and np.array_equal(direct.nodes, nodes)
+
+
+def test_grids_maps_and_rules_compare_by_identity_and_print_no_arrays(demo_scene):
+    # the generated == compared arrays (an ambiguous truth value), hash raised
+    # TypeError, and repr made and kept a built grid's nodes and weights
+    grid, twin = build_grid(1e-3, 8, 16), build_grid(1e-3, 8, 16)
+    fmap = sample_field(demo_scene, grid)
+    for a, b in ((grid, twin), (fmap, sample_field(demo_scene, twin)),
+                 (grid._rule, _unit_rule(4, 8))):
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+    assert len({grid, twin, fmap}) == 3
+    for text in (repr(grid), repr(fmap)):
+        assert "DiskGrid(radius=0.001)" in text
+    assert "nodes" not in vars(grid) and "weights" not in vars(grid)
+    direct = DiskGrid(grid.radius, grid.nodes, grid.weights)
+    assert repr(direct) == "DiskGrid(radius=0.001)" and direct != grid

@@ -471,12 +471,25 @@ def test_identity_table_names_tolerances_and_rows():
 
 
 def test_nan_error_fails_its_identity_row(monkeypatch):
-    # a NaN error must not be dropped by the running maximum of a check
-    monkeypatch.setattr(specfun, "bessel_j0", lambda x: math.nan)
-    for name in ("bessel:j0-derivative", "bessel:j0-envelope",
-                 "bessel:j0-ring-representation"):
-        _, check = specfun.IDENTITIES[name]
-        assert math.isnan(check()), name
+    # a NaN error must not be dropped by the worst-error fold of a check
+    tail_rows = [name for name in specfun.IDENTITIES if name.startswith(("tail:", "recursion:"))]
+    sources = [
+        ("bessel_j0", lambda x: math.nan,
+         ["bessel:j0-derivative", "bessel:j0-envelope", "bessel:j0-ring-representation"]),
+        ("tail_integral", lambda kind, rho: math.nan, tail_rows),
+        ("sin_cos_components", lambda k1, radius: dict.fromkeys(specfun._RING_SHAPES, math.nan),
+         ["ring:sin-cos-closed-forms", "ring:taylor-low-orders"]),
+        ("_angles", lambda n: (np.full(n, math.nan), np.full(n, math.nan)),
+         ["ring:odd-symmetry-vanishing", "bessel:j0-ring-representation",
+          "bessel:j1-ring-representation"]),
+    ]
+    assert len(tail_rows) == 10
+    for source, nan, names in sources:
+        with monkeypatch.context() as patch:
+            patch.setattr(specfun, source, nan)
+            for name in names:
+                _, check = specfun.IDENTITIES[name]
+                assert math.isnan(check()), (source, name)
 
 
 def _scaled_value(monkeypatch):
@@ -506,6 +519,15 @@ def _changed_bessel(n, change):
     return patch
 
 
+def _stretched_angles(monkeypatch):
+    # the angle rule with step 2 pi / (n + 1): its nodes no longer close the circle
+    def angles(n):
+        theta = 2.0 * math.pi * np.arange(n) / (n + 1)
+        return np.cos(theta), np.sin(theta)
+
+    monkeypatch.setattr(specfun, "_angles", angles)
+
+
 # identity row -> a perturbation of what it checks that must fail it
 _MUTATIONS = {
     **{name: _scaled_value for name in specfun.IDENTITIES
@@ -514,16 +536,12 @@ _MUTATIONS = {
     "bessel:j1-ring-representation": _scaled_series,
     "bessel:j0-derivative": _changed_bessel(1, lambda v: v * (1 + 1e-6)),
     "bessel:j0-envelope": _changed_bessel(0, lambda v: v + 0.1),
-}
-
-# identity rows that no perturbation of the package reaches, with the reason
-_UNREACHABLE = {
-    "ring:odd-symmetry-vanishing": "it sums numpy trig over the angle; no package routine enters",
+    "ring:odd-symmetry-vanishing": _stretched_angles,
 }
 
 
-def test_every_identity_row_has_a_mutation_or_a_reason():
-    assert sorted([*_MUTATIONS, *_UNREACHABLE]) == sorted(specfun.IDENTITIES)
+def test_every_identity_row_has_a_mutation():
+    assert sorted(_MUTATIONS) == sorted(specfun.IDENTITIES)
 
 
 @pytest.mark.parametrize("name", list(_MUTATIONS))
