@@ -25,8 +25,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._checks import _integer, _one_of, _positive
-from .field import (_FAR_FIELD_ROWS, AsymptCoeffs, _finite_part, asympt_coefficients,
-                    asympt_condition_margin, b3)
+from .field import (_FAR_FIELD_ROWS, AsymptCoeffs, _finite_part, _refuse_b3_overflow,
+                    asympt_coefficients, asympt_condition_margin, b3)
 from .noise import NoiseSpec, _noisy, add_noise
 from .quad import _DEFAULT_GRID, MAX_POWER, FieldMap, _grid_sizes, build_grid, sample_field
 from .scene import MU0, DipoleScene, net_moment
@@ -234,9 +234,8 @@ def d_coefficients(scene: DipoleScene) -> dict[int, float]:
     # (Im part) and Re[i w e^(-2 pi k1 z)] (Re part), with w = m1 - i m3 and
     # z = (h - t3) - i t1 per dipole, so
     # d_q = mu0 pi (-2 pi)^(q-1) / (q-1)! * Re sum_d (1 for odd q, i for even q) w z^(q-1).
-    pos, mom = scene.positions, scene.moments
-    z = (scene.height - pos[:, 2]) - 1j * pos[:, 0]
-    wz = mom[:, 0] - 1j * mom[:, 2]                 # w z^(q-1), starting at q = 1
+    z = scene.depths - 1j * scene.positions[:, 0]
+    wz = scene.moments[:, 0] - 1j * scene.moments[:, 2]    # w z^(q-1), starting at q = 1
     values = {}
     for q in range(1, MAX_POWER + 1):
         total = complex(np.sum(wz)) * (1 if q % 2 else 1j)
@@ -425,18 +424,12 @@ def _synthesised_map(scene: DipoleScene, radius: float, grid_params: GridParams,
 
 
 def _sweep_cell(scene: DipoleScene, specs: Sequence[EstimatorSpec], grid_params: GridParams,
-                noise: Optional[NoiseSpec], truth, coeffs: AsymptCoeffs,
+                noise: Optional[NoiseSpec], truth, predictions: dict[EstimatorSpec, float],
                 stream: int, radius: float) -> list[SweepRow]:
     fmap = _synthesised_map(scene, radius, grid_params,
                             None if noise is None else dataclasses.replace(noise, stream=stream))
-    rows = []
-    for spec in specs:
-        est = estimate_moment(fmap, spec)
-        pred = None
-        if (spec.component, spec.order) in _PREDICTED_SPECS:
-            pred = _leading_error(coeffs, spec, radius, scene.mu0)
-        rows.append(SweepRow(radius, spec, est, getattr(truth, spec.component), pred))
-    return rows
+    return [SweepRow(radius, spec, estimate_moment(fmap, spec), getattr(truth, spec.component),
+                     predictions.get(spec)) for spec in specs]
 
 
 def _ascending_radii(radii: Sequence[float]) -> list[float]:
@@ -453,18 +446,19 @@ def sweep(scene: DipoleScene, radii: Sequence[float], specs: Sequence[EstimatorS
 
     The rows come grouped by ascending radius, each group in the order of
     specs; SweepResult.for_spec returns one spec's rows sorted by radius.
-    The radius of index i draws its noise from stream i of noise.seed.  A
-    margin >= 1 at the smallest radius only warns: small radii outside the
-    asymptotic regime are still useful data.
+    The radius of index i draws its noise from stream i of noise.seed.  Before
+    any grid is built the specs are checked and each closed-form leading error
+    is computed, once per radius; a radius at which one of them, or b3 at the
+    largest radius, overflows is refused.  A margin >= 1 at the smallest radius
+    only warns: small radii outside the asymptotic regime are still useful data.
     """
     radii = _ascending_radii(radii)
-    coeffs = asympt_coefficients(scene)
-    for spec in specs:  # checked before any grid is built
+    for spec in specs:
         _estimator_row(spec)
-        if (spec.component, spec.order) in _PREDICTED_SPECS:
-            # every power of the radius in it is negative: if none overflows
-            # at the smallest radius, none does at any
-            _leading_error(coeffs, spec, radii[0], scene.mu0)
+    coeffs = asympt_coefficients(scene)
+    predictions = [{spec: _leading_error(coeffs, spec, radius, scene.mu0) for spec in specs
+                    if (spec.component, spec.order) in _PREDICTED_SPECS} for radius in radii]
+    _refuse_b3_overflow(scene, radii[-1])
     margin = asympt_condition_margin(scene, radii[0])
     if margin >= 1.0:
         warnings.warn(
@@ -475,8 +469,8 @@ def sweep(scene: DipoleScene, radii: Sequence[float], specs: Sequence[EstimatorS
     truth = net_moment(scene)
     # one call per radius, so each radius's map is freed before the next is built
     return SweepResult(rows=tuple(
-        row for stream, radius in enumerate(radii)
-        for row in _sweep_cell(scene, specs, grid_params, noise, truth, coeffs, stream, radius)))
+        row for stream, (radius, preds) in enumerate(zip(radii, predictions))
+        for row in _sweep_cell(scene, specs, grid_params, noise, truth, preds, stream, radius)))
 
 
 def convergence_slope(result: SweepResult, spec: EstimatorSpec,
@@ -522,6 +516,7 @@ def raster_m3_drift_series(scene: DipoleScene, radii: Sequence[float],
     # True would run as a 1-pixel raster
     _integer(n_pixels, "n_pixels must be an integer of at least 1", lo=1)
     r_max = radii[-1]
+    _refuse_b3_overflow(scene, r_max)
     step = 2.0 * r_max / n_pixels
     centers = -r_max + step * (np.arange(n_pixels) + 0.5)
     # pixel (i, k) sits at (centers[i], centers[k]): axes[j] is x_j over the

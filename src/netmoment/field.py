@@ -113,6 +113,17 @@ def _row_blocks(pts: np.ndarray) -> Iterator[np.ndarray]:
         yield rows[:, :n]
 
 
+def _refuse_b3_overflow(scene: DipoleScene, radius: float) -> None:
+    """A ValueError naming the radius if b3's q^2.5 overflows on the disk of that radius,
+    where q = |x - t|^2 + u^2 <= (radius + |(t1, t2)|)^2 + u^2; numpy's products reach
+    inf where ** would raise OverflowError."""
+    with np.errstate(over="ignore"):
+        reach = radius + np.hypot(*scene.positions[:, :2].T)
+        q = float(np.max(reach * reach + scene.depths * scene.depths, initial=0.0))
+    if not math.sqrt(q) * q * q < math.inf:
+        raise ValueError(f"radius {radius!r} is out of range: b3's q ** 2.5 overflows")
+
+
 def _b3_kernel(scene: DipoleScene, n_points: int,
                row_blocks: Iterable[np.ndarray]) -> np.ndarray:
     """b3's values at n_points planar points, given as consecutive (2, k) blocks
@@ -121,9 +132,9 @@ def _b3_kernel(scene: DipoleScene, n_points: int,
     vals = np.zeros(n_points)
     n_dip = len(scene.dipoles)
     if n_dip:
-        p1, p2, t3 = scene.positions.T
+        p1, p2, _ = scene.positions.T
         m1, m2, m3 = scene.moments.T
-        u = scene.height - t3                         # h - t3 > 0 per scene invariant
+        u = scene.depths
         u2 = u * u
         three_u = 3.0 * u
         step = max(1, _PAIR_BUDGET // n_dip)
@@ -245,13 +256,11 @@ def asympt_condition_margin(scene: DipoleScene, radius: float) -> float:
     The expansion machinery applies iff the returned margin is < 1.
     """
     radius = _positive(radius, "radius must be positive and finite")
-    if not len(scene.dipoles):
-        return 0.0
     p = scene.positions
-    u = scene.height - p[:, 2]
     tperp2 = p[:, 0]**2 + p[:, 1]**2
     # numpy's power has the bits of radius**2, but is inf past the float range
     # (a margin of 0) instead of raising, and a tiny radius has a margin of inf
     with np.errstate(divide="ignore", over="ignore"):
-        vals = (tperp2 + u**2 + 2.0 * radius * np.sqrt(tperp2)) / np.float64(radius)**2
-    return float(vals.max())
+        vals = (tperp2 + scene.depths**2 + 2.0 * radius * np.sqrt(tperp2)) / np.float64(radius)**2
+    # an empty scene has a margin of 0
+    return float(vals.max(initial=0.0))

@@ -32,7 +32,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from ._checks import _integer, _one_of, _positive, _real
-from .field import _SEQUENTIAL_ROW_SUM, _b3_kernel, _row_blocks, b3
+from .field import _SEQUENTIAL_ROW_SUM, _b3_kernel, _refuse_b3_overflow, _row_blocks, b3
 from .scene import _UNIT_SYSTEMS, DipoleScene, _read_only
 
 __all__ = [
@@ -343,8 +343,9 @@ def sample_field(scene: DipoleScene, grid: DiskGrid) -> FieldMap:
     b3's kernel takes the grid's walk of its nodes (DiskGrid._row_blocks):
     for a scene of fewer than 8 dipoles a build_grid grid's node array is
     not made.  b3's values do not depend on its blocks, so the samples are
-    b3(scene, grid.nodes), bit for bit.
+    b3(scene, grid.nodes), bit for bit.  A radius at which b3 overflows is refused.
     """
+    _refuse_b3_overflow(scene, grid.radius)
     if len(scene.dipoles) >= _SEQUENTIAL_ROW_SUM:
         # the same bits through the public b3, only so that a trace of b3
         # counts a large scene's pairs (bench/test_bench.py::ACTIVE_COUNTS

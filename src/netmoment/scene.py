@@ -99,13 +99,16 @@ class DipoleScene:
 
     The plane x3 = height must lie strictly above every dipole so field
     denominators never vanish; that is enforced here, not at evaluation.
+    Three read-only arrays are made once from the dipoles: positions and
+    moments, (N, 3), and depths, the (N,) height - x3 below the plane.
     """
 
     dipoles: tuple[Dipole, ...]
     height: float
     unit_system: str = "si"
-    _positions: np.ndarray = field(init=False, repr=False, compare=False)
-    _moments: np.ndarray = field(init=False, repr=False, compare=False)
+    positions: np.ndarray = field(init=False, repr=False, compare=False)
+    moments: np.ndarray = field(init=False, repr=False, compare=False)
+    depths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
@@ -127,19 +130,9 @@ class DipoleScene:
                 )
         # read-only, so that a write cannot make them disagree with the dipoles
         pos = _read_only([d.position for d in dipoles]).reshape(-1, 3)
-        mom = _read_only([d.moment for d in dipoles]).reshape(-1, 3)
-        object.__setattr__(self, "_positions", pos)
-        object.__setattr__(self, "_moments", mom)
-
-    @property
-    def positions(self) -> np.ndarray:
-        """(N, 3) dipole positions."""
-        return self._positions
-
-    @property
-    def moments(self) -> np.ndarray:
-        """(N, 3) dipole moments."""
-        return self._moments
+        object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "moments", _read_only([d.moment for d in dipoles]).reshape(-1, 3))
+        object.__setattr__(self, "depths", _read_only(self.height - pos[:, 2]))
 
     @property
     def mu0(self) -> float:
@@ -149,7 +142,7 @@ class DipoleScene:
         """Diameter of the dipole support (0 for empty or single-dipole scenes)."""
         if len(self.dipoles) < 2:
             return 0.0
-        p = self._positions
+        p = self.positions
         diff = p[:, None, :] - p[None, :, :]
         return float(np.sqrt((diff**2).sum(axis=-1)).max())
 

@@ -8,6 +8,7 @@ import inspect
 import math
 import pathlib
 import re
+import warnings
 
 import pytest
 
@@ -94,12 +95,14 @@ _OUT_OF_RANGE_RADII = [
     lambda s: predicted_leading_error(s, EstimatorSpec("m1", 1), 1e-200),
     lambda s: t_quantities_analytic(asympt_coefficients(s), 1e150),
     lambda s: t_quantities_analytic(asympt_coefficients(s), 1e-150),
+    # b3's q ** 2.5 overflows on the largest disk (numpy warned and every estimate read 0.0)
+    lambda s: sweep(s, [1e-3, 1e120], [EstimatorSpec("m1", 1)], GridParams(8, 8)),
 ]
 
 
 @pytest.mark.parametrize("call", _OUT_OF_RANGE_RADII, ids=[
     "sweep-1e-120", "sweep-1e-200", "predicted_leading_error-1e-200",
-    "t_quantities_analytic-1e150", "t_quantities_analytic-1e-150"])
+    "t_quantities_analytic-1e150", "t_quantities_analytic-1e-150", "sweep-1e120"])
 def test_out_of_range_radii_are_refused_before_any_grid(demo_scene, call, monkeypatch):
     monkeypatch.setattr(estimate, "build_grid", lambda *args: pytest.fail("a grid was built"))
     with pytest.raises(ValueError, match="radius") as info:
@@ -107,17 +110,55 @@ def test_out_of_range_radii_are_refused_before_any_grid(demo_scene, call, monkey
     assert type(info.value) is ValueError
 
 
-def test_the_cli_refuses_an_out_of_range_radius_with_an_error_line(tmp_path, capsys):
+_ONE_DIPOLE = ('{"unit_system": "si", "height": 2.5e-4, "dipoles": [{"position": '
+               '[3.5e-5, 3.0e-5, 1.0e-5], "moment": [4.5e-12, 3.5e-12, 1.0e-12]}]}')
+
+
+# 1e-120 overflows a closed form's power of the radius; 1e120 overflows b3's
+# q ** 2.5 (for m1:5, which has no closed form, numpy warned and wrote 0.0)
+@pytest.mark.parametrize("radius, spec, shown", [("1e-120", "m1:1", "1e-120"),
+                                                 ("1e120", "m1:5", "1e+120")])
+def test_the_cli_refuses_an_out_of_range_radius_with_an_error_line(tmp_path, capsys, radius,
+                                                                    spec, shown):
     scene = tmp_path / "scene.json"
-    scene.write_text('{"unit_system": "si", "height": 2.5e-4, "dipoles": [{"position": '
-                     '[3.5e-5, 3.0e-5, 1.0e-5], "moment": [4.5e-12, 3.5e-12, 1.0e-12]}]}')
+    scene.write_text(_ONE_DIPOLE)
     out = tmp_path / "x.csv"
-    rc = main(["sweep", "--scene", str(scene), "--radius", "1e-120", "--spec", "m1:1",
+    rc = main(["sweep", "--scene", str(scene), "--radius", radius, "--spec", spec,
                "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: radius 1e-120") and err.count("\n") == 1
+    assert err.startswith(f"error: radius {shown}") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["synth", "--out", "x.csv"], ["estimate", "--spec", "m1:5"],
+    ["sweep", "--spec", "m1:5", "--out", "x.csv"]])
+def test_every_synthesised_map_refuses_a_radius_at_which_b3_overflows(
+        tmp_path, capsys, monkeypatch, command):
+    scene = tmp_path / "scene.json"
+    scene.write_text(_ONE_DIPOLE)
+    monkeypatch.chdir(tmp_path)
+
+    def run(radius: str) -> int:
+        return main([command[0], "--scene", str(scene), "--radius", radius] + command[1:])
+
+    assert run("1e120") == 1
+    assert capsys.readouterr().err.startswith("error: radius 1e+120 is out of range")
+    # 2e61 is in range on the default grid (q ** 2.5 at the edge is about 3e306)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("2e61") == 0
+
+
+def test_the_raster_series_refuses_a_radius_at_which_b3_overflows(demo_scene):
+    spec = EstimatorSpec("m3", 2)
+    with pytest.raises(ValueError, match=re.escape("radius 1e+120 is out of range")):
+        raster_m3_drift_series(demo_scene, [1e-3, 1e120], spec, None, n_pixels=32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(raster_m3_drift_series(demo_scene, [1e61, 2e61], spec, None,
+                                          n_pixels=32)) == 2
 
 
 # 1.5 is a valid positive value, so only the integer arguments get it; an
@@ -196,6 +237,7 @@ def test_only_the_rule_module_tests_integral_or_bool_types():
     (r"\* rule\.ring_weights\b", "quad.py"),           # a built ring's weight: grid and CSV match
     (r"4 \* n \* n - 1", "specfun.py"),              # the reduction identity's right side
     (r"2\.0 \* math\.pi \* np\.arange", "quad.py"),    # the periodic angle rule's nodes
+    (r"height - (?:t3\b|\w+\[:, 2\])", "scene.py"),      # the depths u = h - t3
 ])
 def test_each_numerical_rule_is_written_once(pattern, home):
     found = [path.name for path in sorted(_SOURCE.glob("*.py"))

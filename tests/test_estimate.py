@@ -15,7 +15,7 @@ from netmoment import (MU0, Dipole, DipoleScene, EstimatorSpec, FieldMap, GridPa
                        estimator_weight, integrate_weighted, net_moment,
                        predicted_leading_error, recovered_coefficients,
                        sample_field, sweep, t_quantities, t_quantities_analytic)
-from netmoment import raster_m3_drift_series
+from netmoment import estimate, raster_m3_drift_series
 from netmoment.estimate import _ROWS, SweepResult, SweepRow, all_specs
 from netmoment.quad import MAX_POWER
 from netmoment.specfun import sin_cos_components, sin_cos_taylor
@@ -304,6 +304,11 @@ def test_rows_match_independent_derivation():
         assert [(p, Fraction(c)) for p, c in got] == want, key
 
 
+def test_a_row_with_an_unknown_that_no_target_fixes_is_none():
+    # one target for the two unknowns c_1 and c_3: the second column has no pivot
+    assert estimate._row([1, 3], {(1, 0, 5): 0}) is None
+
+
 def test_t_quantities_analytic_equals_hand_formula_bitwise():
     rng = np.random.default_rng(1101)
     for _ in range(300):
@@ -475,6 +480,24 @@ def test_grid_params_refuse_the_sizes_build_grid_refuses(sizes, text):
 def test_sweep_warns_when_condition_fails(demo_scene):
     with pytest.warns(UserWarning, match="asymptotic condition"):
         sweep(demo_scene, [3e-4, 6e-4], [EstimatorSpec("m1", 1)], GridParams(16, 16))
+
+
+def test_a_sweep_computes_each_leading_error_once_per_radius(demo_scene, monkeypatch):
+    # the README sweep: 24 radii times the three predicted specs; a check at
+    # the smallest radius used to compute its three once more (75 calls)
+    calls, leading_error = [], estimate._leading_error
+
+    def counted(coeffs, spec, radius, scale):
+        calls.append((spec, radius))
+        return leading_error(coeffs, spec, radius, scale)
+
+    monkeypatch.setattr(estimate, "_leading_error", counted)
+    with pytest.warns(UserWarning, match="asymptotic condition"):
+        result = sweep(demo_scene, np.geomspace(3e-4, 2e-3, 24), all_specs())
+    assert len(calls) == len(set(calls)) == 72
+    monkeypatch.undo()
+    assert [r.predicted_error for r in result.rows if (r.spec, r.radius) in calls] == [
+        predicted_leading_error(demo_scene, spec, radius) for spec, radius in calls]
 
 
 def test_sweep_errors_decrease_along_tail(base_sweep):

@@ -439,6 +439,33 @@ def test_build_grid_scales_the_cached_unit_rule(radius, shape):
     assert abs(grid.weights.sum() - math.pi * radius**2) <= 1e-12 * math.pi * radius**2
 
 
+@pytest.mark.parametrize("bad, text", [
+    (lambda x, w: (x, 2.0 * w), "rule's weights do not sum to the unit disk's area"),
+    # nodes at +-1.72 and weights that still sum to the area
+    (lambda x, w: (2.0 * x, w), "rule has a ring outside the unit disk"),
+])
+def test_the_unit_rule_refuses_a_bad_gauss_legendre_rule(monkeypatch, bad, text):
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: bad(*leggauss(n)))
+    with pytest.raises(ValueError, match=re.escape(f"the 4 x 8 {text}")):
+        _unit_rule.__wrapped__(4, 8)
+
+
+def test_a_build_grid_file_with_one_more_row_reads_back_as_a_point_grid(tmp_path, demo_scene):
+    # the first run of 8 equal weights and the 33 rows give a 4 x 8 shape,
+    # whose 32 nodes are refused before the weights are reshaped to it
+    fmap = sample_field(demo_scene, build_grid(7.5e-4, 4, 8))
+    path = tmp_path / "map.csv"
+    write_field_csv(fmap, str(path))
+    with open(path, "a", newline="", encoding="utf-8") as fh:
+        fh.write("0.0,0.0,1e-12,0.0\r\n")
+    back = read_field_csv(str(path))
+    assert back.grid._rule is None and back.grid.n_radial is back.grid.n_angular is None
+    assert len(back.samples) == 33
+    spec = EstimatorSpec("m1", 1)
+    assert estimate_moment(back, spec) == pytest.approx(estimate_moment(fmap, spec), rel=1e-12)
+
+
 def test_a_sweep_builds_one_unit_rule_per_shape(demo_scene):
     _unit_rule.cache_clear()
     with pytest.warns(UserWarning, match="asymptotic condition"):
@@ -689,9 +716,11 @@ def test_a_sweep_cell_never_builds_the_node_array(demo_scene, monkeypatch, noisy
     monkeypatch.setattr(quad, "_scaled_rings", spy)
     monkeypatch.setattr(estimate, "build_grid", built)
     noise = NoiseSpec(20.0, seed=42) if noisy else None
+    predictions = {EstimatorSpec("m1", 1): 0.25, EstimatorSpec("m3", 2): -0.5}
     rows = estimate._sweep_cell(demo_scene, all_specs(), GridParams(), noise,
-                                net_moment(demo_scene), asympt_coefficients(demo_scene), 0, 2e-3)
+                                net_moment(demo_scene), predictions, 0, 2e-3)
     assert len(rows) == len(all_specs()) and len(grids) == 1
+    assert [r.predicted_error for r in rows] == [predictions.get(s) for s in all_specs()]
     # every ring written once, in blocks of whole rings, and no grid-sized array
     assert [i for rings in written for i in rings] == list(range(200))
     assert max(map(len, written)) < 200

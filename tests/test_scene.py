@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -194,6 +195,27 @@ def test_scene_arrays_are_read_only_and_keep_their_bits():
     assert scene.positions.tolist() == [[1e-5, 2e-5, 3e-5]]
     assert scene.moments.tolist() == [[1e-12, 2e-12, 3e-12]]
     assert net_moment(scene).m1 == 1e-12
+
+
+def test_scene_arrays_are_its_own_fields_and_depths_are_height_minus_x3(demo_scene):
+    # positions and moments used to sit behind two forwarding properties
+    init = {f.name: f.init for f in dataclasses.fields(DipoleScene)}
+    assert [init[k] for k in ("positions", "moments", "depths")] == [False] * 3
+    assert not hasattr(demo_scene, "_positions") and not hasattr(demo_scene, "_moments")
+    assert [k for k, v in vars(DipoleScene).items() if isinstance(v, property)] == ["mu0"]
+    depths = demo_scene.depths
+    want = demo_scene.height - demo_scene.positions[:, 2]
+    assert depths.shape == (4,) and depths.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        depths[0] = 1.0
+
+
+def test_an_empty_or_one_dipole_scene_has_no_extent():
+    empty = DipoleScene((), 1.0)
+    assert algebraic_moment(empty, 1, 0, 0, 1) == 0.0
+    assert empty.depths.shape == (0,)
+    for scene in (empty, make_scene([((0.5, -1.0, 2.0), (1.0, 0.0, 0.0))])):
+        assert scene.diameter() == 0.0
 
 
 @pytest.mark.parametrize("doc, text", [
