@@ -63,22 +63,29 @@ _SEQUENTIAL_ROW_SUM = 8
 
 def _points(x) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray | float]]:
     """Planar points x, a 2-vector or an (..., 2) array, as an (M, 2) array,
-    and the map of M values back to x's shape (a float for a 2-vector)."""
+    and the map of M values back to x's shape (a float for a 2-vector).
+    A ValueError names the first point that is not finite."""
     x = np.asarray(x, dtype=float)
     pts = np.atleast_2d(x)
     if pts.shape[-1] != 2:
         raise ValueError("evaluation points must have 2 components")
-    return pts.reshape(-1, 2), lambda vals: (float(vals[0]) if x.ndim == 1
-                                             else vals.reshape(x.shape[:-1]))
+    pts = pts.reshape(-1, 2)
+    if not np.isfinite(pts).all():
+        bad = pts[np.argmin(np.isfinite(pts).all(axis=1))]
+        raise ValueError(f"evaluation point {bad.tolist()} is not finite")
+    return pts, lambda vals: (float(vals[0]) if x.ndim == 1 else vals.reshape(x.shape[:-1]))
 
 
 def b3(scene: DipoleScene, x) -> np.ndarray | float:
     """Exact normal field on the plane x3 = height at planar points x.
 
     x may be a single 2-vector or an (..., 2) array; the return matches.
-    The points are taken in blocks of consecutive nodes holding at most
-    _PAIR_BUDGET (node, dipole) pairs, or one node when the scene has more
-    dipoles than that, so memory does not grow with the number of points.
+    A point that is not finite, or far enough out that q^2.5 may overflow
+    (the rule of _refuse_b3_overflow at the largest |x|), is refused with a
+    ValueError naming it.  The points are taken in blocks of consecutive
+    nodes holding at most _PAIR_BUDGET (node, dipole) pairs, or one node
+    when the scene has more dipoles than that, so memory does not grow with
+    the number of points.
     Every block is computed in the same four reused buffers, with the same
     operations in the same order as the one-pass formula
         mu0/(4 pi) * sum_d [dx1 (3u m1) + dx2 (3u m2) + (2u^2 - r^2) m3] / (sqrt(q) q q)
@@ -100,6 +107,10 @@ def b3(scene: DipoleScene, x) -> np.ndarray | float:
     are summed pairwise, so the switch sits where the bits would change.
     """
     pts, shaped = _points(x)
+    if len(pts):
+        far = np.argmax(np.hypot(*pts.T))
+        _refuse_b3_overflow(scene, math.hypot(*pts[far]),
+                            f"evaluation point {pts[far].tolist()}")
     return shaped(_b3_kernel(scene, len(pts), _row_blocks(pts)))
 
 
@@ -113,15 +124,16 @@ def _row_blocks(pts: np.ndarray) -> Iterator[np.ndarray]:
         yield rows[:, :n]
 
 
-def _refuse_b3_overflow(scene: DipoleScene, radius: float) -> None:
-    """A ValueError naming the radius if b3's q^2.5 overflows on the disk of that radius,
-    where q = |x - t|^2 + u^2 <= (radius + |(t1, t2)|)^2 + u^2; numpy's products reach
-    inf where ** would raise OverflowError."""
+def _refuse_b3_overflow(scene: DipoleScene, radius: float, name: str | None = None) -> None:
+    """A ValueError naming the radius (or name, when given) if b3's q^2.5 overflows on the
+    disk of that radius, where q = |x - t|^2 + u^2 <= (radius + |(t1, t2)|)^2 + u^2; numpy's
+    products reach inf where ** would raise OverflowError."""
     with np.errstate(over="ignore"):
         reach = radius + np.hypot(*scene.positions[:, :2].T)
         q = float(np.max(reach * reach + scene.depths * scene.depths, initial=0.0))
     if not math.sqrt(q) * q * q < math.inf:
-        raise ValueError(f"radius {radius!r} is out of range: b3's q ** 2.5 overflows")
+        raise ValueError(f"{name or f'radius {radius!r}'} is out of range: "
+                         "b3's q ** 2.5 overflows")
 
 
 def _b3_kernel(scene: DipoleScene, n_points: int,

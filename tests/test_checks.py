@@ -245,6 +245,14 @@ def test_each_numerical_rule_is_written_once(pattern, home):
     assert found == [home]
 
 
+def test_only_the_noise_layer_draws_random_numbers():
+    # numpy.random costs a fresh process about 6 MB and 15 ms to import, so
+    # only the commands that add noise load it, inside noise._generator
+    found = {path.name for path in _SOURCE.glob("*.py")
+             if re.search(r"np\.random|numpy\.random", path.read_text(encoding="utf-8"))}
+    assert found == {"noise.py"}
+
+
 def test_the_cli_synthesises_maps_only_through_the_estimate_layer():
     text = (_SOURCE / "cli.py").read_text(encoding="utf-8")
     assert re.findall(r"\b(?:build_grid|sample_field|add_noise)\b", text) == []

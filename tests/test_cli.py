@@ -1,11 +1,16 @@
 import csv
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import netmoment
 from netmoment import (MU0, EstimatorSpec, b3, build_grid, detrend_backward,
                        estimate_moment, sample_field, scene_to_dict)
 from netmoment import specfun
@@ -477,3 +482,38 @@ def test_noise_flags_without_snr_are_rejected(tmp_path, scene_file, capsys, comm
     assert rc == 1
     assert captured.out == "" and not out.exists()
     assert f"{flags[0]} shapes the noise and needs --snr-db" in captured.err
+
+
+# each command run in a fresh process, then whether it loaded numpy.random
+# (about 6 MB and 15 ms to import): only a command that adds noise does
+_CHILD = ("import sys; from netmoment.cli import main; rc = main(sys.argv[1:]); "
+          "print('numpy.random' in sys.modules); sys.exit(rc)")
+_SMALL_GRID = ["--n-radial", "8", "--n-angular", "16"]
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["verify-specfun", "--out", "{tmp}/report.txt"], False),
+    (["synth", "--scene", "{scene}", "--radius", "1e-3", *_SMALL_GRID,
+      "--out", "{tmp}/new.csv"], False),
+    (["estimate", "--field-csv", "{map}", "--spec", "m1:1"], False),
+    (["sweep", "--scene", "{scene}", "--radius-min", "5e-4", "--radius-max", "1e-3",
+      "--radius-count", "3", "--spec", "m1:1", *_SMALL_GRID, "--out", "{tmp}/sweep.csv"], False),
+    (["sweep", "--scene", "{scene}", "--radius-min", "5e-4", "--radius-max", "1e-3",
+      "--radius-count", "3", "--spec", "m1:1", *_SMALL_GRID, "--snr-db", "20", "--seed", "1",
+      "--out", "{tmp}/sweep.csv"], True),
+], ids=["verify-specfun", "synth", "estimate-field-csv", "sweep", "sweep-snr-db"])
+def test_only_a_noisy_command_loads_numpy_random(tmp_path, argv, loads):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({"unit_system": "si", "height": 2.5e-4, "dipoles": [
+        {"position": [3.5e-5, 3.0e-5, 1.0e-5], "moment": [4.5e-12, 3.5e-12, 1.0e-12]}]}))
+    field_map = tmp_path / "map.csv"
+    assert main(["synth", "--scene", str(scene), "--radius", "1e-3", *_SMALL_GRID,
+                 "--out", str(field_map)]) == 0
+    argv = [a.format(tmp=tmp_path, scene=scene, map=field_map) for a in argv]
+    src = str(pathlib.Path(netmoment.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", _CHILD, *argv], env=env, cwd=tmp_path,
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == str(loads)

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -7,6 +8,7 @@ import pytest
 
 from netmoment import (Dipole, DipoleScene, asympt_coefficients,
                        asympt_condition_margin, b3, b3_asympt, build_grid, net_moment)
+from netmoment import field
 from netmoment.field import _FAR_FIELD_ROWS, _PAIR_BUDGET
 from oracles import (PAPER_ORDER, asympt_coefficients_tabulated, b3_unchunked,
                      condition_margin_bruteforce, far_field_tabulated, identifiable_functionals,
@@ -346,3 +348,32 @@ def test_b3_and_b3_asympt_reject_points_without_2_components(demo_scene, points)
     for call in (lambda x: b3(demo_scene, x), lambda x: b3_asympt(coeffs, x)):
         with pytest.raises(ValueError, match="evaluation points must have 2 components"):
             call(points)
+
+
+# the kernel's q ** 2.5 overflows at 1e62 and inf warns of an invalid value (each
+# an error under Tier-1's error::RuntimeWarning), and nan would come back as nan
+@pytest.mark.parametrize("points, named, why", [
+    ([1e62, 0.0], "[1e+62, 0.0]", "is out of range"),
+    ([[1e-3, 0.0], [5e-4, -1e62]], "[0.0005, -1e+62]", "is out of range"),
+    ([math.inf, 0.0], "[inf, 0.0]", "is not finite"),
+    ([math.nan, 0.0], "[nan, 0.0]", "is not finite"),
+    ([[1e-3, 0.0], [math.nan, -math.inf], [0.0, math.nan]], "[nan, -inf]", "is not finite"),
+])
+def test_b3_refuses_a_point_it_cannot_evaluate_naming_it(demo_scene, points, named, why):
+    with pytest.raises(ValueError, match=re.escape(f"evaluation point {named} {why}")):
+        b3(demo_scene, points)
+
+
+@pytest.mark.parametrize("points", [[math.inf, 0.0], [[1e-3, 0.0], [0.0, math.nan]]])
+def test_b3_asympt_refuses_a_point_that_is_not_finite(demo_scene, points):
+    with pytest.raises(ValueError, match="is not finite"):
+        b3_asympt(asympt_coefficients(demo_scene), points)
+
+
+def test_b3_evaluates_the_farthest_point_in_range(demo_scene):
+    # q ** 2.5 at |x| = 2e61 is about 3e306; the guard leaves the values unchanged
+    points = np.array([[2e61, 0.0], [0.0, -2e61], [1e-4, 2e-4]])
+    values = b3(demo_scene, points)
+    assert np.all(np.isfinite(values))
+    kernel = field._b3_kernel(demo_scene, len(points), field._row_blocks(points))
+    assert values.tobytes() == kernel.tobytes()

@@ -568,6 +568,17 @@ def test_tail_integral_rho_derivative():
         assert fd == pytest.approx(-bessel_j1(rho) / rho**3, abs=1e-6)
 
 
+def test_odd_symmetry_draws_are_the_generators_draws():
+    # the row drew these from default_rng(12345), in this call order; the table
+    # keeps numpy.random out of verify-specfun, and this keeps it the same data
+    rng = np.random.default_rng(12345)
+    drawn = [(float(rng.uniform(-10, 10)), int(rng.integers(0, 4)), int(rng.integers(0, 4)))
+             for _ in range(20)]
+    assert specfun._ODD_SYMMETRY_DRAWS == tuple(drawn)
+    assert all(list(map(type, triple)) == [float, int, int]
+               for triple in specfun._ODD_SYMMETRY_DRAWS)
+
+
 @given(st.floats(-10, 10), st.integers(0, 3), st.integers(0, 3))
 @settings(max_examples=25, deadline=None)
 def test_odd_symmetry_ring_integrals_vanish(alpha, m, n):
